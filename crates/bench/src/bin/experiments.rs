@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! experiments [--quick|--full|--smoke] [--markdown] [--jobs N]
-//!             [--shards K] [--seed S] [--json PATH]
+//!             [--seed S] [--json PATH]
 //!             [--telemetry PATH] [--telemetry-summary] [IDS...]
 //! experiments --list
 //! experiments --diff OLD.json NEW.json
@@ -16,11 +16,9 @@
 //! `IDS` filters by experiment id (e.g. `E8 E10`); default runs all.
 //! `--list` prints the registry (one `id  description` line per
 //! experiment) and exits. `--jobs` sets the sweep worker count
-//! (default: available parallelism); `--shards` sets the intra-run
-//! engine shard count for the scaling sweeps (default 1 = sequential,
-//! `0` = auto) — for a fixed `--seed`, tables and the measured content
-//! of the `--json` artifact are byte-identical for any `--jobs` and
-//! any `--shards` value (DESIGN.md §4b/§4c). The artifact additionally
+//! (default: available parallelism) — for a fixed `--seed`, tables and
+//! the measured content of the `--json` artifact are byte-identical for
+//! any `--jobs` value (DESIGN.md §4b). The artifact additionally
 //! records per-cell wall-clock milliseconds (`cell_ms`) for drivers
 //! that collect them; that one field is observability data and is
 //! ignored by `--diff`.
@@ -61,7 +59,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     let mut scale = Scale::Quick;
     let mut markdown = false;
     let mut jobs: Option<usize> = None;
-    let mut shards: usize = 1;
     let mut master_seed: u64 = 42;
     let mut json_path: Option<String> = None;
     let mut telemetry_path: Option<String> = None;
@@ -91,11 +88,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                     return Err("--jobs must be ≥ 1".into());
                 }
                 jobs = Some(n);
-            }
-            "--shards" => {
-                // 0 = auto (available parallelism), resolved by the
-                // SweepConfig builder.
-                shards = value()?.parse().map_err(|e| format!("bad --shards: {e}"))?;
             }
             "--seed" => {
                 master_seed = value()?.parse().map_err(|e| format!("bad --seed: {e}"))?;
@@ -128,7 +120,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         });
     }
 
-    let cfg = SweepConfig::new(jobs, master_seed).with_shards(shards);
+    let cfg = SweepConfig::new(jobs, master_seed);
     let t0 = std::time::Instant::now();
     let timed = experiments::run_selected_timed(scale, &cfg, &filter)?;
     let (reports, driver_ms): (Vec<_>, Vec<f64>) = timed.into_iter().unzip();
@@ -169,10 +161,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     eprintln!(
-        "(completed in {:.1?}; scale: {scale:?}, jobs: {}, shards: {}, seed: {master_seed})",
+        "(completed in {:.1?}; scale: {scale:?}, jobs: {}, seed: {master_seed})",
         t0.elapsed(),
-        cfg.jobs,
-        cfg.shards
+        cfg.jobs
     );
     if failures > 0 {
         eprintln!("{failures} experiment(s) had failed shape checks");

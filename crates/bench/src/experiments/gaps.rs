@@ -2,7 +2,7 @@
 //! Theorems 17 and 24).
 
 use netgraph::wct::{Wct, WctParams};
-use noisy_radio_core::schedules::star::{star_coding_sharded, star_routing};
+use noisy_radio_core::schedules::star::{star_coding, star_routing};
 use noisy_radio_core::schedules::wct::{max_fraction_receiving_probe, wct_coding, wct_routing};
 use radio_model::Channel;
 use radio_sweep::{run_cells, Plan, SweepConfig};
@@ -19,14 +19,10 @@ const MAX_ROUNDS: u64 = 200_000_000;
 pub fn e8_star_gap(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
     // Full grid extended into the n ≥ 10⁵ regime (the ROADMAP
     // million-node item: up to 262144-leaf stars, i.e. log₂ n up to
-    // 18) — tractable since the sparse engine sweeps only the active
-    // CSR ranges. The coding arm runs the engine over `cfg.shards` CSR
-    // shards — bit-identical results for any shard count (§4c); the
-    // routing arm is the centralized adaptive controller, which is not
-    // a `Simulator` and stays sequential.
+    // 18) — tractable since the sparse engine sweeps only active nodes.
     // `--smoke` gates the sparse engine in CI at a single 2¹⁷-leaf
     // point — big enough that a dense-sweep regression is obvious,
-    // small enough to run a --jobs × --shards byte-identity matrix.
+    // small enough to run a --jobs byte-identity check.
     let sizes: &[usize] = match scale {
         Scale::Smoke => &[131072],
         _ => scale.pick(
@@ -38,7 +34,6 @@ pub fn e8_star_gap(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
     let trials = scale.pick(2, 5);
     let p = 0.5;
     let fault = Channel::receiver(p).expect("valid p");
-    let shards = cfg.shards;
     let mut plan = Plan::new();
     let handles: Vec<_> = sizes
         .iter()
@@ -50,7 +45,7 @@ pub fn e8_star_gap(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
                     .expect("must finish")
             });
             let coding = plan.trials(trials, move |ctx| {
-                star_coding_sharded(n, k, fault, ctx.seed, MAX_ROUNDS, shards)
+                star_coding(n, k, fault, ctx.seed, MAX_ROUNDS)
                     .expect("valid")
                     .rounds_used()
             });

@@ -117,12 +117,8 @@ pub fn e14_latency_sweep(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
         .iter()
         .map(|(_, _, g)| {
             (
-                XinXiaSchedule::new(g, NodeId::new(0))
-                    .expect("connected graph")
-                    .with_shards(cfg.shards),
-                RobustFastbcSchedule::new(g, NodeId::new(0))
-                    .expect("connected graph")
-                    .with_shards(cfg.shards),
+                XinXiaSchedule::new(g, NodeId::new(0)).expect("connected graph"),
+                RobustFastbcSchedule::new(g, NodeId::new(0)).expect("connected graph"),
             )
         })
         .collect();
@@ -236,9 +232,7 @@ pub fn e14_latency_sweep(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
     // receiver(p) for noisy-model protocols under a shared seed.
     let control_seed = cfg.scope_seed("E14/erasure-control");
     let control_graph = generators::path(64);
-    let control = XinXiaSchedule::new(&control_graph, NodeId::new(0))
-        .expect("connected graph")
-        .with_shards(cfg.shards);
+    let control = XinXiaSchedule::new(&control_graph, NodeId::new(0)).expect("connected graph");
     let noisy = control
         .run_profiled(channels[0], control_seed, MAX_ROUNDS)
         .expect("valid run");

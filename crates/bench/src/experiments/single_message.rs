@@ -20,15 +20,13 @@ const MAX_ROUNDS: u64 = 200_000_000;
 /// the log–log slope of rounds against `D·log₂ n` is ≈ 1.
 pub fn e1_decay_faultless(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
     // Full grid extended two doublings past the original 1024 (the
-    // ROADMAP "larger-n grids" item); the per-cell engine shards over
-    // `cfg.shards` threads, which never changes the measured rounds
-    // (§4c shard-count independence).
+    // ROADMAP "larger-n grids" item).
     let sizes: &[usize] = scale.pick(
         &[32, 64, 128, 256],
         &[32, 64, 128, 256, 512, 1024, 2048, 4096],
     );
     let trials = scale.pick(3, 10);
-    let decay = Decay::new().with_shards(cfg.shards);
+    let decay = Decay::new();
     let graphs: Vec<_> = sizes.iter().map(|&n| generators::path(n)).collect();
     let mut plan = Plan::new();
     let handles: Vec<_> = graphs
@@ -94,22 +92,17 @@ pub fn e1_decay_faultless(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
 /// dependence on `D` is linear with slope ≈ 2 rounds per hop (the
 /// schedule interleaves fast and slow rounds).
 pub fn e2_fastbc_faultless(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
-    // Full grid extended two doublings (2048 → 8192); cells shard the
-    // engine over `cfg.shards` threads.
+    // Full grid extended two doublings (2048 → 8192).
     let sizes: &[usize] = scale.pick(
         &[64, 128, 256],
         &[64, 128, 256, 512, 1024, 2048, 4096, 8192],
     );
     let trials = scale.pick(3, 8);
-    let decay = Decay::new().with_shards(cfg.shards);
+    let decay = Decay::new();
     let graphs: Vec<_> = sizes.iter().map(|&n| generators::path(n)).collect();
     let scheds: Vec<_> = graphs
         .iter()
-        .map(|g| {
-            FastbcSchedule::new(g, NodeId::new(0))
-                .expect("path is connected")
-                .with_shards(cfg.shards)
-        })
+        .map(|g| FastbcSchedule::new(g, NodeId::new(0)).expect("path is connected"))
         .collect();
     let mut plan = Plan::new();
     let handles: Vec<_> = graphs
@@ -387,30 +380,23 @@ pub fn e4_fastbc_degradation(scale: Scale, cfg: &SweepConfig) -> ExperimentRepor
 /// E5 — Theorem 11: Robust FASTBC is diameter-linear under faults and
 /// beats Decay and the naive repetition baselines for large `D`.
 pub fn e5_robust_fastbc(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
-    // Full grid extended two doublings (2048 → 8192); cells shard the
-    // engine over `cfg.shards` threads.
+    // Full grid extended two doublings (2048 → 8192).
     let sizes: &[usize] = scale.pick(&[128, 256, 512], &[128, 256, 512, 1024, 2048, 4096, 8192]);
     let trials = scale.pick(3, 6);
     let p = 0.3;
     let fault = Channel::receiver(p).expect("valid p");
-    let decay = Decay::new().with_shards(cfg.shards);
+    let decay = Decay::new();
     let graphs: Vec<_> = sizes.iter().map(|&n| generators::path(n)).collect();
     let robusts: Vec<_> = graphs
         .iter()
-        .map(|g| {
-            RobustFastbcSchedule::new(g, NodeId::new(0))
-                .expect("valid")
-                .with_shards(cfg.shards)
-        })
+        .map(|g| RobustFastbcSchedule::new(g, NodeId::new(0)).expect("valid"))
         .collect();
     let repeateds: Vec<_> = sizes
         .iter()
         .zip(&graphs)
         .map(|(&n, g)| {
             let reps = (n as f64).log2().ceil() as u32;
-            RepeatedFastbcSchedule::new(g, NodeId::new(0), reps)
-                .expect("valid")
-                .with_shards(cfg.shards)
+            RepeatedFastbcSchedule::new(g, NodeId::new(0), reps).expect("valid")
         })
         .collect();
     let mut plan = Plan::new();

@@ -93,8 +93,8 @@ struct ArmOut {
 /// Measures one (graph, algo, channel) arm: service time, bisected
 /// `λ*`, latency-vs-load rows, overload probe. All randomness is
 /// forked from `seed`, one stream per probe, so the arm is
-/// deterministic for any jobs/shards split.
-fn run_arm(algo: Algo, graph: &Graph, channel: Channel, shards: usize, seed: u64) -> ArmOut {
+/// deterministic for any jobs split.
+fn run_arm(algo: Algo, graph: &Graph, channel: Channel, seed: u64) -> ArmOut {
     let mut probe = 0u64;
     let mut next_seed = || {
         probe += 1;
@@ -110,7 +110,6 @@ fn run_arm(algo: Algo, graph: &Graph, channel: Channel, shards: usize, seed: u64
             rate: 1.0,
             messages: 1,
             max_rounds: 10_000_000,
-            shards,
         },
         next_seed(),
     );
@@ -134,7 +133,6 @@ fn run_arm(algo: Algo, graph: &Graph, channel: Channel, shards: usize, seed: u64
                 rate: BURST as f64, // every arrival lands at round 0
                 messages: BURST,
                 max_rounds: cap,
-                shards,
             },
             seed,
         );
@@ -176,7 +174,6 @@ fn run_arm(algo: Algo, graph: &Graph, channel: Channel, shards: usize, seed: u64
                 rate,
                 messages,
                 max_rounds: 20 * horizon,
-                shards,
             },
             next_seed(),
         );
@@ -195,7 +192,6 @@ fn run_arm(algo: Algo, graph: &Graph, channel: Channel, shards: usize, seed: u64
                 rate: overload,
                 messages,
                 max_rounds: horizon,
-                shards,
             },
             next_seed(),
         ),
@@ -270,7 +266,7 @@ pub fn e15_saturation_sweep(scale: Scale, cfg: &SweepConfig) -> ExperimentReport
             .position(|&a| a == spec.algo)
             .expect("registered");
         let seed = fork_seed(arm_base, (spec.graph * Algo::ALL.len() + algo_ix) as u64);
-        run_arm(spec.algo, g, spec.channel, cfg.shards, seed)
+        run_arm(spec.algo, g, spec.channel, seed)
     });
 
     let mut table = Table::new(&[

@@ -30,18 +30,18 @@ pub struct ExperimentReport {
 ///
 /// The document records the scale and master seed — everything needed
 /// to reproduce it — but deliberately *not* the worker count or wall
-/// time, so it is byte-identical across `--jobs` and `--shards`
-/// values. The binary's `--json` flag writes [`suite_json_timed`]
-/// instead, which adds the per-cell `cell_ms` timing field; `--diff`
-/// ignores that field, so the determinism gates hold for both forms.
+/// time, so it is byte-identical across `--jobs` values. The binary's
+/// `--json` flag writes [`suite_json_timed`] instead, which adds the
+/// per-cell `cell_ms` timing field; `--diff` ignores that field, so the
+/// determinism gates hold for both forms.
 pub fn suite_json(reports: &[ExperimentReport], scale_name: &str, master_seed: u64) -> String {
     suite_doc(reports, scale_name, master_seed, false).render_pretty()
 }
 
 /// As [`suite_json`], additionally recording each experiment's
 /// per-cell wall-clock milliseconds (`cell_ms`, rounded to 0.01 ms)
-/// for drivers that collected them — the observability data behind the
-/// ROADMAP's per-shard wall-clock scaling curves. Everything except
+/// for drivers that collected them — observability data for per-cell
+/// wall-clock comparisons. Everything except
 /// `cell_ms` is byte-identical to [`suite_json`]'s output.
 pub fn suite_json_timed(
     reports: &[ExperimentReport],

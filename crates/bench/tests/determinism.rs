@@ -1,26 +1,23 @@
 //! The sweep-harness determinism contract, end to end: experiment
 //! tables and JSON artifacts are byte-identical for any worker count
-//! **and any engine shard count** under a fixed master seed — the two
-//! parallelism layers (§4b cell-level `--jobs`, §4c intra-run
-//! `--shards`) compose without changing a single measured byte.
+//! (§4b cell-level `--jobs`) under a fixed master seed.
 //!
 //! These tests exercise a representative driver subset at `Quick`
 //! scale so they stay affordable in debug CI runs; the full-suite
 //! release binary is exercised the same way by the CI workflow's
-//! `--jobs`/`--shards` smoke steps. The subset spans every harness
+//! `--jobs` smoke steps. The subset spans every harness
 //! shape: plain replicated trials (E3), a raw `run_cells` grid (E9,
 //! F1), mixed-group plans with validity flags (E12), the
 //! erasure-vs-noise grid with its deadlock control cell (E13), the
 //! latency sweep with its per-node `LatencyProfile` percentiles and
 //! per-cell timing (E14 — timing rides only on the binary's timed
 //! artifact, so `suite_json` stays byte-exact), the continuous-traffic
-//! saturation sweep whose per-arm bisection forks many probe seeds and
-//! threads `cfg.shards` through every `run_traffic` call (E15), a
-//! two-phase plan whose second grid depends on the first's results
-//! (A2), a sharded scaling sweep (E8, whose coding arm runs the
-//! engine over `cfg.shards` CSR shards), and the Byzantine consensus
-//! sweep whose adversary streams, per-listener equivocation payloads,
-//! and seeded common coin all ride the same fork-seed contract (E16).
+//! saturation sweep whose per-arm bisection forks many probe seeds
+//! (E15), a two-phase plan whose second grid depends on the first's
+//! results (A2), a large-`n` scaling sweep (E8), and the Byzantine
+//! consensus sweep whose adversary streams, per-listener equivocation
+//! payloads, and seeded common coin all ride the same fork-seed
+//! contract (E16).
 
 use noisy_radio_bench::{experiments, suite_json, Scale};
 use radio_sweep::SweepConfig;
@@ -29,8 +26,8 @@ const SUBSET: &[&str] = &[
     "E3", "E8", "E9", "E12", "E13", "E14", "E15", "E16", "F1", "A2",
 ];
 
-fn run_subset(jobs: usize, shards: usize, seed: u64) -> (String, String) {
-    let cfg = SweepConfig::new(Some(jobs), seed).with_shards(shards);
+fn run_subset(jobs: usize, seed: u64) -> (String, String) {
+    let cfg = SweepConfig::new(Some(jobs), seed);
     let ids: Vec<String> = SUBSET.iter().map(|s| s.to_string()).collect();
     let reports = experiments::run_selected(Scale::Quick, &cfg, &ids).expect("known ids");
     let text: String = reports.iter().map(|r| r.render()).collect();
@@ -39,20 +36,17 @@ fn run_subset(jobs: usize, shards: usize, seed: u64) -> (String, String) {
 }
 
 #[test]
-fn tables_and_json_are_byte_identical_across_jobs_and_shards() {
-    let (text_1, json_1) = run_subset(1, 1, 42);
-    // The full --shards {1,2,4} × --jobs {1,4} matrix (plus the wider
-    // --jobs 8 point): every combination of the two parallelism layers
-    // must reproduce the sequential artifacts byte for byte.
-    for (jobs, shards) in [(4, 1), (8, 1), (1, 2), (4, 2), (1, 4), (4, 4)] {
-        let (text_n, json_n) = run_subset(jobs, shards, 42);
+fn tables_and_json_are_byte_identical_across_jobs() {
+    let (text_1, json_1) = run_subset(1, 42);
+    for jobs in [4, 8] {
+        let (text_n, json_n) = run_subset(jobs, 42);
         assert_eq!(
             text_1, text_n,
-            "tables differ between sequential and --jobs {jobs} --shards {shards}"
+            "tables differ between sequential and --jobs {jobs}"
         );
         assert_eq!(
             json_1, json_n,
-            "JSON differs between sequential and --jobs {jobs} --shards {shards}"
+            "JSON differs between sequential and --jobs {jobs}"
         );
     }
 }
@@ -62,8 +56,8 @@ fn master_seed_actually_reaches_the_cells() {
     // Guard against a harness bug that would make determinism vacuous
     // (e.g. every cell ignoring its forked seed): a different master
     // seed must change at least the measured tables.
-    let (_, json_42) = run_subset(1, 1, 42);
-    let (_, json_7) = run_subset(1, 1, 7);
+    let (_, json_42) = run_subset(1, 42);
+    let (_, json_7) = run_subset(1, 7);
     assert_ne!(
         json_42, json_7,
         "different master seeds measured identical tables"

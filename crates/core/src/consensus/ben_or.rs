@@ -36,24 +36,11 @@ use crate::decay::default_phase_len;
 use crate::CoreError;
 
 /// Configuration for Ben-Or consensus runs (mirrors
-/// [`crate::decay::Decay`]: the phase length is the gossip knob,
-/// `shards` a pure execution knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`crate::decay::Decay`]: the phase length is the gossip knob).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BenOr {
     /// Gossip phase length override; `None` derives `⌈log₂ n⌉ + 1`.
     pub phase_len: Option<u32>,
-    /// Simulator shard count (1 = sequential, 0 = auto); results are
-    /// bit-identical for any value.
-    pub shards: usize,
-}
-
-impl Default for BenOr {
-    fn default() -> Self {
-        BenOr {
-            phase_len: None,
-            shards: 1,
-        }
-    }
 }
 
 impl BenOr {
@@ -65,13 +52,6 @@ impl BenOr {
     /// Sets an explicit gossip phase length (must be ≥ 1).
     pub fn with_phase_len(mut self, phase_len: u32) -> Self {
         self.phase_len = Some(phase_len);
-        self
-    }
-
-    /// Sets the simulator shard count (1 = sequential, 0 = auto);
-    /// results are bit-identical for any value.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -157,7 +137,7 @@ impl BenOr {
             .collect();
         let honest = adversary.honest_mask();
         let wrapped = adversary.wrap(behaviors)?;
-        let mut sim = Simulator::new(graph, fault, wrapped, seed)?.with_shards(self.shards);
+        let mut sim = Simulator::new(graph, fault, wrapped, seed)?;
         let done = {
             let honest = honest.clone();
             move |bs: &[radio_model::ByzantineNode<BenOrNode>]| {
@@ -545,39 +525,6 @@ mod tests {
             .unwrap();
         assert!(run.completed());
         assert!(run.valid_for(true), "decisions {:?}", run.decisions);
-    }
-
-    #[test]
-    fn sharded_runs_are_bit_identical() {
-        let g = generators::path(9);
-        let adversary = Adversary::seeded(9, 2, Misbehavior::Crash { round: 6 }, 3, &[]).unwrap();
-        let inputs: Vec<bool> = (0..9).map(|i| i % 3 == 0).collect();
-        let base = BenOr::new()
-            .run(
-                &g,
-                &inputs,
-                2,
-                Channel::erasure(0.2).unwrap(),
-                &adversary,
-                11,
-                500_000,
-            )
-            .unwrap();
-        for shards in [2, 4, 5] {
-            let sharded = BenOr::new()
-                .with_shards(shards)
-                .run(
-                    &g,
-                    &inputs,
-                    2,
-                    Channel::erasure(0.2).unwrap(),
-                    &adversary,
-                    11,
-                    500_000,
-                )
-                .unwrap();
-            assert_eq!(base, sharded, "shards = {shards}");
-        }
     }
 
     #[test]

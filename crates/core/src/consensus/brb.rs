@@ -26,24 +26,11 @@ use crate::decay::default_phase_len;
 use crate::CoreError;
 
 /// Configuration for Bracha BRB runs (mirrors [`crate::decay::Decay`]:
-/// the phase length is the gossip knob, `shards` a pure execution
-/// knob).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// the phase length is the gossip knob).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Brb {
     /// Gossip phase length override; `None` derives `⌈log₂ n⌉ + 1`.
     pub phase_len: Option<u32>,
-    /// Simulator shard count (1 = sequential, 0 = auto); results are
-    /// bit-identical for any value.
-    pub shards: usize,
-}
-
-impl Default for Brb {
-    fn default() -> Self {
-        Brb {
-            phase_len: None,
-            shards: 1,
-        }
-    }
 }
 
 impl Brb {
@@ -55,13 +42,6 @@ impl Brb {
     /// Sets an explicit gossip phase length (must be ≥ 1).
     pub fn with_phase_len(mut self, phase_len: u32) -> Self {
         self.phase_len = Some(phase_len);
-        self
-    }
-
-    /// Sets the simulator shard count (1 = sequential, 0 = auto);
-    /// results are bit-identical for any value.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -145,7 +125,7 @@ impl Brb {
             .collect();
         let honest = adversary.honest_mask();
         let wrapped = adversary.wrap(behaviors)?;
-        let mut sim = Simulator::new(graph, fault, wrapped, seed)?.with_shards(self.shards);
+        let mut sim = Simulator::new(graph, fault, wrapped, seed)?;
         let done = {
             let honest = honest.clone();
             move |bs: &[radio_model::ByzantineNode<BrbNode>]| {
@@ -417,40 +397,6 @@ mod tests {
         assert!(run.completed(), "f = 3 crashes with n = 10 must not block");
         assert!(run.valid_for(true));
         assert_eq!(run.decided_count(), 7);
-    }
-
-    #[test]
-    fn sharded_runs_are_bit_identical() {
-        let g = generators::path(12);
-        let adversary = Adversary::seeded(12, 2, Misbehavior::Jam, 5, &[NodeId::new(0)]).unwrap();
-        let base = Brb::new()
-            .run(
-                &g,
-                NodeId::new(0),
-                true,
-                2,
-                Channel::erasure(0.2).unwrap(),
-                &adversary,
-                11,
-                200_000,
-            )
-            .unwrap();
-        for shards in [2, 3, 5] {
-            let sharded = Brb::new()
-                .with_shards(shards)
-                .run(
-                    &g,
-                    NodeId::new(0),
-                    true,
-                    2,
-                    Channel::erasure(0.2).unwrap(),
-                    &adversary,
-                    11,
-                    200_000,
-                )
-                .unwrap();
-            assert_eq!(base, sharded, "shards = {shards}");
-        }
     }
 
     #[test]

@@ -22,26 +22,11 @@ use crate::{BroadcastRun, CoreError};
 /// Configuration for [`Decay`].
 ///
 /// The algorithmic knob is the phase length; `None` (default) derives
-/// `⌈log₂ n⌉ + 1` from the graph at run time. `shards` is a pure
-/// execution knob: it is forwarded to
-/// [`radio_model::Simulator::with_shards`] and never changes measured results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// `⌈log₂ n⌉ + 1` from the graph at run time.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Decay {
     /// Phase length override; `None` derives `⌈log₂ n⌉ + 1`.
     pub phase_len: Option<u32>,
-    /// Simulator shard count (1 = sequential, 0 = auto); see
-    /// [`radio_model::Simulator::with_shards`].
-    pub shards: usize,
-}
-
-impl Default for Decay {
-    /// Derived phase length, sequential engine.
-    fn default() -> Self {
-        Decay {
-            phase_len: None,
-            shards: 1,
-        }
-    }
 }
 
 impl Decay {
@@ -53,13 +38,6 @@ impl Decay {
     /// Sets an explicit phase length (must be ≥ 1).
     pub fn with_phase_len(mut self, phase_len: u32) -> Self {
         self.phase_len = Some(phase_len);
-        self
-    }
-
-    /// Sets the simulator shard count (1 = sequential, 0 = auto);
-    /// results are bit-identical for any value.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -148,15 +126,7 @@ impl Decay {
             })
             .collect();
         setup.stop(sink, "schedule/setup");
-        crate::outcome::run_profiled_telemetry(
-            graph,
-            fault,
-            behaviors,
-            seed,
-            max_rounds,
-            self.shards,
-            sink,
-        )
+        crate::outcome::run_profiled_telemetry(graph, fault, behaviors, seed, max_rounds, sink)
     }
 
     /// Runs Decay for exactly `budget` rounds and reports whether the
@@ -510,22 +480,6 @@ mod tests {
             .run(&g, NodeId::new(0), fault, 13, 100_000)
             .unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sharded_decay_matches_sequential() {
-        let g = generators::gnp_connected(60, 0.08, 5).unwrap();
-        let fault = Channel::receiver(0.3).unwrap();
-        let sequential = Decay::new()
-            .run(&g, NodeId::new(0), fault, 17, 100_000)
-            .unwrap();
-        for shards in [0, 2, 4, 7] {
-            let sharded = Decay::new()
-                .with_shards(shards)
-                .run(&g, NodeId::new(0), fault, 17, 100_000)
-                .unwrap();
-            assert_eq!(sequential, sharded, "shards = {shards}");
-        }
     }
 
     #[test]

@@ -66,8 +66,6 @@ pub struct FastbcSchedule<'g> {
     phase_len: u32,
     /// Fast-round modulus `6R`.
     modulus: u64,
-    /// Simulator shard count (1 = sequential, 0 = auto).
-    shards: usize,
 }
 
 impl<'g> FastbcSchedule<'g> {
@@ -119,15 +117,7 @@ impl<'g> FastbcSchedule<'g> {
             gbst,
             phase_len,
             modulus: 6 * u64::from(rank_slots),
-            shards: 1,
         })
-    }
-
-    /// Sets the simulator shard count (1 = sequential, 0 = auto);
-    /// results are bit-identical for any value.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// The underlying GBST.
@@ -220,15 +210,7 @@ impl<'g> FastbcSchedule<'g> {
         let setup = radio_obs::SpanTimer::start(sink.enabled());
         let behaviors = self.behaviors();
         setup.stop(sink, "schedule/setup");
-        crate::outcome::run_profiled_telemetry(
-            self.graph,
-            fault,
-            behaviors,
-            seed,
-            max_rounds,
-            self.shards,
-            sink,
-        )
+        crate::outcome::run_profiled_telemetry(self.graph, fault, behaviors, seed, max_rounds, sink)
     }
 
     /// Runs like [`FastbcSchedule::run`] but hands every round's
@@ -245,8 +227,7 @@ impl<'g> FastbcSchedule<'g> {
         max_rounds: u64,
         mut inspect: impl FnMut(u64, &RoundTrace),
     ) -> Result<BroadcastRun, CoreError> {
-        let mut sim =
-            Simulator::new(self.graph, fault, self.behaviors(), seed)?.with_shards(self.shards);
+        let mut sim = Simulator::new(self.graph, fault, self.behaviors(), seed)?;
         let mut trace = RoundTrace::default();
         let mut rounds = None;
         for used in 0..=max_rounds {

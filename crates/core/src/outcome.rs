@@ -35,7 +35,7 @@ impl BroadcastRun {
 
 /// The shared profiled-run body of every single-message schedule
 /// (`Decay`, `FastbcSchedule`, `RobustFastbcSchedule`,
-/// `XinXiaSchedule`): build the simulator, shard it, run until every
+/// `XinXiaSchedule`): build the simulator, run until every
 /// node's decode is complete or `max_rounds`, and return the outcome
 /// with its latency profile.
 ///
@@ -59,18 +59,15 @@ pub(crate) fn run_profiled_telemetry<P, B, S>(
     behaviors: Vec<B>,
     seed: u64,
     max_rounds: u64,
-    shards: usize,
     sink: &mut S,
 ) -> Result<(BroadcastRun, LatencyProfile), CoreError>
 where
-    P: Payload + Send + Sync,
-    B: NodeBehavior<P> + Send,
+    P: Payload,
+    B: NodeBehavior<P>,
     S: TelemetrySink,
 {
     let timer = SpanTimer::start(sink.enabled());
-    let mut sim = Simulator::new(graph, fault, behaviors, seed)?
-        .with_shards(shards)
-        .with_telemetry(sink.enabled());
+    let mut sim = Simulator::new(graph, fault, behaviors, seed)?.with_telemetry(sink.enabled());
     let rounds = sim.run_until_decoded(max_rounds);
     timer.stop(sink, "schedule/run");
     sim.emit_telemetry(sink);

@@ -41,8 +41,6 @@ pub struct RepeatedFastbcSchedule<'g> {
     inner: FastbcSchedule<'g>,
     graph: &'g Graph,
     repetitions: u32,
-    /// Simulator shard count (1 = sequential, 0 = auto).
-    shards: usize,
 }
 
 impl<'g> RepeatedFastbcSchedule<'g> {
@@ -77,15 +75,7 @@ impl<'g> RepeatedFastbcSchedule<'g> {
             inner,
             graph,
             repetitions,
-            shards: 1,
         })
-    }
-
-    /// Sets the simulator shard count (1 = sequential, 0 = auto);
-    /// results are bit-identical for any value.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// The repetition factor `ρ`.
@@ -126,7 +116,7 @@ impl<'g> RepeatedFastbcSchedule<'g> {
                 }
             })
             .collect();
-        let mut sim = Simulator::new(self.graph, fault, behaviors, seed)?.with_shards(self.shards);
+        let mut sim = Simulator::new(self.graph, fault, behaviors, seed)?;
         let rounds = sim.run_until(max_rounds, |bs| bs.iter().all(|b| b.informed));
         Ok(BroadcastRun {
             rounds,

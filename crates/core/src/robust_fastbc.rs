@@ -74,8 +74,6 @@ pub struct RobustFastbcSchedule<'g> {
     window: u32,
     /// Superround modulus `6R`.
     modulus: u64,
-    /// Simulator shard count (1 = sequential, 0 = auto).
-    shards: usize,
 }
 
 /// Derives the canonical block size `max(2, ⌈log₂ log₂ n⌉ + 1)`.
@@ -137,15 +135,7 @@ impl<'g> RobustFastbcSchedule<'g> {
             block_size,
             window,
             modulus: 6 * u64::from(rank_slots),
-            shards: 1,
         })
-    }
-
-    /// Sets the simulator shard count (1 = sequential, 0 = auto);
-    /// results are bit-identical for any value.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// The underlying GBST.
@@ -255,15 +245,7 @@ impl<'g> RobustFastbcSchedule<'g> {
         let setup = radio_obs::SpanTimer::start(sink.enabled());
         let behaviors = self.behaviors();
         setup.stop(sink, "schedule/setup");
-        crate::outcome::run_profiled_telemetry(
-            self.graph,
-            fault,
-            behaviors,
-            seed,
-            max_rounds,
-            self.shards,
-            sink,
-        )
+        crate::outcome::run_profiled_telemetry(self.graph, fault, behaviors, seed, max_rounds, sink)
     }
 
     /// Traced variant of [`RobustFastbcSchedule::run`] for invariant
@@ -279,8 +261,7 @@ impl<'g> RobustFastbcSchedule<'g> {
         max_rounds: u64,
         mut inspect: impl FnMut(u64, &RoundTrace),
     ) -> Result<BroadcastRun, CoreError> {
-        let mut sim =
-            Simulator::new(self.graph, fault, self.behaviors(), seed)?.with_shards(self.shards);
+        let mut sim = Simulator::new(self.graph, fault, self.behaviors(), seed)?;
         let mut trace = RoundTrace::default();
         let mut rounds = None;
         for used in 0..=max_rounds {

@@ -74,8 +74,6 @@ pub struct XinXiaSchedule<'g> {
     layers: BfsLayers,
     /// `contention[ℓ]` = `c_ℓ` for broadcasting layer `ℓ` (≥ 1).
     contention: Vec<u32>,
-    /// Simulator shard count (1 = sequential, 0 = auto).
-    shards: usize,
 }
 
 impl<'g> XinXiaSchedule<'g> {
@@ -108,15 +106,7 @@ impl<'g> XinXiaSchedule<'g> {
             graph,
             layers,
             contention,
-            shards: 1,
         })
-    }
-
-    /// Sets the simulator shard count (1 = sequential, 0 = auto);
-    /// results are bit-identical for any value.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// The compiled BFS layering.
@@ -196,15 +186,7 @@ impl<'g> XinXiaSchedule<'g> {
         let setup = radio_obs::SpanTimer::start(sink.enabled());
         let behaviors = self.behaviors();
         setup.stop(sink, "schedule/setup");
-        crate::outcome::run_profiled_telemetry(
-            self.graph,
-            fault,
-            behaviors,
-            seed,
-            max_rounds,
-            self.shards,
-            sink,
-        )
+        crate::outcome::run_profiled_telemetry(self.graph, fault, behaviors, seed, max_rounds, sink)
     }
 }
 
@@ -446,24 +428,6 @@ mod tests {
             .unwrap();
         assert_eq!(noisy.rounds, erased.rounds);
         assert_eq!(noisy_profile, erased_profile);
-    }
-
-    #[test]
-    fn sharded_runs_match_sequential() {
-        let g = generators::unit_disk_connected(60, 0.3, 4).unwrap();
-        let fault = Channel::receiver(0.4).unwrap();
-        let reference = XinXiaSchedule::new(&g, NodeId::new(0))
-            .unwrap()
-            .run_profiled(fault, 13, 1_000_000)
-            .unwrap();
-        for shards in [2, 5] {
-            let sharded = XinXiaSchedule::new(&g, NodeId::new(0))
-                .unwrap()
-                .with_shards(shards)
-                .run_profiled(fault, 13, 1_000_000)
-                .unwrap();
-            assert_eq!(reference, sharded, "shards = {shards}");
-        }
     }
 
     #[test]

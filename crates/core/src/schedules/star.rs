@@ -134,27 +134,6 @@ pub fn star_coding(
     seed: u64,
     max_rounds: u64,
 ) -> Result<BroadcastRun, CoreError> {
-    star_coding_sharded(leaves, k, fault, seed, max_rounds, 1)
-}
-
-/// [`star_coding`] over `shards` engine shards
-/// ([`Simulator::with_shards`]: 1 = sequential, 0 = auto) — for the
-/// large-`n` scaling grids. Results are bit-identical for any shard
-/// count; only wall-clock changes. (The routing arm,
-/// [`star_routing`], runs the centralized adaptive controller, which
-/// is not a `Simulator` and stays sequential.)
-///
-/// # Errors
-///
-/// As [`star_coding`].
-pub fn star_coding_sharded(
-    leaves: usize,
-    k: usize,
-    fault: Channel,
-    seed: u64,
-    max_rounds: u64,
-    shards: usize,
-) -> Result<BroadcastRun, CoreError> {
     if k == 0 {
         return Err(CoreError::InvalidParameter {
             reason: "k must be ≥ 1".into(),
@@ -164,7 +143,7 @@ pub fn star_coding_sharded(
     let behaviors: Vec<CodingNode> = std::iter::once(CodingNode::Center)
         .chain((0..leaves).map(|_| CodingNode::Leaf { received: 0 }))
         .collect();
-    let mut sim = Simulator::new(&g, fault, behaviors, seed)?.with_shards(shards);
+    let mut sim = Simulator::new(&g, fault, behaviors, seed)?;
     let rounds = sim.run_until(max_rounds, |bs| {
         bs.iter().all(|b| match b {
             CodingNode::Center => true,
@@ -390,27 +369,6 @@ mod tests {
         let rounds =
             star_coding_end_to_end(16, 8, 4, Channel::receiver(0.3).unwrap(), 11, 10_000).unwrap();
         assert!(rounds >= 8, "at least k rounds required, got {rounds}");
-    }
-
-    #[test]
-    fn sharded_star_coding_matches_sequential() {
-        // The §4c invariant surfaces through the protocol layer: the
-        // whole BroadcastRun (rounds + stats) is bit-identical for any
-        // shard count.
-        let sequential =
-            star_coding(256, 16, Channel::receiver(0.5).unwrap(), 7, 1_000_000).unwrap();
-        for shards in [2, 3, 8, 1000] {
-            let sharded = star_coding_sharded(
-                256,
-                16,
-                Channel::receiver(0.5).unwrap(),
-                7,
-                1_000_000,
-                shards,
-            )
-            .unwrap();
-            assert_eq!(sequential, sharded, "shards = {shards}");
-        }
     }
 
     #[test]

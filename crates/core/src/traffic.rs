@@ -620,7 +620,6 @@ mod tests {
             rate,
             messages,
             max_rounds,
-            shards: 1,
         }
     }
 
@@ -755,20 +754,14 @@ mod tests {
     }
 
     #[test]
-    fn runs_are_shard_and_seed_deterministic() {
+    fn runs_are_seed_deterministic() {
         let g = generators::grid(4, 5);
         let channel = Channel::receiver(0.3).unwrap();
-        let run_with = |shards: usize| {
+        let run_with = |seed: u64| {
             let mut w = XinXiaTraffic::new(&g, NodeId::new(0)).unwrap();
-            let c = TrafficConfig {
-                shards,
-                ..cfg(0.04, 6, 50_000)
-            };
-            run_traffic(&g, channel, &mut w, &c, 11).unwrap()
+            run_traffic(&g, channel, &mut w, &cfg(0.04, 6, 50_000), seed).unwrap()
         };
-        let reference = run_with(1);
-        for shards in [2, 4] {
-            assert_eq!(reference, run_with(shards), "shards = {shards}");
-        }
+        assert_eq!(run_with(11), run_with(11));
+        assert_ne!(run_with(11), run_with(12));
     }
 }

@@ -1,10 +1,9 @@
 //! Property-based tests for the consensus workloads: honest-node
 //! agreement and validity hold for every channel × adversary cell with
-//! assumed tolerance `f < n/3`, and full [`ConsensusRun`]s are
-//! bit-identical across shard counts.
+//! assumed tolerance `f < n/3`.
 
 use netgraph::{generators, Graph, NodeId};
-use noisy_radio_core::consensus::{BenOr, Brb, ConsensusRun};
+use noisy_radio_core::consensus::{BenOr, Brb};
 use proptest::prelude::*;
 use radio_model::{Adversary, Channel, Misbehavior};
 
@@ -124,37 +123,5 @@ proptest! {
                 run.decisions
             );
         }
-    }
-
-    /// Both algorithms return bit-identical [`ConsensusRun`]s for any
-    /// shard count in 1..5 — the new `Payload`/adversary machinery
-    /// honors the engine's determinism contract.
-    #[test]
-    fn consensus_runs_are_shard_count_invariant(
-        g in arb_graph(),
-        channel in arb_channel(),
-        (kind, f_pick) in arb_adversary_pick(),
-        seed in any::<u64>(),
-        shards in 2usize..6,
-    ) {
-        let n = g.node_count();
-        let (adversary, f) = build_adversary(n, kind, f_pick, 77);
-        let inputs: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
-
-        let brb = |k: usize| -> ConsensusRun {
-            Brb::new()
-                .with_shards(k)
-                .run(&g, NodeId::new(0), true, f, channel, &adversary, seed, 5_000)
-                .expect("valid BRB parameters")
-        };
-        prop_assert_eq!(brb(1), brb(shards));
-
-        let ben_or = |k: usize| -> ConsensusRun {
-            BenOr::new()
-                .with_shards(k)
-                .run(&g, &inputs, f, channel, &adversary, seed, 5_000)
-                .expect("valid Ben-Or parameters")
-        };
-        prop_assert_eq!(ben_or(1), ben_or(shards));
     }
 }

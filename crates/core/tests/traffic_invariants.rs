@@ -43,7 +43,6 @@ fn one_message_traffic_degenerates_to_one_shot_decay() {
         rate: 1.0,
         messages: 1,
         max_rounds: 100_000,
-        shards: 1,
     };
     let (run, traces) = run_traffic_traced(&g, channel, &mut w, &config, seed).unwrap();
 
@@ -81,7 +80,6 @@ fn overloaded_run_reports_saturation_with_partial_latencies() {
         rate: 1.0, // one message per round — far beyond Decay's service rate
         messages: 50,
         max_rounds: 400,
-        shards: 1,
     };
     let run = run_decay_traffic(&g, NodeId::new(0), channel, &config, 3).unwrap();
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the continuous-traffic engine: the
 //! conservation law `injected == delivered + queued` holds every
-//! round for every workload, accounting always closes at the end of a
-//! run, and the full [`ThroughputRun`] is shard-count invariant.
+//! round for every workload, and accounting always closes at the end
+//! of a run.
 
 use netgraph::{generators, Graph, NodeId};
 use noisy_radio_core::traffic::{run_decay_traffic, run_rlnc_traffic, run_xin_xia_traffic};
@@ -60,7 +60,7 @@ proptest! {
         messages in 1u64..6,
         seed in any::<u64>(),
     ) {
-        let config = TrafficConfig { rate, messages, max_rounds: 3_000, shards: 1 };
+        let config = TrafficConfig { rate, messages, max_rounds: 3_000 };
         let run = run_algo(algo, &g, channel, &config, seed);
         prop_assert!(run.conserved, "per-round conservation violated");
         prop_assert!(run.injected <= messages);
@@ -79,27 +79,5 @@ proptest! {
         }
         prop_assert_eq!(run.latencies.len() as u64, run.delivered);
         prop_assert_eq!(run.peak_queued, run.queue_depth.iter().copied().max().unwrap_or(0));
-    }
-
-    /// The full `ThroughputRun` — rounds, latencies, queue-depth
-    /// series, profile, flags — is bit-identical for any shard count.
-    #[test]
-    fn throughput_run_is_shard_count_invariant(
-        g in arb_graph(),
-        channel in arb_channel(),
-        algo in 0u8..3,
-        rate in 0.02..0.4f64,
-        seed in any::<u64>(),
-        shards in 2usize..6,
-    ) {
-        let config = |k: usize| TrafficConfig {
-            rate,
-            messages: 3,
-            max_rounds: 3_000,
-            shards: k,
-        };
-        let sequential = run_algo(algo, &g, channel, &config(1), seed);
-        let sharded = run_algo(algo, &g, channel, &config(shards), seed);
-        prop_assert_eq!(sequential, sharded);
     }
 }

@@ -6,12 +6,6 @@
 //! `memcpy`-speed word loops, and iteration visits set bits in
 //! ascending index order while skipping zero words — the property that
 //! makes sweeping only the populated part of a million-slot set cheap.
-//!
-//! For sharded execution, [`Bitset::split_mut`] partitions the word
-//! storage along contiguous node ranges so each shard writes its own
-//! words without synchronization. This is why shard boundaries must be
-//! word-aligned (multiples of 64): a bit is then owned by exactly one
-//! shard.
 
 use std::ops::Range;
 
@@ -147,53 +141,15 @@ impl Bitset {
         }
     }
 
-    /// Splits the word storage along contiguous `ranges` covering
-    /// `0..len`, yielding one independently writable [`BitsetSliceMut`]
-    /// per range.
+    /// Ors `bits` into word `word_index` — the word-at-a-time
+    /// counterpart of [`Bitset::insert`] for sweep loops that
+    /// accumulate a word's bits in a register.
     ///
     /// # Panics
     ///
-    /// If the ranges are not contiguous from 0, do not end at `len`, or
-    /// have interior boundaries that are not multiples of 64 (word
-    /// ownership would be ambiguous).
-    pub fn split_mut<'a>(&'a mut self, ranges: &[Range<usize>]) -> Vec<BitsetSliceMut<'a>> {
-        let mut out = Vec::with_capacity(ranges.len());
-        let mut consumed = 0usize;
-        let mut words: &mut [u64] = &mut self.words;
-        for (k, r) in ranges.iter().enumerate() {
-            assert_eq!(r.start, consumed, "ranges must be contiguous from 0");
-            let last = k + 1 == ranges.len();
-            assert!(
-                last || r.end % 64 == 0,
-                "interior shard boundary {} not word-aligned",
-                r.end
-            );
-            if last {
-                assert_eq!(r.end, self.len, "ranges must cover the capacity");
-            }
-            let word_count = if last {
-                words.len()
-            } else {
-                r.end / 64 - consumed / 64
-            };
-            let (chunk, tail) = words.split_at_mut(word_count);
-            out.push(BitsetSliceMut {
-                words: chunk,
-                base: consumed,
-            });
-            words = tail;
-            consumed = r.end;
-        }
-        out
-    }
-
-    /// A single [`BitsetSliceMut`] over the whole set (the sequential
-    /// counterpart of [`Bitset::split_mut`]).
-    pub fn slice_mut(&mut self) -> BitsetSliceMut<'_> {
-        BitsetSliceMut {
-            words: &mut self.words,
-            base: 0,
-        }
+    /// If `word_index` is past the last word.
+    pub fn or_word(&mut self, word_index: usize, bits: u64) {
+        self.words[word_index] |= bits;
     }
 
     /// Zeroes any bits at or past `len` in the last word.
@@ -203,43 +159,6 @@ impl Bitset {
                 *w &= (1 << (self.len % 64)) - 1;
             }
         }
-    }
-}
-
-/// A writable view of one shard's word range of a [`Bitset`], indexed
-/// by **global** bit index. Produced by [`Bitset::split_mut`].
-#[derive(Debug)]
-pub struct BitsetSliceMut<'a> {
-    words: &'a mut [u64],
-    /// Global index of this slice's first bit (a multiple of 64).
-    base: usize,
-}
-
-impl BitsetSliceMut<'_> {
-    /// Inserts global index `i`.
-    ///
-    /// # Panics
-    ///
-    /// If `i` falls outside this slice's word range.
-    pub fn insert(&mut self, i: usize) {
-        let w = i / 64 - self.base / 64;
-        self.words[w] |= 1 << (i % 64);
-    }
-
-    /// Global word index of this slice's first word.
-    pub fn base_word(&self) -> usize {
-        self.base / 64
-    }
-
-    /// Ors `bits` into **global** word `word_index` — the word-at-a-
-    /// time counterpart of [`BitsetSliceMut::insert`] for sweep loops
-    /// that accumulate a word's bits in a register.
-    ///
-    /// # Panics
-    ///
-    /// If `word_index` falls outside this slice's word range.
-    pub fn or_word(&mut self, word_index: usize, bits: u64) {
-        self.words[word_index - self.base / 64] |= bits;
     }
 }
 
@@ -296,8 +215,6 @@ mod tests {
         assert_eq!(s.ones().count(), 0);
         s.insert_all();
         assert_eq!(s.count_ones(), 0);
-        let slices = s.split_mut(&[]);
-        assert!(slices.is_empty());
     }
 
     #[test]
@@ -365,32 +282,11 @@ mod tests {
     }
 
     #[test]
-    fn split_mut_writes_disjoint_words() {
-        let mut s = Bitset::new(200);
-        {
-            let mut parts = s.split_mut(&[0..64, 64..192, 192..200]);
-            parts[0].insert(5);
-            parts[1].insert(64);
-            parts[1].insert(191);
-            parts[2].insert(199);
-        }
-        assert_eq!(s.ones().collect::<Vec<_>>(), vec![5, 64, 191, 199]);
-    }
-
-    #[test]
-    fn split_mut_unaligned_tail_is_allowed() {
-        let mut s = Bitset::new(100);
-        {
-            let mut parts = s.split_mut(&[0..64, 64..100]);
-            parts[1].insert(99);
-        }
-        assert!(s.contains(99));
-    }
-
-    #[test]
-    #[should_panic(expected = "not word-aligned")]
-    fn split_mut_rejects_unaligned_interior() {
-        let mut s = Bitset::new(100);
-        let _ = s.split_mut(&[0..50, 50..100]);
+    fn or_word_sets_bits_of_one_word() {
+        let mut s = Bitset::new(130);
+        s.insert(64);
+        s.or_word(1, 0b110);
+        s.or_word(2, 0b1);
+        assert_eq!(s.ones().collect::<Vec<_>>(), vec![64, 65, 66, 128]);
     }
 }

@@ -134,61 +134,6 @@ impl Graph {
     pub fn max_degree(&self) -> usize {
         self.nodes().map(|v| self.degree(v)).max().unwrap_or(0)
     }
-
-    /// Partitions the node indices `0..n` into at most `shards`
-    /// contiguous, non-empty ranges balanced by CSR weight
-    /// (`1 + deg(v)` per node), so each range sees a similar share of
-    /// the adjacency array.
-    ///
-    /// Returns exactly `min(shards, n)` ranges whose concatenation is
-    /// `0..n` (an empty vector for the empty graph); `shards == 0` is
-    /// treated as 1. This is the canonical node partition for sharded
-    /// simulation: because the ranges are contiguous and cover every
-    /// node exactly once, per-node state (and per-node RNG streams)
-    /// split cleanly across them.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use netgraph::generators;
-    ///
-    /// let g = generators::path(10);
-    /// let ranges = g.shard_ranges(3);
-    /// assert_eq!(ranges.len(), 3);
-    /// assert_eq!(ranges.first().unwrap().start, 0);
-    /// assert_eq!(ranges.last().unwrap().end, 10);
-    /// ```
-    pub fn shard_ranges(&self, shards: usize) -> Vec<std::ops::Range<usize>> {
-        let n = self.node_count();
-        if n == 0 {
-            return Vec::new();
-        }
-        let k = shards.clamp(1, n);
-        // Weight of node v is 1 + deg(v) — reusing the `neighbors`
-        // slicing rather than re-deriving CSR offsets — so the total is
-        // n + 2·edges and a balanced cut equalizes adjacency traffic.
-        let total: u64 = (n + self.adjacency.len()) as u64;
-        let mut out = Vec::with_capacity(k);
-        let mut start = 0usize;
-        let mut consumed: u64 = 0;
-        for s in 0..k {
-            let remaining = (k - s) as u64;
-            let target = (total - consumed).div_ceil(remaining);
-            // Leave at least one node for every later shard.
-            let max_end = n - (k - s - 1);
-            let mut end = start;
-            let mut weight: u64 = 0;
-            while end < max_end && (weight < target || end == start) {
-                weight += 1 + self.degree(NodeId::new(end as u32)) as u64;
-                end += 1;
-            }
-            consumed += weight;
-            out.push(start..end);
-            start = end;
-        }
-        debug_assert_eq!(start, n, "shard ranges must cover every node");
-        out
-    }
 }
 
 impl fmt::Debug for Graph {
@@ -359,99 +304,5 @@ mod tests {
     fn debug_output_is_compact() {
         let g = triangle();
         assert_eq!(format!("{g:?}"), "Graph { nodes: 3, edges: 3 }");
-    }
-
-    /// Shared invariant check: ranges are contiguous, non-empty, and
-    /// concatenate to exactly `0..n`.
-    fn assert_covers(g: &Graph, shards: usize) {
-        let ranges = g.shard_ranges(shards);
-        let n = g.node_count();
-        let expected = if n == 0 { 0 } else { shards.max(1).min(n) };
-        assert_eq!(ranges.len(), expected);
-        let mut next = 0;
-        for r in &ranges {
-            assert_eq!(r.start, next, "ranges must be contiguous");
-            assert!(r.end > r.start, "ranges must be non-empty");
-            next = r.end;
-        }
-        assert_eq!(next, n, "ranges must cover every node");
-    }
-
-    #[test]
-    fn shard_ranges_cover_all_nodes() {
-        let g = Graph::from_edges(
-            7,
-            [
-                (NodeId::new(0), NodeId::new(1)),
-                (NodeId::new(1), NodeId::new(2)),
-                (NodeId::new(2), NodeId::new(3)),
-                (NodeId::new(5), NodeId::new(6)),
-            ],
-        )
-        .unwrap();
-        for k in 1..=10 {
-            assert_covers(&g, k);
-        }
-    }
-
-    #[test]
-    fn shard_count_clamps_to_node_count() {
-        let g = triangle();
-        assert_eq!(g.shard_ranges(64).len(), 3);
-        assert_eq!(g.shard_ranges(3).len(), 3);
-        assert_eq!(g.shard_ranges(1), vec![0..3]);
-    }
-
-    #[test]
-    fn zero_shards_treated_as_one() {
-        let g = triangle();
-        assert_eq!(g.shard_ranges(0), vec![0..3]);
-    }
-
-    #[test]
-    fn empty_graph_has_no_shards() {
-        let g = Graph::from_edges(0, []).unwrap();
-        assert!(g.shard_ranges(4).is_empty());
-    }
-
-    #[test]
-    fn isolated_nodes_are_sharded_too() {
-        // 5 nodes, a single edge: every node (degree 0 or not) lands in
-        // exactly one range.
-        let g = Graph::from_edges(5, [(NodeId::new(0), NodeId::new(1))]).unwrap();
-        for k in 1..=5 {
-            assert_covers(&g, k);
-        }
-    }
-
-    #[test]
-    fn ranges_balance_csr_weight() {
-        // A path's weight is uniform, so a 4-way split of 64 nodes must
-        // put 16 ± 2 nodes in every shard.
-        let g = Graph::from_edges(64, (0..63u32).map(|i| (NodeId::new(i), NodeId::new(i + 1))))
-            .unwrap();
-        let ranges = g.shard_ranges(4);
-        assert_eq!(ranges.len(), 4);
-        for r in &ranges {
-            let len = r.end - r.start;
-            assert!((14..=18).contains(&len), "unbalanced shard {r:?}");
-        }
-    }
-
-    #[test]
-    fn hub_heavy_graph_cuts_by_weight_not_node_count() {
-        // Star with the hub first: the hub alone carries ~half the CSR
-        // weight, so a 2-way split keeps the hub's shard much smaller
-        // in node count than the leaf shard.
-        let g =
-            Graph::from_edges(101, (1..=100u32).map(|i| (NodeId::new(0), NodeId::new(i)))).unwrap();
-        let ranges = g.shard_ranges(2);
-        assert_eq!(ranges.len(), 2);
-        let first = ranges[0].end - ranges[0].start;
-        let second = ranges[1].end - ranges[1].start;
-        assert!(
-            first < second,
-            "hub shard ({first} nodes) should be smaller than leaf shard ({second} nodes)"
-        );
     }
 }

@@ -37,17 +37,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// The `serde` feature only gates `cfg_attr` derives; the offline build
-// vendors no serde, so enabling it without the real dependency must be a
-// deliberate, explained failure rather than a stray E0433 (see DESIGN.md).
-#[cfg(feature = "serde")]
-compile_error!(
-    "the `serde` feature requires the real `serde` crate (with `derive`): \
-     this offline workspace vendors none. Add `serde = { version = \"1\", \
-     features = [\"derive\"], optional = true }` to this crate and remove \
-     this guard (see DESIGN.md section 7)."
-);
-
 mod builder;
 mod error;
 mod graph;

@@ -18,7 +18,6 @@ use std::fmt;
 /// assert_eq!(format!("{v}"), "v3");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(u32);
 
 impl NodeId {

@@ -1,7 +1,7 @@
 //! Deterministic telemetry for the noisy-radio workspace.
 //!
 //! Every performance-critical layer of the workspace — the sparse
-//! word-parallel round loop, the sharded delivery sweep, the adaptive
+//! word-parallel round loop, the delivery sweep, the adaptive
 //! routing runner, the sweep harness's cells — can attribute wall
 //! clock to *phases* through this crate instead of whole-run timings.
 //! The design constraints (DESIGN.md §12):

@@ -22,8 +22,7 @@
 //! All adversarial randomness is drawn from the wrapped node's own
 //! `ctx.rng` (the engine's per-node behavior stream) and faulty-node
 //! *selection* is a separate seeded draw ([`Adversary::seeded`]), so
-//! Byzantine runs obey the same determinism and shard contracts as
-//! honest ones.
+//! Byzantine runs obey the same determinism contract as honest ones.
 
 use netgraph::NodeId;
 

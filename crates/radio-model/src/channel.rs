@@ -10,7 +10,7 @@
 //! [`Channel::compose`] cashes that in: a composed channel carries an
 //! independent sender-side component and one delivery-side component,
 //! and the engine draws each from the same per-node fork streams it
-//! already uses, so the determinism and shard contracts hold.
+//! already uses, so the determinism contract holds.
 
 use std::fmt;
 use std::str::FromStr;
@@ -257,7 +257,7 @@ impl Channel {
     /// from the per-node fork streams it already uses (sender faults
     /// from the broadcaster's stream in the act sweep, delivery losses
     /// from the listener's stream in the receive sweep), so composed
-    /// channels inherit the determinism and shard contracts unchanged.
+    /// channels inherit the determinism contract unchanged.
     ///
     /// # Errors
     ///

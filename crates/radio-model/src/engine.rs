@@ -17,23 +17,17 @@
 //! and [`Simulator::with_dense_sweeps`] forces the dense reference
 //! behavior for differential tests.
 //!
-//! # Intra-run sharding
+//! # Per-node random streams
 //!
-//! [`Simulator::with_shards`] splits each round's work — the `act`
-//! sweep and the delivery/`receive` sweep — across contiguous CSR node
-//! ranges ([`Graph::shard_ranges`], word-aligned so each shard owns
-//! whole bitset words) evaluated on scoped threads. The results are
-//! **bit-identical for every shard count** (see `DESIGN.md` §4c): all
-//! randomness is drawn from *per-node* streams forked from the master
-//! seed via [`crate::fork_seed`] — behavior streams at index `i`,
-//! channel-loss streams at `FAULT_STREAM_BASE + i` — so no draw
-//! depends on how nodes are partitioned or on cross-node evaluation
-//! order.
+//! All randomness is drawn from *per-node* streams forked from the
+//! master seed via [`crate::fork_seed`] — behavior streams at index
+//! `i`, channel-loss streams at `FAULT_STREAM_BASE + i` (see
+//! `DESIGN.md` §4c) — so no draw depends on which other nodes were
+//! swept, or in what order. This is what lets the sparse sweeps skip
+//! quiescent nodes without moving anyone else's draws.
 
-use std::ops::Range;
 use std::time::Instant;
 
-use netgraph::bitset::BitsetSliceMut;
 use netgraph::{Bitset, Graph, NodeId};
 use radio_obs::TelemetrySink;
 use rand::rngs::SmallRng;
@@ -112,11 +106,8 @@ pub trait NodeBehavior<P> {
     /// of every round, alongside [`NodeBehavior::decoded`], and
     /// surfaces the per-round total in [`RoundReport::queued`], the
     /// running peak in [`SimStats::peak_queued`], and the nonzero
-    /// per-node depths in [`RoundTrace::queued_nodes`]. Because the
-    /// poll is per-node (each node tallied by its own shard, merged in
-    /// node order), the depths obey the same shard-count-independence
-    /// invariant as every other observable. The default reports `0`:
-    /// one-shot behaviors carry no queue.
+    /// per-node depths in [`RoundTrace::queued_nodes`]. The default
+    /// reports `0`: one-shot behaviors carry no queue.
     fn queued(&self) -> u64 {
         0
     }
@@ -176,7 +167,6 @@ pub trait NodeBehavior<P> {
 /// Aggregate statistics over an entire simulation, with one counter
 /// per channel loss kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimStats {
     /// Rounds executed.
     pub rounds: u64,
@@ -217,7 +207,6 @@ impl SimStats {
 
 /// What happened in one round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RoundReport {
     /// The executed round index.
     pub round: u64,
@@ -268,9 +257,8 @@ pub struct RoundTrace {
 
 /// Per-phase engine telemetry accumulated while
 /// [`Simulator::with_telemetry`] is on: wall-clock nanoseconds per
-/// sweep phase (per shard for the threaded sweeps), word-parallel
-/// sweep efficiency (words visited vs skipped wholesale), and
-/// active-set occupancy summed over rounds.
+/// sweep phase, word-parallel sweep efficiency (words visited vs
+/// skipped wholesale), and active-set occupancy summed over rounds.
 ///
 /// Pure observation: the engine computes every result before touching
 /// these tallies, so enabling telemetry cannot change any artifact —
@@ -280,14 +268,13 @@ pub struct RoundTrace {
 pub struct EngineTelemetry {
     /// Rounds executed with telemetry enabled.
     pub rounds: u64,
-    /// Act-sweep nanoseconds, one slot per shard (a single slot on the
-    /// sequential path).
-    pub act_ns: Vec<u64>,
-    /// Delivery/receive-sweep nanoseconds, one slot per shard.
-    pub receive_ns: Vec<u64>,
-    /// Reach-set computation nanoseconds (sequential by design).
+    /// Act-sweep nanoseconds.
+    pub act_ns: u64,
+    /// Delivery/receive-sweep nanoseconds.
+    pub receive_ns: u64,
+    /// Reach-set computation nanoseconds.
     pub reach_ns: u64,
-    /// Per-round merge/finish nanoseconds (report + stats + trace
+    /// Per-round merge/finish nanoseconds (report and stats
     /// aggregation).
     pub merge_ns: u64,
     /// Act-sweep bitset words with at least one active bit (entered
@@ -304,31 +291,10 @@ pub struct EngineTelemetry {
     pub active_node_rounds: u64,
 }
 
-impl EngineTelemetry {
-    /// Total act-sweep nanoseconds across shards.
-    pub fn act_total_ns(&self) -> u64 {
-        self.act_ns.iter().sum()
-    }
-
-    /// Total receive-sweep nanoseconds across shards.
-    pub fn receive_total_ns(&self) -> u64 {
-        self.receive_ns.iter().sum()
-    }
-}
-
-/// The round-step entry used when sharding is enabled. Stored as a
-/// higher-ranked fn pointer so [`Simulator::with_shards`] (which
-/// requires `Send`/`Sync` bounds for the scoped threads) can hand the
-/// bound-free stepping methods a monomorphized sharded path without
-/// forcing those bounds on every simulator user.
-type ShardedStep<P, B> =
-    for<'x, 't> fn(&mut Simulator<'x, P, B>, Option<&'t mut RoundTrace>) -> RoundReport;
-
 /// The radio-network simulator driving one [`NodeBehavior`] per node.
 ///
 /// See the [crate-level documentation](crate) for the model semantics
-/// and an example, and [`Simulator::with_shards`] for the sharded
-/// execution mode.
+/// and an example.
 pub struct Simulator<'g, P, B> {
     graph: &'g Graph,
     channel: Channel,
@@ -336,18 +302,9 @@ pub struct Simulator<'g, P, B> {
     node_rngs: Vec<SmallRng>,
     /// Per-node channel-loss streams (see [`FAULT_STREAM_BASE`]).
     fault_rngs: Vec<SmallRng>,
-    /// Shard count in force (≥ 1, ≤ node count); 1 is the sequential
-    /// path.
-    shards: usize,
-    /// The CSR shard partition, computed once by
-    /// [`Simulator::with_shards`] (the graph is immutable for `'g`);
-    /// empty on the sequential path.
-    shard_ranges: Vec<Range<usize>>,
-    sharded_step: Option<ShardedStep<P, B>>,
     round: u64,
     stats: SimStats,
-    /// Per-node first-packet rounds (latency subsystem); updated only
-    /// by the node's own shard, so sharding cannot reorder it.
+    /// Per-node first-packet rounds (latency subsystem).
     first_packet: Vec<Option<u64>>,
     /// Per-node decode-completion rounds (see [`NodeBehavior::decoded`]).
     decode_round: Vec<Option<u64>>,
@@ -383,7 +340,6 @@ impl<P, B> std::fmt::Debug for Simulator<'_, P, B> {
         f.debug_struct("Simulator")
             .field("graph", &self.graph)
             .field("channel", &self.channel)
-            .field("shards", &self.shards)
             .field("round", &self.round)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
@@ -428,9 +384,6 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
             behaviors,
             node_rngs,
             fault_rngs,
-            shards: 1,
-            shard_ranges: Vec::new(),
-            sharded_step: None,
             round: 0,
             stats: SimStats {
                 decoded_nodes,
@@ -453,52 +406,6 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
         })
     }
 
-    /// Enables sharded execution: each round's act and delivery sweeps
-    /// are split across `shards` contiguous CSR node ranges
-    /// ([`Graph::shard_ranges`]) evaluated on scoped threads, and the
-    /// per-shard reports and traces are merged back in shard (= node)
-    /// order.
-    ///
-    /// `shards == 0` resolves to the machine's available parallelism;
-    /// `shards == 1` keeps the sequential path. The shard count is
-    /// additionally capped at the node count ([`Simulator::shards`]
-    /// reports the capped value), and the CSR partition is computed
-    /// once here — per round, the sharded step only splits the
-    /// per-node buffers along it.
-    ///
-    /// **Shard-count-independence invariant** (`DESIGN.md` §4c): for a
-    /// fixed `(graph, channel, behaviors, seed)`, every
-    /// [`RoundReport`], [`SimStats`], [`RoundTrace`], reception, and
-    /// behavior state is bit-identical for *any* shard count —
-    /// randomness is drawn from per-node [`crate::fork_seed`] streams,
-    /// never from a shared sequential stream. Sharding changes
-    /// wall-clock only.
-    pub fn with_shards(mut self, shards: usize) -> Self
-    where
-        P: Send + Sync,
-        B: Send,
-    {
-        let requested = if shards == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            shards
-        };
-        self.shards = requested.min(self.graph.node_count().max(1));
-        self.shard_ranges = if self.shards > 1 {
-            // Word-align the interior boundaries so each shard owns
-            // whole words of the broadcaster/active bitsets. Changing
-            // the partition is observationally free by the invariant
-            // below.
-            align_word_ranges(self.graph.shard_ranges(self.shards))
-        } else {
-            Vec::new()
-        };
-        self.sharded_step = Some(run_sharded_step::<P, B>);
-        self
-    }
-
     /// Forces the dense reference mode: every round sweeps every node,
     /// as if every behavior answered [`NodeBehavior::wants_poll`]` =
     /// true`. By the quiescence contract this is bit-identical to the
@@ -510,9 +417,9 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
     }
 
     /// Enables per-phase telemetry: the round loop times the act,
-    /// reach, receive, and merge phases (per shard for the threaded
-    /// sweeps) and tallies word-sweep efficiency and active-set
-    /// occupancy into [`Simulator::telemetry`].
+    /// reach, receive, and merge phases and tallies word-sweep
+    /// efficiency and active-set occupancy into
+    /// [`Simulator::telemetry`].
     ///
     /// **Determinism contract**: telemetry observes, it never
     /// influences — no randomness is drawn and no result depends on
@@ -545,18 +452,10 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
         }
         let t = &self.telemetry;
         if t.rounds > 0 {
-            sink.span("engine/act", t.act_total_ns());
+            sink.span("engine/act", t.act_ns);
             sink.span("engine/reach", t.reach_ns);
-            sink.span("engine/receive", t.receive_total_ns());
+            sink.span("engine/receive", t.receive_ns);
             sink.span("engine/merge", t.merge_ns);
-            if t.act_ns.len() > 1 {
-                for (i, &ns) in t.act_ns.iter().enumerate() {
-                    sink.span(&format!("engine/act/shard{i}"), ns);
-                }
-                for (i, &ns) in t.receive_ns.iter().enumerate() {
-                    sink.span(&format!("engine/receive/shard{i}"), ns);
-                }
-            }
             sink.counter("engine/act_words_visited", t.act_words_visited);
             sink.counter("engine/act_words_skipped", t.act_words_skipped);
             sink.counter("engine/recv_words_visited", t.recv_words_visited);
@@ -588,12 +487,6 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
         sink.counter("rng/delivery_stream_draws", delivery_draws);
     }
 
-    /// The shard count in force (≥ 1, capped at the node count; 1
-    /// means sequential).
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// The underlying graph.
     pub fn graph(&self) -> &'g Graph {
         self.graph
@@ -616,7 +509,6 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
 
     /// The per-node latency profile accumulated so far: first-packet
     /// and decode-completion rounds (see [`LatencyProfile`]).
-    /// Bit-identical for any shard count, like every other observable.
     pub fn latency_profile(&self) -> LatencyProfile {
         LatencyProfile {
             first_packet: self.first_packet.clone(),
@@ -642,7 +534,7 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
     /// the run's definition, so a driver must derive them only from
     /// deterministic inputs (the round index, behavior state, prior
     /// reports) — never from wall-clock, thread identity, or ambient
-    /// randomness — to preserve the seed/shard/jobs reproducibility
+    /// randomness — to preserve the seed/jobs reproducibility
     /// contract.
     pub fn behaviors_mut(&mut self) -> &mut [B] {
         // Mutations may wake quiescent nodes (e.g. traffic injection),
@@ -674,13 +566,43 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
         self.step_inner(Some(trace))
     }
 
-    fn step_inner(&mut self, trace: Option<&mut RoundTrace>) -> RoundReport {
-        if self.shards > 1 {
-            if let Some(step) = self.sharded_step {
-                return step(self, trace);
-            }
-        }
-        self.step_sequential(trace)
+    /// One synchronous round: act, reach, deliver/receive, merge.
+    fn step_inner(&mut self, mut trace: Option<&mut RoundTrace>) -> RoundReport {
+        self.begin_round();
+        let act = act_sweep(
+            self.graph,
+            self.channel,
+            self.round,
+            &self.active,
+            &mut self.behaviors,
+            &mut self.node_rngs,
+            &mut self.fault_rngs,
+            &mut self.actions,
+            &mut self.broadcasting,
+            &mut self.sender_ok,
+            trace.as_deref_mut(),
+            self.timed,
+        );
+        self.compute_reach();
+        let recv = receive_sweep(
+            self.graph,
+            self.channel,
+            self.round,
+            &self.active,
+            &self.broadcasting,
+            &self.reach,
+            &mut self.behaviors,
+            &mut self.node_rngs,
+            &mut self.fault_rngs,
+            &mut self.first_packet,
+            &mut self.decode_round,
+            &self.actions,
+            &self.sender_ok,
+            &mut self.next_active,
+            trace,
+            self.timed,
+        );
+        self.finish_round(&act, &recv)
     }
 
     /// Prepares the round's scratch sets: rebuilds the active set when
@@ -705,8 +627,7 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
 
     /// Computes the reach set — every neighbor of every broadcaster,
     /// i.e. exactly the nodes whose slot resolves to something other
-    /// than silence. Runs after the act sweep (sequentially: the bits
-    /// it writes span arbitrary shards).
+    /// than silence. Runs after the act sweep.
     fn compute_reach(&mut self) {
         let t0 = self.timed.then(Instant::now);
         self.reach.clear();
@@ -720,122 +641,33 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
         }
     }
 
-    /// The sequential path: the whole node range as one shard.
-    fn step_sequential(&mut self, trace: Option<&mut RoundTrace>) -> RoundReport {
-        let n = self.graph.node_count();
-        let traced = trace.is_some();
-        let timed = self.timed;
-        self.begin_round();
-        let mut act = act_range(
-            self.graph,
-            self.channel,
-            self.round,
-            0..n,
-            &self.active,
-            &mut self.behaviors,
-            &mut self.node_rngs,
-            &mut self.fault_rngs,
-            &mut self.actions,
-            self.broadcasting.slice_mut(),
-            &mut self.sender_ok,
-            traced,
-            timed,
-        );
-        self.compute_reach();
-        let mut recv = receive_range(
-            self.graph,
-            self.channel,
-            self.round,
-            0..n,
-            &self.active,
-            &self.broadcasting,
-            &self.reach,
-            &mut self.behaviors,
-            &mut self.node_rngs,
-            &mut self.fault_rngs,
-            &mut self.first_packet,
-            &mut self.decode_round,
-            &self.actions,
-            &self.sender_ok,
-            self.next_active.slice_mut(),
-            traced,
-            timed,
-        );
-        self.finish_round(
-            trace,
-            std::slice::from_mut(&mut act),
-            std::slice::from_mut(&mut recv),
-        )
-    }
-
-    /// Merges per-shard partial tallies (in shard order, which is node
-    /// order because shards are contiguous ascending ranges) into the
-    /// round report, the aggregate stats, and the optional trace, then
-    /// advances the round counter. Takes the parts by mutable slice —
-    /// trace fragments are drained in place — so the single-part
-    /// sequential path needs no per-round heap allocation.
-    fn finish_round(
-        &mut self,
-        trace: Option<&mut RoundTrace>,
-        act_parts: &mut [ActPart],
-        recv_parts: &mut [RecvPart],
-    ) -> RoundReport {
+    /// Folds the round's sweep tallies into the round report and the
+    /// aggregate stats, then advances the round counter.
+    fn finish_round(&mut self, act: &ActPart, recv: &RecvPart) -> RoundReport {
         let t0 = self.timed.then(Instant::now);
-        let mut report = RoundReport {
+        let report = RoundReport {
             round: self.round,
-            ..RoundReport::default()
+            broadcasters: act.broadcasters,
+            sender_faults: act.sender_faults,
+            deliveries: recv.deliveries,
+            collisions: recv.collisions,
+            receiver_faults: recv.receiver_faults,
+            erasures: recv.erasures,
+            first_deliveries: recv.first_deliveries,
+            decodes: recv.decodes,
+            queued: recv.queued,
         };
-        for part in act_parts.iter() {
-            report.broadcasters += part.broadcasters;
-            report.sender_faults += part.sender_faults;
-        }
-        for part in recv_parts.iter() {
-            report.deliveries += part.deliveries;
-            report.collisions += part.collisions;
-            report.receiver_faults += part.receiver_faults;
-            report.erasures += part.erasures;
-            report.first_deliveries += part.first_deliveries;
-            report.decodes += part.decodes;
-            report.queued += part.queued;
-        }
-        if let Some(t) = trace {
-            for part in act_parts.iter_mut() {
-                if let Some(bs) = part.traced_broadcasters.take() {
-                    t.broadcasters.extend(bs);
-                }
-            }
-            for part in recv_parts.iter_mut() {
-                if let Some(tp) = part.traced.take() {
-                    t.deliveries.extend(tp.deliveries);
-                    t.collided_listeners.extend(tp.collided);
-                    t.erased_listeners.extend(tp.erased);
-                    t.first_packet_listeners.extend(tp.first_packets);
-                    t.decoded_nodes.extend(tp.decoded);
-                    t.queued_nodes.extend(tp.queued);
-                }
-            }
-        }
         if self.timed {
             // Occupancy reads the *executed* round's active set, so it
             // must precede the swap below.
             self.telemetry.rounds += 1;
             self.telemetry.active_node_rounds += self.active.count_ones() as u64;
-            self.telemetry.act_ns.resize(act_parts.len().max(1), 0);
-            self.telemetry.receive_ns.resize(recv_parts.len().max(1), 0);
-            for (slot, part) in self.telemetry.act_ns.iter_mut().zip(act_parts.iter()) {
-                *slot += part.nanos;
-            }
-            for (slot, part) in self.telemetry.receive_ns.iter_mut().zip(recv_parts.iter()) {
-                *slot += part.nanos;
-            }
-            for part in act_parts.iter() {
-                self.telemetry.act_words_visited += part.words_visited;
-                self.telemetry.act_words_skipped += part.words_skipped;
-            }
-            for part in recv_parts.iter() {
-                self.telemetry.recv_words_visited += part.words_visited;
-                self.telemetry.recv_words_skipped += part.words_skipped;
-            }
+            self.telemetry.act_ns += act.nanos;
+            self.telemetry.receive_ns += recv.nanos;
+            self.telemetry.act_words_visited += act.words_visited;
+            self.telemetry.act_words_skipped += act.words_skipped;
+            self.telemetry.recv_words_visited += recv.words_visited;
+            self.telemetry.recv_words_skipped += recv.words_skipped;
         }
         // The accumulated next-active set becomes the coming round's
         // active set (dense mode rebuilds it wholesale instead).
@@ -915,29 +747,7 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
     }
 }
 
-/// Rounds the interior boundaries of a contiguous shard partition down
-/// to multiples of 64 (bitset word size), dropping ranges that become
-/// empty. The final boundary (the node count) is kept as-is; the last
-/// shard owns the partial tail word.
-fn align_word_ranges(ranges: Vec<Range<usize>>) -> Vec<Range<usize>> {
-    let total_end = ranges.last().map_or(0, |r| r.end);
-    let mut out = Vec::with_capacity(ranges.len());
-    let mut start = 0;
-    for r in &ranges {
-        let end = if r.end == total_end {
-            total_end
-        } else {
-            r.end & !63
-        };
-        if end > start {
-            out.push(start..end);
-            start = end;
-        }
-    }
-    out
-}
-
-/// Partial tallies of one shard's act sweep.
+/// Tallies of one round's act sweep.
 #[derive(Default)]
 struct ActPart {
     broadcasters: u64,
@@ -948,23 +758,9 @@ struct ActPart {
     words_visited: u64,
     /// Bitset words skipped wholesale (all-zero).
     words_skipped: u64,
-    /// Broadcasters in ascending node order, when tracing.
-    traced_broadcasters: Option<Vec<NodeId>>,
 }
 
-/// Trace fragments of one shard's delivery sweep, each in ascending
-/// listener order.
-#[derive(Default)]
-struct TracePart {
-    deliveries: Vec<(NodeId, NodeId)>,
-    collided: Vec<NodeId>,
-    erased: Vec<NodeId>,
-    first_packets: Vec<NodeId>,
-    decoded: Vec<NodeId>,
-    queued: Vec<(NodeId, u64)>,
-}
-
-/// Partial tallies of one shard's delivery sweep.
+/// Tallies of one round's delivery sweep.
 #[derive(Default)]
 struct RecvPart {
     deliveries: u64,
@@ -980,35 +776,35 @@ struct RecvPart {
     words_visited: u64,
     /// Bitset words skipped wholesale (no active or reached bit).
     words_skipped: u64,
-    traced: Option<TracePart>,
 }
 
-/// Phase 1+2 over the **active** nodes of `range`: collect actions,
-/// mark broadcasters, and sample sender faults (one draw per
-/// broadcaster, from the broadcaster's own channel stream — a faulted
-/// sender still occupies the channel). Inactive nodes are skipped
-/// entirely: by the [`NodeBehavior::wants_poll`] contract their `act`
-/// would return [`Action::Listen`] without drawing or mutating.
+/// Phase 1+2 over the **active** nodes: collect actions, mark
+/// broadcasters, and sample sender faults (one draw per broadcaster,
+/// from the broadcaster's own channel stream — a faulted sender still
+/// occupies the channel). Inactive nodes are skipped entirely: by the
+/// [`NodeBehavior::wants_poll`] contract their `act` would return
+/// [`Action::Listen`] without drawing or mutating.
 ///
-/// `behaviors`/`node_rngs`/`fault_rngs`/`actions`/`sender_ok` are the
-/// shard's chunks; `range` supplies the global indices; `broadcasting`
-/// is the shard's word range of the broadcaster bitset. `actions` and
-/// `sender_ok` entries are written only for broadcasters — every read
-/// of either is guarded by the broadcaster bit.
+/// `actions` and `sender_ok` entries are written only for
+/// broadcasters — every read of either is guarded by the broadcaster
+/// bit. Broadcasters are appended to `trace` in ascending node order.
+// Out of line on purpose: inlined into the round step, this loop
+// measured 5–15% more ns per active node-round on the benchmark's path
+// and grid workloads.
 #[allow(clippy::too_many_arguments)]
-fn act_range<P: Payload, B: NodeBehavior<P>>(
+#[inline(never)]
+fn act_sweep<P: Payload, B: NodeBehavior<P>>(
     graph: &Graph,
     channel: Channel,
     round: u64,
-    range: Range<usize>,
     active: &Bitset,
     behaviors: &mut [B],
     node_rngs: &mut [SmallRng],
     fault_rngs: &mut [SmallRng],
     actions: &mut [Action<P>],
-    mut broadcasting: BitsetSliceMut<'_>,
+    broadcasting: &mut Bitset,
     sender_ok: &mut [bool],
-    traced: bool,
+    mut trace: Option<&mut RoundTrace>,
     timed: bool,
 ) -> ActPart {
     // Telemetry is observational only: the clock is read outside the
@@ -1019,26 +815,20 @@ fn act_range<P: Payload, B: NodeBehavior<P>>(
     // presence is structural, so `sender(0.0)` consumes the same draws
     // as before composition existed.
     let sender_fault = channel.sender_fault();
-    let mut part = ActPart {
-        traced_broadcasters: traced.then(Vec::new),
-        ..ActPart::default()
-    };
-    // Word-at-a-time sweep: shard range starts are word-aligned (see
-    // `align_word_ranges`), zero words are skipped wholesale, and each
+    let mut part = ActPart::default();
+    // Word-at-a-time sweep: zero words are skipped wholesale, and each
     // word's broadcaster bits accumulate in a register with a single
-    // store at the end. Re-slicing every per-node chunk to the exact
-    // range length lets the optimizer fold their bounds checks into
-    // one; the word slice is consumed by iterator for the same reason.
-    let n_local = range.end - range.start;
-    let behaviors = &mut behaviors[..n_local];
-    let node_rngs = &mut node_rngs[..n_local];
-    let fault_rngs = &mut fault_rngs[..n_local];
-    let actions = &mut actions[..n_local];
-    let sender_ok = &mut sender_ok[..n_local];
-    let w0 = range.start / 64;
-    let words = &active.words()[w0..range.end.div_ceil(64)];
-    for (k, &mw) in words.iter().enumerate() {
-        let w = w0 + k;
+    // store at the end. Re-slicing every per-node buffer to the node
+    // count lets the optimizer fold their bounds checks into one; the
+    // word slice is consumed by iterator for the same reason.
+    let n = graph.node_count();
+    let behaviors = &mut behaviors[..n];
+    let node_rngs = &mut node_rngs[..n];
+    let fault_rngs = &mut fault_rngs[..n];
+    let actions = &mut actions[..n];
+    let sender_ok = &mut sender_ok[..n];
+    let words = active.words();
+    for (w, &mw) in words.iter().enumerate() {
         let mut m = mw;
         if m == 0 {
             continue;
@@ -1049,27 +839,26 @@ fn act_range<P: Payload, B: NodeBehavior<P>>(
             let bit = m.trailing_zeros() as usize;
             m &= m - 1;
             let i = w * 64 + bit;
-            let local = i - range.start;
             let node = NodeId::from_index(i);
             let mut ctx = Ctx {
                 node,
                 round,
-                rng: &mut node_rngs[local],
+                rng: &mut node_rngs[i],
                 graph,
             };
-            let action = behaviors[local].act(&mut ctx);
+            let action = behaviors[i].act(&mut ctx);
             if action.is_broadcast() {
                 b_word |= 1 << bit;
                 part.broadcasters += 1;
-                sender_ok[local] = true;
-                if sender_fault.map_or(false, |p| fault_rngs[local].gen_bool(p)) {
-                    sender_ok[local] = false;
+                sender_ok[i] = true;
+                if sender_fault.map_or(false, |p| fault_rngs[i].gen_bool(p)) {
+                    sender_ok[i] = false;
                     part.sender_faults += 1;
                 }
-                if let Some(t) = part.traced_broadcasters.as_mut() {
-                    t.push(node);
+                if let Some(t) = trace.as_deref_mut() {
+                    t.broadcasters.push(node);
                 }
-                actions[local] = action;
+                actions[i] = action;
             }
         }
         if b_word != 0 {
@@ -1083,24 +872,20 @@ fn act_range<P: Payload, B: NodeBehavior<P>>(
     part
 }
 
-/// Phase 3 over `(active ∪ reach) ∩ range` — the shard's active and
-/// reached nodes: resolve every listener's slot outcome and deliver
-/// it, then poll each swept node's decode and queue state and decide
-/// its next-round activity. Skipped nodes would have heard silence
-/// and, by the [`NodeBehavior::wants_poll`] contract, ignored it with
-/// frozen observables.
-///
-/// `behaviors`/`node_rngs`/`fault_rngs`/`first_packet`/`decode_round`
-/// are the shard's chunks; `actions`/`sender_ok` and the bitsets are
-/// the **full** per-node structures (senders may live in other
-/// shards); `next_active` is the shard's word range of the next
-/// round's active set.
+/// Phase 3 over `active ∪ reach`: resolve every listener's slot
+/// outcome and deliver it, then poll each swept node's decode and
+/// queue state and decide its next-round activity. Skipped nodes would
+/// have heard silence and, by the [`NodeBehavior::wants_poll`]
+/// contract, ignored it with frozen observables. Trace entries are
+/// appended in ascending listener order.
+// Out of line like `act_sweep`, so each phase timer brackets its own
+// loop.
 #[allow(clippy::too_many_arguments)]
-fn receive_range<P: Payload, B: NodeBehavior<P>>(
+#[inline(never)]
+fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
     graph: &Graph,
     channel: Channel,
     round: u64,
-    range: Range<usize>,
     active: &Bitset,
     broadcasting: &Bitset,
     reach: &Bitset,
@@ -1111,8 +896,8 @@ fn receive_range<P: Payload, B: NodeBehavior<P>>(
     decode_round: &mut [Option<u64>],
     actions: &[Action<P>],
     sender_ok: &[bool],
-    mut next_active: BitsetSliceMut<'_>,
-    traced: bool,
+    next_active: &mut Bitset,
+    mut trace: Option<&mut RoundTrace>,
     timed: bool,
 ) -> RecvPart {
     let t0 = timed.then(Instant::now);
@@ -1123,10 +908,7 @@ fn receive_range<P: Payload, B: NodeBehavior<P>>(
     // broadcaster's stream — the two components never share a draw).
     let delivery_fault = channel.delivery_fault();
     let presents_erasure = channel.delivery_presents_erasure();
-    let mut part = RecvPart {
-        traced: traced.then(TracePart::default),
-        ..RecvPart::default()
-    };
+    let mut part = RecvPart::default();
     // Word-at-a-time sweep over active ∪ reach, unioned on the fly:
     // the three per-node classifications (broadcaster / reached /
     // silent) are single register bit tests, and each word's
@@ -1135,24 +917,19 @@ fn receive_range<P: Payload, B: NodeBehavior<P>>(
     // are settled wholesale — their per-node processing is vacuous by
     // the [`NodeBehavior::SILENCE_TRANSPARENT`] promise — and only the
     // reached listeners enter the per-node loop.
-    let n_local = range.end - range.start;
-    let behaviors = &mut behaviors[..n_local];
-    let node_rngs = &mut node_rngs[..n_local];
-    let fault_rngs = &mut fault_rngs[..n_local];
-    let first_packet = &mut first_packet[..n_local];
-    let decode_round = &mut decode_round[..n_local];
-    let w0 = range.start / 64;
-    let wend = range.end.div_ceil(64);
-    let active_words = &active.words()[w0..wend];
-    let reach_words = &reach.words()[w0..wend];
-    let bcast_words = &broadcasting.words()[w0..wend];
-    for (k, ((&aw, &rw), &bw)) in active_words
+    let n = graph.node_count();
+    let behaviors = &mut behaviors[..n];
+    let node_rngs = &mut node_rngs[..n];
+    let fault_rngs = &mut fault_rngs[..n];
+    let first_packet = &mut first_packet[..n];
+    let decode_round = &mut decode_round[..n];
+    let active_words = active.words();
+    for (w, ((&aw, &rw), &bw)) in active_words
         .iter()
-        .zip(reach_words)
-        .zip(bcast_words)
+        .zip(reach.words())
+        .zip(broadcasting.words())
         .enumerate()
     {
-        let w = w0 + k;
         if aw | rw == 0 {
             continue;
         }
@@ -1174,19 +951,18 @@ fn receive_range<P: Payload, B: NodeBehavior<P>>(
             let mask = 1u64 << bit;
             m &= m - 1;
             let i = w * 64 + bit;
-            let local = i - range.start;
             let node = NodeId::from_index(i);
             if !B::SILENCE_TRANSPARENT && bw & mask != 0 {
                 // Broadcasters do not receive (half-duplex), but their
                 // decode and queue state is still polled, and having
                 // just acted they stay active for the coming round.
                 poll_node(
-                    &behaviors[local],
-                    local,
+                    &behaviors[i],
                     node,
                     round,
                     decode_round,
                     &mut part,
+                    trace.as_deref_mut(),
                 );
                 na_word |= mask;
                 continue;
@@ -1212,8 +988,8 @@ fn receive_range<P: Payload, B: NodeBehavior<P>>(
                 }
                 if count > 1 {
                     part.collisions += 1;
-                    if let Some(t) = part.traced.as_mut() {
-                        t.collided.push(node);
+                    if let Some(t) = trace.as_deref_mut() {
+                        t.collided_listeners.push(node);
                     }
                     Reception::Noise
                 } else {
@@ -1222,11 +998,11 @@ fn receive_range<P: Payload, B: NodeBehavior<P>>(
                         // The sender transmitted noise; every listener
                         // of this broadcaster hears noise.
                         Reception::Noise
-                    } else if delivery_fault.map_or(false, |p| fault_rngs[local].gen_bool(p)) {
+                    } else if delivery_fault.map_or(false, |p| fault_rngs[i].gen_bool(p)) {
                         if presents_erasure {
                             part.erasures += 1;
-                            if let Some(t) = part.traced.as_mut() {
-                                t.erased.push(node);
+                            if let Some(t) = trace.as_deref_mut() {
+                                t.erased_listeners.push(node);
                             }
                             Reception::Erased
                         } else {
@@ -1243,14 +1019,14 @@ fn receive_range<P: Payload, B: NodeBehavior<P>>(
                             .expect("broadcasting sender has a payload")
                             .for_listener(node);
                         part.deliveries += 1;
-                        if first_packet[local].is_none() {
-                            first_packet[local] = Some(round);
+                        if first_packet[i].is_none() {
+                            first_packet[i] = Some(round);
                             part.first_deliveries += 1;
-                            if let Some(t) = part.traced.as_mut() {
-                                t.first_packets.push(node);
+                            if let Some(t) = trace.as_deref_mut() {
+                                t.first_packet_listeners.push(node);
                             }
                         }
-                        if let Some(t) = part.traced.as_mut() {
+                        if let Some(t) = trace.as_deref_mut() {
                             t.deliveries.push((s, node));
                         }
                         Reception::Packet(packet)
@@ -1260,23 +1036,23 @@ fn receive_range<P: Payload, B: NodeBehavior<P>>(
             let mut ctx = Ctx {
                 node,
                 round,
-                rng: &mut node_rngs[local],
+                rng: &mut node_rngs[i],
                 graph,
             };
-            behaviors[local].receive(&mut ctx, rx);
+            behaviors[i].receive(&mut ctx, rx);
             let depth = poll_node(
-                &behaviors[local],
-                local,
+                &behaviors[i],
                 node,
                 round,
                 decode_round,
                 &mut part,
+                trace.as_deref_mut(),
             );
             // Re-polled *after* the reception: a node stays active
             // exactly while its (possibly just-updated) state asks for
             // sweeping. Nodes that go quiescent here are re-woken
             // through the reach set the next time a broadcast arrives.
-            if depth > 0 || behaviors[local].wants_poll() {
+            if depth > 0 || behaviors[i].wants_poll() {
                 na_word |= mask;
             }
         }
@@ -1294,169 +1070,32 @@ fn receive_range<P: Payload, B: NodeBehavior<P>>(
 /// End-of-round poll for one swept node: records the first round in
 /// which [`NodeBehavior::decoded`] reports `true`, and tallies the
 /// node's [`NodeBehavior::queued`] depth (returned for the caller's
-/// activity decision). `decode_round` is the shard's chunk, `local`
-/// the node's index within it. Unswept nodes need no poll: their
-/// observables are frozen by the quiescence contract, and a queued
-/// depth > 0 keeps a node swept.
+/// activity decision). Unswept nodes need no poll: their observables
+/// are frozen by the quiescence contract, and a queued depth > 0 keeps
+/// a node swept.
 fn poll_node<P, B: NodeBehavior<P>>(
     behavior: &B,
-    local: usize,
     node: NodeId,
     round: u64,
     decode_round: &mut [Option<u64>],
     part: &mut RecvPart,
+    mut trace: Option<&mut RoundTrace>,
 ) -> u64 {
-    if decode_round[local].is_none() && behavior.decoded() {
-        decode_round[local] = Some(round);
+    if decode_round[node.index()].is_none() && behavior.decoded() {
+        decode_round[node.index()] = Some(round);
         part.decodes += 1;
-        if let Some(t) = part.traced.as_mut() {
-            t.decoded.push(node);
+        if let Some(t) = trace.as_deref_mut() {
+            t.decoded_nodes.push(node);
         }
     }
     let depth = behavior.queued();
     if depth > 0 {
         part.queued += depth;
-        if let Some(t) = part.traced.as_mut() {
-            t.queued.push((node, depth));
+        if let Some(t) = trace {
+            t.queued_nodes.push((node, depth));
         }
     }
     depth
-}
-
-/// Splits a per-node buffer into the chunks matching contiguous
-/// `ranges` (as produced by [`Graph::shard_ranges`]).
-fn split_ranges<'a, T>(mut items: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(ranges.len());
-    let mut consumed = 0;
-    for r in ranges {
-        debug_assert_eq!(r.start, consumed, "ranges must be contiguous");
-        let (chunk, tail) = items.split_at_mut(r.end - consumed);
-        out.push(chunk);
-        items = tail;
-        consumed = r.end;
-    }
-    out
-}
-
-/// The sharded round step stored behind [`Simulator::with_shards`]:
-/// two scoped-thread sweeps (act, then deliver/receive) over the
-/// word-aligned CSR shard ranges. Between them, the main thread
-/// computes the reach set — broadcaster bits (and sender-fault flags)
-/// must be globally known before any listener resolves its slot, and
-/// a broadcaster's neighbors span arbitrary shards — then the
-/// per-shard reports and traces are merged in shard (= node) order.
-fn run_sharded_step<P, B>(
-    sim: &mut Simulator<'_, P, B>,
-    trace: Option<&mut RoundTrace>,
-) -> RoundReport
-where
-    P: Payload + Send + Sync,
-    B: NodeBehavior<P> + Send,
-{
-    if sim.shard_ranges.len() <= 1 {
-        return sim.step_sequential(trace);
-    }
-    sim.begin_round();
-    let ranges = &sim.shard_ranges;
-    let graph = sim.graph;
-    let channel = sim.channel;
-    let round = sim.round;
-    let traced = trace.is_some();
-    let timed = sim.timed;
-
-    let mut act_parts: Vec<ActPart> = {
-        let behaviors = split_ranges(&mut sim.behaviors, ranges);
-        let node_rngs = split_ranges(&mut sim.node_rngs, ranges);
-        let fault_rngs = split_ranges(&mut sim.fault_rngs, ranges);
-        let actions = split_ranges(&mut sim.actions, ranges);
-        let broadcasting = sim.broadcasting.split_mut(ranges);
-        let sender_ok = split_ranges(&mut sim.sender_ok, ranges);
-        let active = &sim.active;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .cloned()
-                .zip(behaviors)
-                .zip(node_rngs)
-                .zip(fault_rngs)
-                .zip(actions)
-                .zip(broadcasting)
-                .zip(sender_ok)
-                .map(|((((((range, b), nr), fr), ac), bc), so)| {
-                    s.spawn(move || {
-                        act_range(
-                            graph, channel, round, range, active, b, nr, fr, ac, bc, so, traced,
-                            timed,
-                        )
-                    })
-                })
-                .collect();
-            handles.into_iter().map(join_shard).collect()
-        })
-    };
-
-    sim.compute_reach();
-
-    let mut recv_parts: Vec<RecvPart> = {
-        let ranges = &sim.shard_ranges;
-        let behaviors = split_ranges(&mut sim.behaviors, ranges);
-        let node_rngs = split_ranges(&mut sim.node_rngs, ranges);
-        let fault_rngs = split_ranges(&mut sim.fault_rngs, ranges);
-        let first_packet = split_ranges(&mut sim.first_packet, ranges);
-        let decode_round = split_ranges(&mut sim.decode_round, ranges);
-        let next_active = sim.next_active.split_mut(ranges);
-        let actions = &sim.actions;
-        let sender_ok = &sim.sender_ok;
-        let active = &sim.active;
-        let broadcasting = &sim.broadcasting;
-        let reach = &sim.reach;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .cloned()
-                .zip(behaviors)
-                .zip(node_rngs)
-                .zip(fault_rngs)
-                .zip(first_packet)
-                .zip(decode_round)
-                .zip(next_active)
-                .map(|((((((range, b), nr), fr), fp), dr), na)| {
-                    s.spawn(move || {
-                        receive_range(
-                            graph,
-                            channel,
-                            round,
-                            range,
-                            active,
-                            broadcasting,
-                            reach,
-                            b,
-                            nr,
-                            fr,
-                            fp,
-                            dr,
-                            actions,
-                            sender_ok,
-                            na,
-                            traced,
-                            timed,
-                        )
-                    })
-                })
-                .collect();
-            handles.into_iter().map(join_shard).collect()
-        })
-    };
-
-    sim.finish_round(trace, &mut act_parts, &mut recv_parts)
-}
-
-/// Joins one shard worker, propagating its panic to the caller.
-fn join_shard<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
-    match handle.join() {
-        Ok(part) => part,
-        Err(panic) => std::panic::resume_unwind(panic),
-    }
 }
 
 #[cfg(test)]
@@ -1850,18 +1489,16 @@ mod tests {
         assert_eq!(sim.channel(), channel);
     }
 
-    /// Runs `rounds` traced rounds at the given shard count and
-    /// returns everything observable: reports, traces, stats, the
-    /// latency profile, and the final informed-set of the flood
-    /// behaviors.
+    /// Runs `rounds` traced rounds, sparse or forced dense, and returns
+    /// everything observable: reports, traces, stats, the latency
+    /// profile, and the final informed-set of the flood behaviors.
     #[allow(clippy::type_complexity)]
     fn observe_flood(
         g: &netgraph::Graph,
         channel: Channel,
         informed: &[usize],
         seed: u64,
-        rounds: u64,
-        shards: usize,
+        dense: bool,
     ) -> (
         Vec<RoundReport>,
         Vec<RoundTrace>,
@@ -1872,10 +1509,10 @@ mod tests {
         let n = g.node_count();
         let mut sim = Simulator::new(g, channel, flood_behaviors(n, informed), seed)
             .unwrap()
-            .with_shards(shards);
+            .with_dense_sweeps(dense);
         let mut reports = Vec::new();
         let mut traces = Vec::new();
-        for _ in 0..rounds {
+        for _ in 0..12 {
             let mut t = RoundTrace::default();
             reports.push(sim.step_traced(&mut t));
             traces.push(t);
@@ -1886,32 +1523,11 @@ mod tests {
         (reports, traces, stats, profile, informed)
     }
 
-    /// Asserts shard-count parity against the sequential run for a
-    /// whole scenario.
-    fn assert_shard_parity(
-        g: &netgraph::Graph,
-        channel: Channel,
-        informed: &[usize],
-        seed: u64,
-        shards: usize,
-    ) {
-        let sequential = observe_flood(g, channel, informed, seed, 12, 1);
-        let sharded = observe_flood(g, channel, informed, seed, 12, shards);
-        assert_eq!(sequential, sharded, "shards = {shards}");
-    }
-
     #[test]
-    fn more_shards_than_nodes_matches_sequential() {
-        let g = generators::path(3);
-        assert_shard_parity(&g, Channel::receiver(0.4).unwrap(), &[0], 9, 64);
-    }
-
-    #[test]
-    fn empty_graph_steps_under_sharding() {
+    fn empty_graph_steps() {
         let g = netgraph::Graph::from_edges(0, []).unwrap();
-        let mut sim = Simulator::<(), AlwaysFlood>::new(&g, Channel::faultless(), vec![], 1)
-            .unwrap()
-            .with_shards(4);
+        let mut sim =
+            Simulator::<(), AlwaysFlood>::new(&g, Channel::faultless(), vec![], 1).unwrap();
         let r = sim.step();
         assert_eq!(r, RoundReport::default());
         assert_eq!(sim.round(), 1);
@@ -1919,40 +1535,34 @@ mod tests {
     }
 
     #[test]
-    fn single_node_graph_matches_sequential() {
+    fn single_node_graph_broadcasts_to_nobody() {
+        // A lone informed node broadcasts every round and draws its
+        // sender fault every round, but nobody can hear it.
         let g = netgraph::Graph::from_edges(1, []).unwrap();
-        assert_shard_parity(&g, Channel::sender(0.5).unwrap(), &[0], 3, 4);
+        let channel = Channel::sender(0.5).unwrap();
+        let sparse = observe_flood(&g, channel, &[0], 3, false);
+        assert_eq!(sparse, observe_flood(&g, channel, &[0], 3, true));
+        let stats = sparse.2;
+        assert_eq!(stats.broadcasts, 12);
+        assert!(stats.sender_faults > 0 && stats.sender_faults < 12);
+        assert_eq!((stats.deliveries, stats.collisions), (0, 0));
+        assert_eq!(sparse.3.decode_complete(NodeId::new(0)), Some(0));
     }
 
     #[test]
-    fn isolated_nodes_match_sequential() {
-        // 6 nodes, one edge: most shards hold only degree-0 nodes.
+    fn isolated_nodes_match_dense_sweeps() {
+        // 6 nodes, one edge: the degree-0 nodes are never reached, so
+        // the sparse sweeps never visit them after the first round.
         let g = netgraph::Graph::from_edges(6, [(NodeId::new(0), NodeId::new(1))]).unwrap();
         for channel in [
             Channel::faultless(),
             Channel::sender(0.3).unwrap(),
             Channel::erasure(0.3).unwrap(),
         ] {
-            assert_shard_parity(&g, channel, &[0], 7, 3);
+            let sparse = observe_flood(&g, channel, &[0], 7, false);
+            assert_eq!(sparse, observe_flood(&g, channel, &[0], 7, true));
+            assert_eq!(sparse.4, [true, true, false, false, false, false]);
         }
-    }
-
-    #[test]
-    fn shard_of_silent_listeners_matches_sequential() {
-        // Path with only node 0 informed: the trailing shards contain
-        // nothing but silent listeners for the first rounds.
-        let g = generators::path(32);
-        assert_shard_parity(&g, Channel::faultless(), &[0], 5, 4);
-        assert_shard_parity(&g, Channel::receiver(0.5).unwrap(), &[0], 5, 4);
-    }
-
-    #[test]
-    fn sender_faults_cross_shard_boundaries() {
-        // A star whose hub (shard 0) draws the sender fault while its
-        // listeners live in other shards: the single per-broadcaster
-        // draw must reach every listener identically.
-        let g = generators::star(64);
-        assert_shard_parity(&g, Channel::sender(0.5).unwrap(), &[0], 11, 5);
     }
 
     #[test]
@@ -2100,43 +1710,5 @@ mod tests {
         assert_eq!(r.broadcasters, 1);
         assert_eq!(r.queued, 1);
         assert_eq!(sim.stats().peak_queued, 1);
-    }
-
-    #[test]
-    fn queued_depths_are_shard_count_invariant() {
-        let g = generators::path(16);
-        let observe = |shards: usize| {
-            let behaviors: Vec<Backlog> = (0..16u64).map(|i| Backlog { pending: i % 5 }).collect();
-            let mut sim = Simulator::new(&g, Channel::receiver(0.3).unwrap(), behaviors, 9)
-                .unwrap()
-                .with_shards(shards);
-            let mut reports = Vec::new();
-            let mut traces = Vec::new();
-            for _ in 0..6 {
-                let mut t = RoundTrace::default();
-                reports.push(sim.step_traced(&mut t));
-                traces.push(t);
-            }
-            (reports, traces, *sim.stats())
-        };
-        let sequential = observe(1);
-        for shards in [2, 3, 5] {
-            assert_eq!(sequential, observe(shards), "shards = {shards}");
-        }
-        assert!(sequential.2.peak_queued >= 4, "initial backlog visible");
-    }
-
-    #[test]
-    fn with_shards_zero_resolves_to_available_parallelism() {
-        let g = generators::path(4);
-        let sim = Simulator::<(), _>::new(&g, Channel::faultless(), flood_behaviors(4, &[]), 0)
-            .unwrap()
-            .with_shards(0);
-        assert!(sim.shards() >= 1);
-        let explicit =
-            Simulator::<(), _>::new(&g, Channel::faultless(), flood_behaviors(4, &[]), 0)
-                .unwrap()
-                .with_shards(3);
-        assert_eq!(explicit.shards(), 3);
     }
 }

@@ -12,11 +12,8 @@
 //!   `true` (`0` for nodes decoded at construction, e.g. the source).
 //!
 //! Both are 0-based round indices; a node first served in round `r`
-//! has a *latency* of `r + 1` rounds. The profile obeys the engine's
-//! shard-count-independence contract (`DESIGN.md` §4c): both vectors
-//! are per-node state updated only by the node's own shard, so a
-//! [`crate::Simulator::latency_profile`] is bit-identical for any
-//! `with_shards(k)`.
+//! has a *latency* of `r + 1` rounds. Read the profile with
+//! [`crate::Simulator::latency_profile`].
 
 /// Per-node first-delivery and decode-completion rounds of one
 /// simulation.
@@ -25,11 +22,8 @@
 /// first [`crate::Reception::Packet`], and the first round at whose
 /// end [`crate::NodeBehavior::decoded`] reported `true` (`0` for
 /// nodes decoded at construction, e.g. the source). A node first
-/// served in round `r` has a *latency* of `r + 1` rounds. The profile
-/// obeys the engine's shard-count-independence contract: it is
-/// bit-identical for any `with_shards(k)`.
+/// served in round `r` has a *latency* of `r + 1` rounds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencyProfile {
     /// `first_packet[v]` = round of node `v`'s first
     /// `Reception::Packet`, or `None` if it never received one.

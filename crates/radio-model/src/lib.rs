@@ -54,8 +54,7 @@
 //! completed (behaviors opt in via [`NodeBehavior::decoded`]). The
 //! profile is available at any point through
 //! [`Simulator::latency_profile`], its aggregates ride on
-//! [`SimStats`]/[`RoundReport`]/[`RoundTrace`], and it obeys the same
-//! shard-count-independence contract as every other observable.
+//! [`SimStats`]/[`RoundReport`]/[`RoundTrace`].
 //!
 //! # Example
 //!
@@ -96,17 +95,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-// The `serde` feature only gates `cfg_attr` derives; the offline build
-// vendors no serde, so enabling it without the real dependency must be a
-// deliberate, explained failure rather than a stray E0433 (see DESIGN.md).
-#[cfg(feature = "serde")]
-compile_error!(
-    "the `serde` feature requires the real `serde` crate (with `derive`): \
-     this offline workspace vendors none. Add `serde = { version = \"1\", \
-     features = [\"derive\"], optional = true }` to this crate and remove \
-     this guard (see DESIGN.md section 7)."
-);
 
 mod action;
 mod bitmat;

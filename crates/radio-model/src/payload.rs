@@ -14,9 +14,9 @@
 //! knows who is listening. See [`crate::adversary`].
 //!
 //! The hook is deliberately on the payload, not the behavior: the
-//! sharded receive sweep mutates each shard's own behaviors while
-//! reading the *full* action buffer, so a per-listener decision must
-//! live on the (shared, immutable) action's payload.
+//! receive sweep mutates the listener's behavior while reading the
+//! broadcaster's action, so a per-listener decision must live on the
+//! (immutable) action's payload.
 
 use netgraph::NodeId;
 
@@ -27,9 +27,8 @@ use crate::Ctx;
 ///
 /// Implementations must be cheap to clone (the engine clones once per
 /// delivery) and `for_listener` must be a pure function of the payload
-/// and the listener id — the delivery sweep may run shards in any
-/// order, and the determinism contract requires every listener to hear
-/// the same packet regardless of shard count.
+/// and the listener id, so the packet a listener hears never depends
+/// on which other listeners were served first.
 pub trait Payload: Clone {
     /// The packet a specific listener hears from this broadcast.
     ///

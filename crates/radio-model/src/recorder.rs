@@ -27,7 +27,6 @@ use crate::{NodeBehavior, RoundTrace, Simulator};
 /// and isolated ids 16 bytes each — never more than the flat `Vec<u32>`
 /// form beyond one word of slack.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SparseIds {
     words: Vec<(u32, u64)>,
 }
@@ -144,7 +143,6 @@ impl SparseIds {
 /// sets are word-compressed [`SparseIds`], and the broadcaster set is
 /// stored as the XOR delta against the previous recorded round.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RecordedRound {
     /// Round index.
     pub round: u64,
@@ -234,7 +232,6 @@ impl RecordedRound {
 /// deltas replayed into absolute sets. The round-trip equivalence
 /// fixture for the sparse-delta storage.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DenseRound {
     /// Round index.
     pub round: u64,
@@ -254,8 +251,7 @@ pub struct DenseRound {
 }
 
 /// A recorded execution: every round's broadcast/delivery/collision
-/// sets in sparse-delta form (see the module docs), ready for serde
-/// export.
+/// sets in sparse-delta form (see the module docs).
 ///
 /// # Example
 ///
@@ -279,7 +275,6 @@ pub struct DenseRound {
 /// assert_eq!(history.dense()[0].broadcasters, vec![0]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct History {
     /// The recorded rounds, in execution order.
     pub rounds: Vec<RecordedRound>,
@@ -627,16 +622,5 @@ mod tests {
         for (i, r) in history.rounds.iter().enumerate() {
             assert_eq!(r.first_packet_ids(), vec![i as u32 + 1]);
         }
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serializes_to_json() {
-        let g = generators::path(3);
-        let mut s = sim(&g);
-        let history = History::record(&mut s, 2);
-        let json = serde_json::to_string(&history).unwrap();
-        let back: History = serde_json::from_str(&json).unwrap();
-        assert_eq!(history, back);
     }
 }

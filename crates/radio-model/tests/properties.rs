@@ -107,19 +107,11 @@ impl NodeBehavior<()> for Flood {
 }
 
 /// Runs a single-source flood and returns its latency profile + stats.
-fn flood_run(
-    g: &Graph,
-    channel: Channel,
-    seed: u64,
-    rounds: u64,
-    shards: usize,
-) -> (LatencyProfile, SimStats) {
+fn flood_run(g: &Graph, channel: Channel, seed: u64, rounds: u64) -> (LatencyProfile, SimStats) {
     let behaviors: Vec<Flood> = (0..g.node_count())
         .map(|i| Flood { informed: i == 0 })
         .collect();
-    let mut sim = Simulator::new(g, channel, behaviors, seed)
-        .unwrap()
-        .with_shards(shards);
+    let mut sim = Simulator::new(g, channel, behaviors, seed).unwrap();
     sim.run(rounds);
     (sim.latency_profile(), *sim.stats())
 }
@@ -132,40 +124,14 @@ fn traced_run(
     rounds: u64,
     prob: f64,
 ) -> (Vec<RoundTrace>, SimStats) {
-    let (traces, _, stats, _) = traced_run_sharded(g, channel, seed, rounds, prob, 1);
-    (traces, stats)
-}
-
-/// As [`traced_run`], but over `shards` CSR shards and additionally
-/// returning the per-round reports — the full observable surface the
-/// shard-count-independence invariant covers.
-#[allow(clippy::type_complexity)]
-fn traced_run_sharded(
-    g: &Graph,
-    channel: Channel,
-    seed: u64,
-    rounds: u64,
-    prob: f64,
-    shards: usize,
-) -> (
-    Vec<RoundTrace>,
-    Vec<radio_model::RoundReport>,
-    SimStats,
-    LatencyProfile,
-) {
-    let mut sim = Simulator::new(g, channel, chatter(g.node_count(), prob), seed)
-        .unwrap()
-        .with_shards(shards);
+    let mut sim = Simulator::new(g, channel, chatter(g.node_count(), prob), seed).unwrap();
     let mut traces = Vec::new();
-    let mut reports = Vec::new();
     for _ in 0..rounds {
         let mut t = RoundTrace::default();
-        reports.push(sim.step_traced(&mut t));
+        sim.step_traced(&mut t);
         traces.push(t);
     }
-    let stats = *sim.stats();
-    let profile = sim.latency_profile();
-    (traces, reports, stats, profile)
+    (traces, *sim.stats())
 }
 
 /// Everything a run can show: per-round traces and reports, final
@@ -178,8 +144,7 @@ type Observables<B> = (
     Vec<B>,
 );
 
-/// Runs `rounds` rounds over `shards` shards in either the default
-/// sparse mode or the dense reference mode, capturing the full
+/// Runs `rounds` rounds in either the default sparse mode or the dense reference mode, capturing the full
 /// observable surface for the sparse ≡ dense differential tests.
 fn modal_run<P, B>(
     g: &Graph,
@@ -187,16 +152,14 @@ fn modal_run<P, B>(
     behaviors: &[B],
     seed: u64,
     rounds: u64,
-    shards: usize,
     dense: bool,
 ) -> Observables<B>
 where
-    P: radio_model::Payload + Send + Sync,
-    B: NodeBehavior<P> + Clone + Send,
+    P: radio_model::Payload,
+    B: NodeBehavior<P> + Clone,
 {
     let mut sim = Simulator::new(g, channel, behaviors.to_vec(), seed)
         .unwrap()
-        .with_shards(shards)
         .with_dense_sweeps(dense);
     let mut traces = Vec::new();
     let mut reports = Vec::new();
@@ -219,10 +182,9 @@ proptest! {
         channel in arb_channel(),
         seed in any::<u64>(),
         prob in 0.05..0.9f64,
-        shards in 1usize..5,
     ) {
-        // The sparse-engine contract: for any (graph, channel, seed,
-        // shard count), the default sparse round loop is bit-identical
+        // The sparse-engine contract: for any (graph, channel, seed),
+        // the default sparse round loop is bit-identical
         // to the dense reference mode over the full observable surface
         // — traces, reports, stats, latency profile, and behavior
         // state.
@@ -231,8 +193,8 @@ proptest! {
         // node stays in the active set; this pins the always-active
         // path.
         let chatter = chatter(g.node_count(), prob);
-        let sparse = modal_run(&g, channel, &chatter, seed, 20, shards, false);
-        let dense = modal_run(&g, channel, &chatter, seed, 20, shards, true);
+        let sparse = modal_run(&g, channel, &chatter, seed, 20, false);
+        let dense = modal_run(&g, channel, &chatter, seed, 20, true);
         prop_assert_eq!(sparse, dense);
 
         // Flood nodes are quiescent until informed and
@@ -242,8 +204,8 @@ proptest! {
         let floods: Vec<Flood> = (0..g.node_count())
             .map(|i| Flood { informed: i == 0 })
             .collect();
-        let sparse = modal_run(&g, channel, &floods, seed, 25, shards, false);
-        let dense = modal_run(&g, channel, &floods, seed, 25, shards, true);
+        let sparse = modal_run(&g, channel, &floods, seed, 25, false);
+        let dense = modal_run(&g, channel, &floods, seed, 25, true);
         prop_assert_eq!(sparse, dense);
     }
 
@@ -439,64 +401,17 @@ proptest! {
     }
 
     #[test]
-    fn sharding_is_bit_identical_to_sequential(
-        g in arb_graph(),
-        channel in arb_channel(),
-        seed in any::<u64>(),
-        prob in 0.05..0.9f64,
-        shards in 2usize..9,
-    ) {
-        // The §4c shard-count-independence invariant, over the full
-        // observable surface: traces, round reports, and stats of a
-        // sharded run are bit-identical to the sequential run for any
-        // (graph, channel, seed, shard count).
-        let (seq_traces, seq_reports, seq_stats, seq_profile) =
-            traced_run_sharded(&g, channel, seed, 20, prob, 1);
-        let (shard_traces, shard_reports, shard_stats, shard_profile) =
-            traced_run_sharded(&g, channel, seed, 20, prob, shards);
-        prop_assert_eq!(seq_traces, shard_traces);
-        prop_assert_eq!(seq_reports, shard_reports);
-        prop_assert_eq!(seq_stats, shard_stats);
-        prop_assert_eq!(seq_profile, shard_profile);
-    }
-
-    #[test]
-    fn sharded_recorder_histories_match_sequential(
-        g in arb_graph(),
-        channel in arb_channel(),
-        seed in any::<u64>(),
-        shards in 2usize..9,
-    ) {
-        // The recorder rides on `step_traced`, so a sharded recording
-        // (rounds, behaviors, and final stats) must replay the
-        // sequential one exactly.
-        use radio_model::recorder::History;
-        let record = |k: usize| {
-            let mut sim =
-                Simulator::new(&g, channel, chatter(g.node_count(), 0.35), seed)
-                    .unwrap()
-                    .with_shards(k);
-            let history = History::record(&mut sim, 15);
-            let stats = *sim.stats();
-            let states: Vec<u64> = sim.behaviors().iter().map(|b| b.receptions()).collect();
-            (history, stats, states)
-        };
-        prop_assert_eq!(record(1), record(shards));
-    }
-
-    #[test]
     fn first_delivery_decode_and_rounds_are_ordered(
         g in arb_graph(),
         channel in arb_channel(),
         seed in any::<u64>(),
-        shards in 1usize..5,
     ) {
         // The latency-profile ordering law, across random graphs,
-        // channels, seeds, and every shard count: each node's
+        // channels, and seeds: each node's
         // first-delivery round ≤ its decode-completion round ≤ the
         // total rounds executed, and decode completion implies either
         // a received packet or being informed at construction.
-        let (profile, stats) = flood_run(&g, channel, seed, 40, shards);
+        let (profile, stats) = flood_run(&g, channel, seed, 40);
         prop_assert_eq!(profile.node_count(), g.node_count());
         for v in g.nodes() {
             let first = profile.first_packet(v);
@@ -518,9 +433,6 @@ proptest! {
         prop_assert_eq!(profile.decode_complete(NodeId::new(0)), Some(0));
         prop_assert_eq!(profile.delivered_count() as u64, stats.delivered_nodes);
         prop_assert_eq!(profile.decoded_count() as u64, stats.decoded_nodes);
-        // And the profile itself is shard-count independent.
-        let (sequential, _) = flood_run(&g, channel, seed, 40, 1);
-        prop_assert_eq!(profile, sequential);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! engine telemetry — with any sink attached — never changes a single
 //! observable of a run. Traces, stats, and behavior states are
 //! bit-identical between a telemetry-off run and a telemetry-on run
-//! under the same seed, for any shard count; the emitted counters agree
+//! under the same seed; the emitted counters agree
 //! with the run's own `SimStats`; and the JSONL sink writes one
 //! schema-valid `{"span"|"counter", "value"}` object per line.
 
@@ -56,7 +56,6 @@ fn observe(
     channel: Channel,
     seed: u64,
     rounds: u64,
-    shards: usize,
     timed: bool,
 ) -> (Vec<RoundTrace>, SimStats, Vec<Chatter>, CounterSink) {
     let behaviors: Vec<Chatter> = (0..g.node_count())
@@ -67,7 +66,6 @@ fn observe(
         .collect();
     let mut sim = Simulator::new(g, channel, behaviors, seed)
         .unwrap()
-        .with_shards(shards)
         .with_telemetry(timed);
     let mut traces = Vec::new();
     for _ in 0..rounds {
@@ -110,7 +108,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The tentpole contract, end to end: telemetry on (counter and
-    /// JSONL sinks) vs telemetry off, across shard counts — traces,
+    /// JSONL sinks) vs telemetry off — traces,
     /// stats, and behavior states are bit-identical; the counters
     /// agree with `SimStats`; the JSONL log is schema-valid and
     /// line-for-line consistent with the counter sink.
@@ -120,12 +118,11 @@ proptest! {
         channel in arb_channel(),
         seed in any::<u64>(),
         rounds in 1u64..24,
-        shards in 1usize..4,
     ) {
         let (traces_off, stats_off, behaviors_off, _) =
-            observe(&g, channel, seed, rounds, 1, false);
+            observe(&g, channel, seed, rounds, false);
         let (traces_on, stats_on, behaviors_on, counters) =
-            observe(&g, channel, seed, rounds, shards, true);
+            observe(&g, channel, seed, rounds, true);
 
         prop_assert_eq!(&traces_off, &traces_on);
         prop_assert_eq!(stats_off, stats_on);
@@ -176,7 +173,7 @@ proptest! {
 #[test]
 fn disabled_run_collects_no_telemetry() {
     let g = generators::path(16);
-    let (_, _, _, counters) = observe(&g, Channel::faultless(), 7, 8, 1, false);
+    let (_, _, _, counters) = observe(&g, Channel::faultless(), 7, 8, false);
     assert!(counters.is_empty(), "telemetry-off run emitted events");
 }
 
@@ -184,14 +181,14 @@ fn disabled_run_collects_no_telemetry() {
 fn timed_run_reports_word_sweep_totals() {
     let g = generators::path(64);
     let rounds = 10;
-    let (_, _, _, counters) = observe(&g, Channel::faultless(), 7, rounds, 2, true);
+    let (_, _, _, counters) = observe(&g, Channel::faultless(), 7, rounds, true);
     let visited = counters
         .counter_total("engine/act_words_visited")
         .expect("timed run emits word counters");
     let skipped = counters
         .counter_total("engine/act_words_skipped")
         .expect("timed run emits word counters");
-    // 64 nodes = 1 bitset word per shard sweep; every round visits or
-    // skips each word exactly once.
+    // 64 nodes = 1 bitset word; every round visits or skips it exactly
+    // once.
     assert_eq!(visited + skipped, rounds);
 }

@@ -22,13 +22,6 @@
 //! (`--jobs 1` ≡ `--jobs 8`). `noisy_radio_bench`'s integration tests
 //! assert exactly this.
 //!
-//! A second, orthogonal parallelism layer lives *inside* a cell:
-//! [`SweepConfig::shards`](runner::SweepConfig::shards) carries the
-//! engine shard count to drivers whose cells run a
-//! `radio_model::Simulator` (`with_shards`, DESIGN.md §4c). It obeys
-//! the same contract — results are byte-identical for any shard
-//! count — so the two layers compose freely (`--jobs N --shards K`).
-//!
 //! Three layers:
 //!
 //! * [`run_cells`] — the generic runner: evaluate `count` cells of any

@@ -8,31 +8,25 @@ use rand::SeedableRng;
 
 use radio_model::fork_seed;
 
-/// How a sweep runs: worker count, per-cell simulator shard count, and
-/// the master seed every cell seed is forked from.
+/// How a sweep runs: worker count and the master seed every cell seed
+/// is forked from.
 ///
-/// The master seed determines *what* is measured; `jobs` and `shards`
-/// only determine *how fast*. Two configs that differ only in `jobs`
-/// or `shards` produce byte-identical results: `jobs` by the §4b
-/// ordered-merge contract, `shards` by the engine's §4c
-/// shard-count-independence invariant
-/// (`radio_model::Simulator::with_shards`).
+/// The master seed determines *what* is measured; `jobs` only
+/// determines *how fast*. Two configs that differ only in `jobs`
+/// produce byte-identical results by the §4b ordered-merge contract.
 ///
 /// # Examples
 ///
 /// ```
 /// use radio_sweep::SweepConfig;
 ///
-/// // Explicit worker count; seed 42; sequential cells by default.
+/// // Explicit worker count; seed 42.
 /// let cfg = SweepConfig::new(Some(2), 42);
 /// assert_eq!(cfg.jobs, 2);
-/// assert_eq!(cfg.shards, 1);
 ///
-/// // `None` resolves to the machine's available parallelism, and
-/// // cells can shard their simulator runs (`0` = auto).
-/// let auto = SweepConfig::new(None, 42).with_shards(4);
+/// // `None` resolves to the machine's available parallelism.
+/// let auto = SweepConfig::new(None, 42);
 /// assert!(auto.jobs >= 1);
-/// assert_eq!(auto.shards, 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepConfig {
@@ -40,34 +34,16 @@ pub struct SweepConfig {
     pub jobs: usize,
     /// Master seed; every cell seed is [`fork_seed`]-derived from it.
     pub master_seed: u64,
-    /// Intra-cell simulator shard count (≥ 1; 1 = sequential). Cells
-    /// that run a `radio_model::Simulator` pass this to `with_shards`;
-    /// results never depend on it.
-    pub shards: usize,
 }
 
 impl SweepConfig {
     /// Creates a config; `jobs = None` resolves to
-    /// [`available_jobs`](Self::available_jobs). Cells run sequential
-    /// simulators (`shards = 1`) unless
-    /// [`with_shards`](Self::with_shards) raises it.
+    /// [`available_jobs`](Self::available_jobs).
     pub fn new(jobs: Option<usize>, master_seed: u64) -> Self {
         SweepConfig {
             jobs: jobs.unwrap_or_else(Self::available_jobs).max(1),
             master_seed,
-            shards: 1,
         }
-    }
-
-    /// Sets the per-cell simulator shard count; `0` resolves to
-    /// [`available_jobs`](Self::available_jobs).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = if shards == 0 {
-            Self::available_jobs()
-        } else {
-            shards
-        };
-        self
     }
 
     /// The machine's available parallelism (≥ 1).
@@ -209,9 +185,9 @@ where
 /// duration in milliseconds (in cell-index order).
 ///
 /// The *results* obey the determinism contract; the *timings* of
-/// course do not — they are observability data (per-cell cost, shard
-/// scaling curves) and are excluded from artifact diffing
-/// (`experiments --diff` ignores the timing field).
+/// course do not — they are observability data (per-cell cost) and are
+/// excluded from artifact diffing (`experiments --diff` ignores the
+/// timing field).
 ///
 /// # Examples
 ///

@@ -3,7 +3,6 @@
 /// A fitted line `y = slope · x + intercept` with its coefficient of
 /// determination.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fit {
     /// Fitted slope.
     pub slope: f64,

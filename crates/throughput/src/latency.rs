@@ -12,7 +12,6 @@ pub const LATENCY_HEADERS: [&str; 4] = ["lat mean", "lat p50", "lat p99", "lat m
 /// Summary of a latency sample set (in rounds): mean, median, tail,
 /// and worst case.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: usize,

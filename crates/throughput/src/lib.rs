@@ -11,7 +11,6 @@
 //! * [`fit`] — least-squares fits, including log–log slope estimation
 //!   for scaling-shape checks (e.g. "rounds grow linearly in `D`" ↔
 //!   slope ≈ 1);
-//! * [`mod@sweep`] — parameter sweeps with per-point trial replication;
 //! * [`throughput`] — `k / rounds` throughput estimates, stabilization
 //!   over a growing-`k` ladder (Definition 1's `limsup`), and gap
 //!   ratios (Definitions 2–3);
@@ -29,21 +28,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// The `serde` feature only gates `cfg_attr` derives; the offline build
-// vendors no serde, so enabling it without the real dependency must be a
-// deliberate, explained failure rather than a stray E0433 (see DESIGN.md).
-#[cfg(feature = "serde")]
-compile_error!(
-    "the `serde` feature requires the real `serde` crate (with `derive`): \
-     this offline workspace vendors none. Add `serde = { version = \"1\", \
-     features = [\"derive\"], optional = true }` to this crate and remove \
-     this guard (see DESIGN.md section 7)."
-);
-
 pub mod fit;
 pub mod latency;
 pub mod stats;
-pub mod sweep;
 pub mod table;
 pub mod throughput;
 pub mod traffic;
@@ -51,7 +38,6 @@ pub mod traffic;
 pub use fit::{linear_fit, log_log_fit, Fit};
 pub use latency::{LatencySummary, LATENCY_HEADERS};
 pub use stats::{quantile, Percentiles, Summary};
-pub use sweep::{sweep, SweepPoint};
 pub use table::Table;
 pub use throughput::{gap_ratio, throughput_ladder, ThroughputPoint};
 pub use traffic::{

@@ -2,7 +2,6 @@
 
 /// Summary statistics of a set of samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -119,7 +118,6 @@ pub fn quantile(samples: &[f64], q: f64) -> f64 {
 
 /// Tail percentiles of a sample set, for latency-style reporting.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Percentiles {
     /// Median (p50).
     pub p50: f64,

@@ -3,7 +3,6 @@
 /// One point of a throughput ladder: `k` messages took `rounds`
 /// rounds.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ThroughputPoint {
     /// Number of messages broadcast.
     pub k: usize,

@@ -34,8 +34,8 @@
 //! summed over nodes) must equal the driver's own arrival/retirement
 //! accounting. The driver cross-checks this each round and reports the
 //! verdict in [`ThroughputRun::conserved`]; the property tests in
-//! `noisy_radio_core` fuzz it across graphs, channels, rates, seeds,
-//! and shard counts.
+//! `noisy_radio_core` fuzz it across graphs, channels, rates, and
+//! seeds.
 //!
 //! # Saturation
 //!
@@ -225,9 +225,9 @@ impl TrafficSource {
 ///   never repeat across calls.
 pub trait TrafficWorkload {
     /// The packet type the protocol broadcasts.
-    type Packet: Payload + Send + Sync;
+    type Packet: Payload;
     /// The per-node behavior.
-    type Node: NodeBehavior<Self::Packet> + Send;
+    type Node: NodeBehavior<Self::Packet>;
 
     /// Fresh per-node behaviors (indexed by node id), with all
     /// workload-internal per-run state reset. No messages are pending
@@ -252,9 +252,6 @@ pub struct TrafficConfig {
     /// Round cap: a run still undrained here reports
     /// [`ThroughputRun::saturated`].
     pub max_rounds: u64,
-    /// Engine shard count (`Simulator::with_shards`; 0 resolves to
-    /// available parallelism, 1 is sequential).
-    pub shards: usize,
 }
 
 /// The outcome of one continuous-traffic run.
@@ -376,7 +373,7 @@ fn run_traffic_inner<W: TrafficWorkload>(
         delivered += 1;
     }
 
-    let mut sim = Simulator::new(graph, channel, nodes, seed)?.with_shards(config.shards);
+    let mut sim = Simulator::new(graph, channel, nodes, seed)?;
     let mut queue_depth: Vec<u64> = Vec::new();
     let mut conserved = true;
     let mut saturated = false;
@@ -544,7 +541,6 @@ mod tests {
             rate,
             messages,
             max_rounds,
-            shards: 1,
         }
     }
 
@@ -748,25 +744,6 @@ mod tests {
         let run = run_traffic(&g, Channel::faultless(), &mut w, &cfg(0.5, 3, 100), 0).unwrap();
         assert!(run.drained());
         assert_eq!(run.latencies, vec![0, 0, 0], "source holds ⇒ instant");
-    }
-
-    #[test]
-    fn run_is_shard_count_invariant() {
-        let g = generators::path(12);
-        let channel = Channel::receiver(0.3).unwrap();
-        let run_with = |shards: usize| {
-            let mut w = FloodWorkload::new(12);
-            let c = TrafficConfig {
-                shards,
-                ..cfg(0.02, 5, 5_000)
-            };
-            run_traffic(&g, channel, &mut w, &c, 7).unwrap()
-        };
-        let sequential = run_with(1);
-        assert!(sequential.drained() && sequential.conserved);
-        for shards in [2, 3, 4] {
-            assert_eq!(sequential, run_with(shards), "shards = {shards}");
-        }
     }
 
     #[test]

@@ -20,9 +20,7 @@ use noisy_radio::core::fastbc::FastbcSchedule;
 use noisy_radio::core::multi_message::{DecayRlnc, RobustFastbcRlnc};
 use noisy_radio::core::robust_fastbc::RobustFastbcSchedule;
 use noisy_radio::core::schedules::latency::XinXiaSchedule;
-use noisy_radio::core::schedules::star::{
-    star_coding_sharded, star_routing, star_routing_telemetry,
-};
+use noisy_radio::core::schedules::star::{star_coding, star_routing, star_routing_telemetry};
 use noisy_radio::core::traffic::{run_decay_traffic, run_rlnc_traffic, run_xin_xia_traffic};
 use noisy_radio::gbst::Gbst;
 use noisy_radio::model::{Adversary, Channel, Misbehavior, ModelError};
@@ -63,8 +61,6 @@ COMMON OPTIONS:
   --trials N        independent trials (default 3)
   --jobs N          worker threads for trials (default: available
                     parallelism); results are identical for any N
-  --shards K        engine shards inside each run (default 1, 0 = auto);
-                    results are identical for any K — use for large n
   --telemetry PATH  write a JSONL telemetry event log (one span/counter
                     object per line); never changes the measured output
   --telemetry-summary
@@ -86,7 +82,7 @@ traffic:
   --gen N           RLNC generation size cap, 1..=255 (default 16)
 gap:
   --leaves N        star size (default 1024)
-  --k N             messages (default 16)
+  --k N             messages (default 8)
 consensus:
   --algo NAME       brb | ben-or (default brb); BRB broadcasts `true`
                     from node 0, Ben-Or proposes by node parity
@@ -114,12 +110,13 @@ fn run(args: &[String]) -> Result<(), String> {
         print!("{HELP}");
         return Ok(());
     };
+    // Help wins over option parsing, so `gap --help` prints it too.
+    if command == "help" || args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{HELP}");
+        return Ok(());
+    }
     let opts = Options::parse(&args[1..])?;
     match command.as_str() {
-        "help" | "--help" | "-h" => {
-            print!("{HELP}");
-            Ok(())
-        }
         "broadcast" => cmd_broadcast(&opts),
         "multicast" => cmd_multicast(&opts),
         "traffic" => cmd_traffic(&opts),
@@ -137,7 +134,6 @@ struct Options {
     seed: u64,
     trials: u64,
     jobs: Option<usize>,
-    shards: usize,
     algo: Option<String>,
     k: usize,
     leaves: usize,
@@ -192,7 +188,6 @@ impl Options {
             seed: 42,
             trials: 3,
             jobs: None,
-            shards: 1,
             algo: None,
             k: 8,
             leaves: 1024,
@@ -225,10 +220,6 @@ impl Options {
                         return Err("--jobs must be ≥ 1".into());
                     }
                     opts.jobs = Some(n);
-                }
-                "--shards" => {
-                    // 0 = auto (available parallelism).
-                    opts.shards = value()?.parse().map_err(|e| format!("bad --shards: {e}"))?;
                 }
                 "--algo" => opts.algo = Some(value()?),
                 "--k" => opts.k = value()?.parse().map_err(|e| format!("bad --k: {e}"))?,
@@ -354,21 +345,11 @@ fn cmd_broadcast(opts: &Options) -> Result<(), String> {
     }
     let algo = match algo {
         "decay" => Algo::Decay,
-        "fastbc" => Algo::Fastbc(
-            FastbcSchedule::new(&g, source)
-                .map_err(|e| e.to_string())?
-                .with_shards(opts.shards),
-        ),
-        "robust-fastbc" => Algo::Robust(
-            RobustFastbcSchedule::new(&g, source)
-                .map_err(|e| e.to_string())?
-                .with_shards(opts.shards),
-        ),
-        "xin-xia" => Algo::XinXia(
-            XinXiaSchedule::new(&g, source)
-                .map_err(|e| e.to_string())?
-                .with_shards(opts.shards),
-        ),
+        "fastbc" => Algo::Fastbc(FastbcSchedule::new(&g, source).map_err(|e| e.to_string())?),
+        "robust-fastbc" => {
+            Algo::Robust(RobustFastbcSchedule::new(&g, source).map_err(|e| e.to_string())?)
+        }
+        "xin-xia" => Algo::XinXia(XinXiaSchedule::new(&g, source).map_err(|e| e.to_string())?),
         other => return Err(format!("unknown broadcast algo `{other}`")),
     };
     let cfg = opts.sweep();
@@ -388,7 +369,6 @@ fn cmd_broadcast(opts: &Options) -> Result<(), String> {
             let t0 = std::time::Instant::now();
             let (run, profile) = match &algo {
                 Algo::Decay => Decay::new()
-                    .with_shards(opts.shards)
                     .run_telemetry(&g, source, opts.fault, ctx.seed, MAX_ROUNDS, &mut sink)
                     .map_err(|e| e.to_string())?,
                 Algo::Fastbc(sched) => sched
@@ -509,7 +489,6 @@ fn cmd_traffic(opts: &Options) -> Result<(), String> {
         rate: opts.rate,
         messages: opts.messages,
         max_rounds: opts.max_rounds,
-        shards: opts.shards,
     };
     println!(
         "topology {} ({} nodes, {} edges), fault {}, algo {algo}",
@@ -589,16 +568,9 @@ fn cmd_gap(opts: &Options) -> Result<(), String> {
         (out, None)
     };
     let routing = routing_out.rounds.ok_or("routing did not finish")?;
-    let coding = star_coding_sharded(
-        opts.leaves,
-        opts.k,
-        opts.fault,
-        opts.seed,
-        MAX_ROUNDS,
-        opts.shards,
-    )
-    .map_err(|e| e.to_string())?
-    .rounds_used();
+    let coding = star_coding(opts.leaves, opts.k, opts.fault, opts.seed, MAX_ROUNDS)
+        .map_err(|e| e.to_string())?
+        .rounds_used();
     println!(
         "  adaptive routing: {routing} rounds (τ = {:.4})",
         opts.k as f64 / routing as f64
@@ -655,7 +627,7 @@ fn cmd_consensus(opts: &Options) -> Result<(), String> {
         run_cells(cfg.jobs, cfg.master_seed, opts.trials as usize, |ctx| {
             let t0 = std::time::Instant::now();
             match algo {
-                "brb" => Brb::new().with_shards(opts.shards).run(
+                "brb" => Brb::new().run(
                     &g,
                     NodeId::new(0),
                     true,
@@ -665,7 +637,7 @@ fn cmd_consensus(opts: &Options) -> Result<(), String> {
                     ctx.seed,
                     opts.max_rounds,
                 ),
-                _ => BenOr::new().with_shards(opts.shards).run(
+                _ => BenOr::new().run(
                     &g,
                     &inputs,
                     f,
@@ -886,5 +858,19 @@ mod tests {
         assert!(d.sweep().jobs >= 1);
         let zero: Vec<String> = ["--jobs", "0"].iter().map(|s| s.to_string()).collect();
         assert!(Options::parse(&zero).is_err());
+    }
+
+    #[test]
+    fn help_flag_after_a_command_prints_help() {
+        for args in [["gap", "--help"], ["broadcast", "-h"]] {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            assert_eq!(run(&args), Ok(()));
+        }
+    }
+
+    #[test]
+    fn help_states_the_k_default_gap_runs_with() {
+        let k = Options::parse(&[]).unwrap().k;
+        assert!(HELP.contains(&format!("--k N             messages (default {k})")));
     }
 }
