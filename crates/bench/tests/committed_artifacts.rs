@@ -1,21 +1,37 @@
-//! Pins the per-node random streams to a committed artifact: E8 at
-//! quick scale with seed 42 must reproduce `BENCH_e8_quick.json`
-//! exactly (`diff_artifacts` ignores only the `cell_ms` timings). Any
-//! change to how the engine, the channel, or the star schedules draw
-//! from their streams moves these bytes.
+//! Pins the per-node random streams to committed artifacts at quick
+//! scale with seed 42, exactly (`diff_artifacts` ignores only the
+//! `cell_ms` timings):
+//!
+//! - E8 must reproduce `BENCH_e8_quick.json`. Any change to how the
+//!   engine, the channel, or the star schedules draw from their streams
+//!   moves these bytes.
+//! - E2, E4 and E5 must reproduce `BENCH_gbst_quick.json`. They run the
+//!   GBST schedules (FASTBC, Robust FASTBC, dilated FASTBC) against
+//!   Decay, so any change to which rounds a fast node broadcasts in
+//!   moves these bytes too.
 
 use noisy_radio_bench::{diff_artifacts, experiments, suite_json, Scale};
 use radio_sweep::{Json, SweepConfig};
 
 const COMMITTED_E8_QUICK: &str = include_str!("../../../BENCH_e8_quick.json");
+const COMMITTED_GBST_QUICK: &str = include_str!("../../../BENCH_gbst_quick.json");
+
+fn assert_reproduces(ids: &[&str], committed: &str) {
+    let cfg = SweepConfig::new(Some(2), 42);
+    let ids: Vec<String> = ids.iter().map(|id| id.to_string()).collect();
+    let reports = experiments::run_selected(Scale::Quick, &cfg, &ids).expect("known ids");
+    let fresh = Json::parse(&suite_json(&reports, Scale::Quick.name(), 42)).expect("parses");
+    let committed = Json::parse(committed).expect("committed artifact parses");
+    let diff = diff_artifacts(&committed, &fresh);
+    assert!(diff.is_empty(), "{ids:?} quick moved:\n{}", diff.render());
+}
 
 #[test]
 fn e8_quick_reproduces_the_committed_artifact() {
-    let cfg = SweepConfig::new(Some(2), 42);
-    let reports =
-        experiments::run_selected(Scale::Quick, &cfg, &["E8".to_string()]).expect("known id");
-    let fresh = Json::parse(&suite_json(&reports, Scale::Quick.name(), 42)).expect("parses");
-    let committed = Json::parse(COMMITTED_E8_QUICK).expect("committed artifact parses");
-    let diff = diff_artifacts(&committed, &fresh);
-    assert!(diff.is_empty(), "E8 quick moved:\n{}", diff.render());
+    assert_reproduces(&["E8"], COMMITTED_E8_QUICK);
+}
+
+#[test]
+fn gbst_quick_reproduces_the_committed_artifact() {
+    assert_reproduces(&["E2", "E4", "E5"], COMMITTED_GBST_QUICK);
 }

@@ -85,4 +85,21 @@ fn diff_binary_reports_and_gates() {
         .output()
         .expect("run experiments --diff");
     assert!(!missing.status.success(), "unreadable artifact must fail");
+
+    // Nesting deep enough to overflow an uncapped recursive parser is
+    // reported as a parse error, not a crash.
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(200_000)).expect("write deep");
+    let deep = deep.to_str().unwrap();
+    let rejected = std::process::Command::new(bin)
+        .args(["--diff", deep, deep])
+        .output()
+        .expect("run experiments --diff");
+    assert_eq!(
+        rejected.status.code(),
+        Some(1),
+        "deep nesting must fail cleanly"
+    );
+    let err = String::from_utf8_lossy(&rejected.stderr);
+    assert!(err.contains("nesting deeper than"), "stderr:\n{err}");
 }

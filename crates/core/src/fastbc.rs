@@ -138,26 +138,28 @@ impl<'g> FastbcSchedule<'g> {
     /// Whether the fast node `v` is scheduled to transmit in fast
     /// round `t` (i.e. real round `2t`): `t ≡ level − 6·rank (mod 6R)`.
     pub fn fast_slot_matches(&self, v: NodeId, t: u64) -> bool {
-        let l = i64::from(self.gbst.level(v));
-        let r = i64::from(self.gbst.rank(v));
-        let m = self.modulus as i64;
-        (t as i64 - (l - 6 * r)).rem_euclid(m) == 0
+        self.timing(v).matches(t)
     }
 
-    fn behaviors(&self) -> Vec<FastbcNode> {
+    /// The fast-round timing of node `v` under this schedule.
+    pub(crate) fn timing(&self, v: NodeId) -> FastTiming {
+        FastTiming {
+            level: self.gbst.level(v),
+            rank: self.gbst.rank(v),
+            modulus: self.modulus,
+        }
+    }
+
+    fn behaviors(&self) -> Vec<FastbcNode<FastTiming>> {
         let n = self.graph.node_count();
         (0..n)
             .map(|i| {
                 let v = NodeId::from_index(i);
-                FastbcNode {
-                    informed: v == self.gbst.source(),
-                    phase_len: self.phase_len,
-                    fast: self.gbst.is_fast(v).then(|| FastTiming {
-                        level: self.gbst.level(v),
-                        rank: self.gbst.rank(v),
-                        modulus: self.modulus,
-                    }),
-                }
+                FastbcNode::new(
+                    v == self.gbst.source(),
+                    self.phase_len,
+                    self.gbst.is_fast(v).then(|| self.timing(v)),
+                )
             })
             .collect()
     }
@@ -249,43 +251,105 @@ impl<'g> FastbcSchedule<'g> {
     }
 }
 
+/// The fast-round slots of one fast node, as [`FastbcNode`] consults
+/// them.
+pub(crate) trait FastSlots: Copy {
+    /// The first even real round `≥ from` in which the node is
+    /// scheduled to broadcast ([`NEVER`] if no such round fits a
+    /// `u64`).
+    fn next_due(&self, from: u64) -> u64;
+}
+
+/// A round no run reaches: the next fast slot of an uninformed or slow
+/// node.
+const NEVER: u64 = u64::MAX;
+
 /// Fast-round timing of a fast node.
 #[derive(Debug, Clone, Copy)]
-struct FastTiming {
+pub(crate) struct FastTiming {
     level: u32,
     rank: u32,
     modulus: u64,
 }
 
 impl FastTiming {
-    fn matches(&self, t: u64) -> bool {
+    /// Whether the node is scheduled in fast round `t`: the stateless
+    /// reference for [`FastSlots::next_due`].
+    pub(crate) fn matches(&self, t: u64) -> bool {
         let l = i64::from(self.level);
         let r = i64::from(self.rank);
         (t as i64 - (l - 6 * r)).rem_euclid(self.modulus as i64) == 0
     }
 }
 
-/// Per-node FASTBC behavior: fast-wave slots on even rounds, Decay on
-/// odd rounds.
-#[derive(Debug, Clone)]
-struct FastbcNode {
-    informed: bool,
-    phase_len: u32,
-    fast: Option<FastTiming>,
+impl FastSlots for FastTiming {
+    fn next_due(&self, from: u64) -> u64 {
+        let m = self.modulus;
+        let slot = (i64::from(self.level) - 6 * i64::from(self.rank)).rem_euclid(m as i64) as u64;
+        // First fast round whose real round 2t is ≥ from, then the wait
+        // to the next t ≡ slot (mod m).
+        let t = from.div_ceil(2);
+        let phase = t % m;
+        let wait = if slot >= phase {
+            slot - phase
+        } else {
+            slot + m - phase
+        };
+        (t + wait).saturating_mul(2)
+    }
 }
 
-impl NodeBehavior<()> for FastbcNode {
+/// Per-node behavior of FASTBC and Robust FASTBC: the fast slots `T`
+/// on even rounds, a Decay step on odd rounds.
+#[derive(Debug, Clone)]
+pub(crate) struct FastbcNode<T> {
+    informed: bool,
+    phase_len: u32,
+    fast: Option<T>,
+    /// The even round this node broadcasts in next: set from the round
+    /// after it is informed (round 0 for the source) and advanced past
+    /// each broadcast, so a fast round costs one compare instead of
+    /// re-deriving the slot. [`NEVER`] while uninformed and for slow
+    /// nodes.
+    next_due: u64,
+}
+
+impl<T: FastSlots> FastbcNode<T> {
+    pub(crate) fn new(source: bool, phase_len: u32, fast: Option<T>) -> Self {
+        let mut node = FastbcNode {
+            informed: false,
+            phase_len,
+            fast,
+            next_due: NEVER,
+        };
+        if source {
+            node.inform(0);
+        }
+        node
+    }
+
+    fn inform(&mut self, from: u64) {
+        self.informed = true;
+        self.next_due = self.fast.map_or(NEVER, |slots| slots.next_due(from));
+    }
+}
+
+impl<T: FastSlots> NodeBehavior<()> for FastbcNode<T> {
     fn act(&mut self, ctx: &mut Ctx<'_>) -> Action<()> {
         if !self.informed {
             return Action::Listen;
         }
         if ctx.round.is_multiple_of(2) {
-            // Fast transmission round 2t.
-            let t = ctx.round / 2;
-            match self.fast {
-                Some(timing) if timing.matches(t) => Action::Broadcast(()),
-                _ => Action::Listen,
+            // Fast round. An informed node is polled every round (see
+            // `wants_poll`), so `act` meets each due round exactly.
+            debug_assert!(ctx.round <= self.next_due, "fast slot skipped");
+            if ctx.round != self.next_due {
+                return Action::Listen;
             }
+            if let Some(slots) = self.fast {
+                self.next_due = slots.next_due(ctx.round + 1);
+            }
+            Action::Broadcast(())
         } else {
             // Slow transmission round 2t + 1: Decay step t.
             let t = (ctx.round - 1) / 2;
@@ -297,9 +361,9 @@ impl NodeBehavior<()> for FastbcNode {
         }
     }
 
-    fn receive(&mut self, _ctx: &mut Ctx<'_>, rx: Reception<()>) {
-        if rx.is_packet() {
-            self.informed = true;
+    fn receive(&mut self, ctx: &mut Ctx<'_>, rx: Reception<()>) {
+        if rx.is_packet() && !self.informed {
+            self.inform(ctx.round + 1);
         }
     }
 
@@ -307,15 +371,15 @@ impl NodeBehavior<()> for FastbcNode {
         self.informed
     }
 
-    // Quiescence opt-in: an uninformed FASTBC node listens without
-    // drawing in both the fast (deterministic slot) and Decay halves,
-    // so the engine may skip it until the message reaches it.
+    // Quiescence opt-in: an uninformed node listens without drawing in
+    // both the fast (deterministic slot) and Decay halves, so the
+    // engine may skip it until the message reaches it.
     fn wants_poll(&self) -> bool {
         self.informed
     }
 
-    // Silence never changes a FASTBC node (see `receive`), `act` only
-    // reads state and draws, and there is no queue.
+    // Silence never changes a node (see `receive`), `act` only draws
+    // and advances `next_due`, and there is no queue.
     const SILENCE_TRANSPARENT: bool = true;
 }
 
@@ -473,6 +537,67 @@ mod tests {
         let v = NodeId::new(3); // level 3, rank 1, modulus 6
         let hits: Vec<u64> = (0..24).filter(|&t| sched.fast_slot_matches(v, t)).collect();
         assert_eq!(hits, vec![3, 9, 15, 21]); // 3 - 6 ≡ 3 (mod 6)
+    }
+
+    #[test]
+    fn next_due_is_the_first_matching_even_round() {
+        for level in 0..14 {
+            for rank in 1..=3 {
+                for rank_slots in rank..=4 {
+                    let timing = FastTiming {
+                        level,
+                        rank,
+                        modulus: 6 * u64::from(rank_slots),
+                    };
+                    let period = 2 * timing.modulus;
+                    for from in 0..2 * period {
+                        let brute = (from..)
+                            .find(|&r| r % 2 == 0 && timing.matches(r / 2))
+                            .unwrap();
+                        assert_eq!(timing.next_due(from), brute, "{timing:?} from {from}");
+                        let far = 1_000_000_007 * period;
+                        assert_eq!(timing.next_due(from + far), brute + far);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn even_round_broadcasters_are_the_informed_matching_fast_nodes() {
+        // The cached gating against the stateless reference: in every
+        // fast round the broadcasters are exactly the informed fast
+        // nodes whose slot matches.
+        let path = generators::path(64);
+        let gnp = generators::gnp_connected(96, 0.06, 11).unwrap();
+        let log_n = FastbcParams {
+            phase_len: None,
+            rank_slots: Some(6),
+        };
+        for (g, params) in [(&path, log_n), (&gnp, FastbcParams::default())] {
+            let sched = FastbcSchedule::with_params(g, NodeId::new(0), params).unwrap();
+            let gbst = sched.gbst();
+            for fault in [Channel::faultless(), Channel::receiver(0.3).unwrap()] {
+                let mut informed = vec![false; g.node_count()];
+                informed[0] = true;
+                let run = sched
+                    .run_traced(fault, 5, 1_000_000, |round, trace| {
+                        if round % 2 == 0 {
+                            let due: Vec<NodeId> = (0..g.node_count())
+                                .map(NodeId::from_index)
+                                .filter(|&v| informed[v.index()] && gbst.is_fast(v))
+                                .filter(|&v| sched.fast_slot_matches(v, round / 2))
+                                .collect();
+                            assert_eq!(trace.broadcasters, due, "round {round} under {fault}");
+                        }
+                        for v in &trace.first_packet_listeners {
+                            informed[v.index()] = true;
+                        }
+                    })
+                    .unwrap();
+                assert!(run.completed());
+            }
+        }
     }
 
     use netgraph::Graph;

@@ -24,7 +24,7 @@ use radio_coding::{Field, Gf256};
 use radio_model::{Action, Channel, Ctx, LatencyProfile, NodeBehavior, Reception, Simulator};
 
 use crate::decay::{default_phase_len, DecayNode};
-use crate::robust_fastbc::{RobustFastbcParams, RobustFastbcSchedule};
+use crate::robust_fastbc::{BlockTiming, RobustFastbcParams, RobustFastbcSchedule};
 use crate::{BroadcastRun, CoreError};
 
 /// Outcome of a multi-message run: the broadcast result plus the
@@ -327,13 +327,7 @@ impl RobustFastbcRlnc {
                         RlncNode::new(k, self.payload_len)
                     },
                     phase_len,
-                    slot: gbst.is_fast(v).then(|| BlockSlot {
-                        level: gbst.level(v),
-                        rank: gbst.rank(v),
-                        block_size: sched.block_size(),
-                        window: sched.window_multiplier(),
-                        modulus: sched.modulus(),
-                    }),
+                    slot: gbst.is_fast(v).then(|| sched.timing(v)),
                 }
             })
             .collect();
@@ -343,35 +337,12 @@ impl RobustFastbcRlnc {
     }
 }
 
-/// The block-pipelined slot predicate of Robust FASTBC, carried
-/// per node (identical to §4.1's formal schedule).
-#[derive(Debug, Clone, Copy)]
-struct BlockSlot {
-    level: u32,
-    rank: u32,
-    block_size: u32,
-    window: u32,
-    modulus: u64,
-}
-
-impl BlockSlot {
-    fn matches(&self, round: u64) -> bool {
-        let t = round / 2;
-        let superround = t / u64::from(self.window * self.block_size);
-        let block = i64::from(self.level / self.block_size);
-        let r = i64::from(self.rank);
-        let m = self.modulus as i64;
-        let active = (superround as i64 - (block - 6 * r)).rem_euclid(m) == 0;
-        active && u64::from(self.level) % 3 == round % 3
-    }
-}
-
 /// Per-node behavior: Robust FASTBC timing, RLNC payload.
 #[derive(Debug, Clone)]
 struct RlncRobustNode {
     state: RlncNode<Gf256>,
     phase_len: u32,
-    slot: Option<BlockSlot>,
+    slot: Option<BlockTiming>,
 }
 
 impl NodeBehavior<CodedPacket<Gf256>> for RlncRobustNode {

@@ -19,7 +19,7 @@ use netgraph::{Graph, NodeId};
 use radio_model::{Action, Channel, Ctx, NodeBehavior, Reception, Simulator};
 
 use crate::decay::DecayNode;
-use crate::fastbc::{FastbcParams, FastbcSchedule};
+use crate::fastbc::{FastTiming, FastbcParams, FastbcSchedule};
 use crate::{BroadcastRun, CoreError};
 
 /// A FASTBC schedule with every round repeated `ρ` times.
@@ -108,35 +108,16 @@ impl<'g> RepeatedFastbcSchedule<'g> {
                     informed: v == gbst.source(),
                     repetitions: u64::from(self.repetitions),
                     phase_len: self.inner.phase_len(),
-                    fast: gbst.is_fast(v).then(|| FastSlot {
-                        level: gbst.level(v),
-                        rank: gbst.rank(v),
-                        modulus: self.inner.modulus(),
-                    }),
+                    fast: gbst.is_fast(v).then(|| self.inner.timing(v)),
                 }
             })
             .collect();
         let mut sim = Simulator::new(self.graph, fault, behaviors, seed)?;
-        let rounds = sim.run_until(max_rounds, |bs| bs.iter().all(|b| b.informed));
+        let rounds = sim.run_until_decoded(max_rounds);
         Ok(BroadcastRun {
             rounds,
             stats: *sim.stats(),
         })
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct FastSlot {
-    level: u32,
-    rank: u32,
-    modulus: u64,
-}
-
-impl FastSlot {
-    fn matches(&self, t: u64) -> bool {
-        let l = i64::from(self.level);
-        let r = i64::from(self.rank);
-        (t as i64 - (l - 6 * r)).rem_euclid(self.modulus as i64) == 0
     }
 }
 
@@ -147,7 +128,7 @@ struct DilatedFastbcNode {
     informed: bool,
     repetitions: u64,
     phase_len: u32,
-    fast: Option<FastSlot>,
+    fast: Option<FastTiming>,
 }
 
 impl NodeBehavior<()> for DilatedFastbcNode {
@@ -177,6 +158,20 @@ impl NodeBehavior<()> for DilatedFastbcNode {
             self.informed = true;
         }
     }
+
+    fn decoded(&self) -> bool {
+        self.informed
+    }
+
+    // Quiescence opt-in, as for undilated FASTBC: an uninformed node
+    // listens without drawing in both halves.
+    fn wants_poll(&self) -> bool {
+        self.informed
+    }
+
+    // Silence never changes a node (see `receive`), `act` only reads
+    // state and draws, and there is no queue.
+    const SILENCE_TRANSPARENT: bool = true;
 }
 
 #[cfg(test)]

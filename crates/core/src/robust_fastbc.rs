@@ -27,11 +27,10 @@
 
 use gbst::Gbst;
 use netgraph::{Graph, NodeId};
-use radio_model::{
-    Action, Channel, Ctx, LatencyProfile, NodeBehavior, Reception, RoundTrace, Simulator,
-};
+use radio_model::{Channel, LatencyProfile, NodeBehavior, RoundTrace, Simulator};
 
-use crate::decay::{default_phase_len, DecayNode};
+use crate::decay::default_phase_len;
+use crate::fastbc::{FastSlots, FastbcNode};
 use crate::{BroadcastRun, CoreError};
 
 /// Tunables for [`RobustFastbcSchedule`].
@@ -167,32 +166,30 @@ impl<'g> RobustFastbcSchedule<'g> {
     /// round `t`: block-active and `level ≡ t (mod 3)`.
     pub fn fast_slot_matches(&self, v: NodeId, t: u64) -> bool {
         debug_assert_eq!(t % 2, 0);
-        let timing = BlockTiming {
+        self.timing(v).matches(t)
+    }
+
+    /// The block timing of node `v` under this schedule.
+    pub(crate) fn timing(&self, v: NodeId) -> BlockTiming {
+        BlockTiming {
             level: self.gbst.level(v),
             rank: self.gbst.rank(v),
             block_size: self.block_size,
             window: self.window,
             modulus: self.modulus,
-        };
-        timing.matches(t)
+        }
     }
 
-    fn behaviors(&self) -> Vec<RobustFastbcNode> {
+    fn behaviors(&self) -> Vec<FastbcNode<BlockTiming>> {
         let n = self.graph.node_count();
         (0..n)
             .map(|i| {
                 let v = NodeId::from_index(i);
-                RobustFastbcNode {
-                    informed: v == self.gbst.source(),
-                    phase_len: self.phase_len,
-                    fast: self.gbst.is_fast(v).then(|| BlockTiming {
-                        level: self.gbst.level(v),
-                        rank: self.gbst.rank(v),
-                        block_size: self.block_size,
-                        window: self.window,
-                        modulus: self.modulus,
-                    }),
-                }
+                FastbcNode::new(
+                    v == self.gbst.source(),
+                    self.phase_len,
+                    self.gbst.is_fast(v).then(|| self.timing(v)),
+                )
             })
             .collect()
     }
@@ -265,7 +262,7 @@ impl<'g> RobustFastbcSchedule<'g> {
         let mut trace = RoundTrace::default();
         let mut rounds = None;
         for used in 0..=max_rounds {
-            if sim.behaviors().iter().all(|b| b.informed) {
+            if sim.behaviors().iter().all(|b| b.decoded()) {
                 rounds = Some(used);
                 break;
             }
@@ -286,8 +283,11 @@ impl<'g> RobustFastbcSchedule<'g> {
 /// Block-pipelined fast-round timing (§4.1's formal description):
 /// broadcast at even round `t` iff
 /// `⌊l/S⌋ − 6r ≡ ⌊(t/2)/(cS)⌋ (mod 6·r_max)` and `l ≡ t (mod 3)`.
+///
+/// The window `c·S` is formed in `u64`, so every `u32` parameter pair
+/// is representable.
 #[derive(Debug, Clone, Copy)]
-struct BlockTiming {
+pub(crate) struct BlockTiming {
     level: u32,
     rank: u32,
     block_size: u32,
@@ -296,9 +296,11 @@ struct BlockTiming {
 }
 
 impl BlockTiming {
-    fn matches(&self, round: u64) -> bool {
+    /// Whether the node is scheduled in (even) real round `round`: the
+    /// stateless reference for [`FastSlots::next_due`].
+    pub(crate) fn matches(&self, round: u64) -> bool {
         let t = round / 2; // fast-round index
-        let superround = t / u64::from(self.window * self.block_size);
+        let superround = t / (u64::from(self.window) * u64::from(self.block_size));
         let block = i64::from(self.level / self.block_size);
         let r = i64::from(self.rank);
         let m = self.modulus as i64;
@@ -307,54 +309,30 @@ impl BlockTiming {
     }
 }
 
-/// Per-node Robust FASTBC behavior.
-#[derive(Debug, Clone)]
-struct RobustFastbcNode {
-    informed: bool,
-    phase_len: u32,
-    fast: Option<BlockTiming>,
-}
-
-impl NodeBehavior<()> for RobustFastbcNode {
-    fn act(&mut self, ctx: &mut Ctx<'_>) -> Action<()> {
-        if !self.informed {
-            return Action::Listen;
-        }
-        if ctx.round.is_multiple_of(2) {
-            match self.fast {
-                Some(timing) if timing.matches(ctx.round) => Action::Broadcast(()),
-                _ => Action::Listen,
-            }
+impl FastSlots for BlockTiming {
+    fn next_due(&self, from: u64) -> u64 {
+        // Real rounds per superround (saturating: a superround longer
+        // than `u64` rounds never ends), and the superround residue in
+        // which this node's block is active.
+        let span = (2 * u64::from(self.window)).saturating_mul(u64::from(self.block_size));
+        let m = self.modulus;
+        let active = (i64::from(self.level / self.block_size) - 6 * i64::from(self.rank))
+            .rem_euclid(m as i64) as u64;
+        // Even rounds with `round ≡ level (mod 3)` are `≡ phase (mod 6)`.
+        let phase = 4 * u64::from(self.level % 3) % 6;
+        let slot_from = |r: u64| r.saturating_add((phase + 6 - r % 6) % 6);
+        let u0 = from / span;
+        let u = u0 + (active + m - u0 % m) % m;
+        let due = slot_from(from.max(u.saturating_mul(span)));
+        if due < (u + 1).saturating_mul(span) {
+            due
         } else {
-            let t = (ctx.round - 1) / 2;
-            if DecayNode::draw_broadcast(self.phase_len, t, ctx.rng) {
-                Action::Broadcast(())
-            } else {
-                Action::Listen
-            }
+            // Past this activation's last slot. The next activation
+            // starts one cycle later, and its `2cS ≥ 6` rounds hold a
+            // slot.
+            slot_from((u + m).saturating_mul(span))
         }
     }
-
-    fn receive(&mut self, _ctx: &mut Ctx<'_>, rx: Reception<()>) {
-        if rx.is_packet() {
-            self.informed = true;
-        }
-    }
-
-    fn decoded(&self) -> bool {
-        self.informed
-    }
-
-    // Quiescence opt-in: an uninformed robust-FASTBC node listens
-    // without drawing in both block halves, so the engine may skip it
-    // until the message reaches it.
-    fn wants_poll(&self) -> bool {
-        self.informed
-    }
-
-    // Silence never changes a robust-FASTBC node (see `receive`),
-    // `act` only reads state and draws, and there is no queue.
-    const SILENCE_TRANSPARENT: bool = true;
 }
 
 #[cfg(test)]
@@ -489,6 +467,116 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn next_due_is_the_first_matching_even_round() {
+        for level in 0..14 {
+            for rank in 1..=2 {
+                for (block_size, window) in [(1, 3), (2, 3), (3, 4), (4, 3)] {
+                    for rank_slots in rank..=3 {
+                        let timing = BlockTiming {
+                            level,
+                            rank,
+                            block_size,
+                            window,
+                            modulus: 6 * u64::from(rank_slots),
+                        };
+                        // One activation cycle; the schedule repeats
+                        // after it.
+                        let period = 2 * u64::from(window * block_size) * timing.modulus;
+                        // first_due[r]: the brute-force first even
+                        // matching round ≥ r, swept backwards.
+                        let len = 2 * period;
+                        let mut first_due = vec![u64::MAX; len as usize + 1];
+                        for r in (0..len).rev() {
+                            first_due[r as usize] = if r % 2 == 0 && timing.matches(r) {
+                                r
+                            } else {
+                                first_due[r as usize + 1]
+                            };
+                        }
+                        for from in 0..period {
+                            let brute = first_due[from as usize];
+                            assert_eq!(timing.next_due(from), brute, "{timing:?} from {from}");
+                            let far = 1_000_003 * period;
+                            assert_eq!(timing.next_due(from + far), brute + far);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn even_round_broadcasters_are_the_informed_matching_fast_nodes() {
+        // The cached gating against the stateless reference: in every
+        // fast round the broadcasters are exactly the informed fast
+        // nodes whose block slot matches.
+        let path = generators::path(128);
+        let gnp = generators::gnp_connected(96, 0.06, 31).unwrap();
+        for g in [&path, &gnp] {
+            let sched = RobustFastbcSchedule::new(g, NodeId::new(0)).unwrap();
+            let gbst = sched.gbst();
+            for fault in [Channel::faultless(), Channel::receiver(0.3).unwrap()] {
+                let mut informed = vec![false; g.node_count()];
+                informed[0] = true;
+                let run = sched
+                    .run_traced(fault, 2, 1_000_000, |round, trace| {
+                        if round % 2 == 0 {
+                            let due: Vec<NodeId> = (0..g.node_count())
+                                .map(NodeId::from_index)
+                                .filter(|&v| informed[v.index()] && gbst.is_fast(v))
+                                .filter(|&v| sched.fast_slot_matches(v, round))
+                                .collect();
+                            assert_eq!(trace.broadcasters, due, "round {round} under {fault}");
+                        }
+                        for v in &trace.first_packet_listeners {
+                            informed[v.index()] = true;
+                        }
+                    })
+                    .unwrap();
+                assert!(run.completed());
+            }
+        }
+    }
+
+    #[test]
+    fn window_times_block_size_beyond_u32_runs() {
+        // c·S = 4.9e9 does not fit a u32; it used to overflow in the
+        // first fast round.
+        let g = generators::path(16);
+        let sched = RobustFastbcSchedule::with_params(
+            &g,
+            NodeId::new(0),
+            RobustFastbcParams {
+                window_multiplier: Some(70_000),
+                block_size: Some(70_000),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let run = sched
+            .run(Channel::receiver(0.3).unwrap(), 1, 100_000)
+            .unwrap();
+        assert!(run.completed());
+        // One block spans the path and stays active for the whole run:
+        // the plain mod-3 pipeline.
+        let v = NodeId::new(4);
+        let slots: Vec<u64> = (0..20)
+            .step_by(2)
+            .filter(|&t| sched.fast_slot_matches(v, t))
+            .collect();
+        assert_eq!(slots, vec![4, 10, 16]);
+        let widest = BlockTiming {
+            level: 5,
+            rank: 1,
+            block_size: u32::MAX,
+            window: u32::MAX,
+            modulus: 6,
+        };
+        assert_eq!(widest.next_due(0), 2);
+        assert!(widest.matches(2));
     }
 
     #[test]

@@ -158,11 +158,13 @@ impl Json {
     /// # Errors
     ///
     /// Returns a message with the byte offset of the first syntax
-    /// error, or on trailing garbage.
+    /// error, of arrays and objects nested deeper than `MAX_DEPTH`
+    /// (128) levels, or of trailing garbage.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -207,9 +209,16 @@ impl Json {
     }
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. Artifacts
+/// nest under 10 levels; the cap turns hostile input that would
+/// overflow the parser's recursion into an error.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -251,8 +260,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected character at byte {}", self.pos)),
         }
@@ -548,5 +571,24 @@ mod tests {
         assert!(Json::parse("{\"a\": 1} x").is_err());
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("tru").is_err());
+    }
+
+    #[test]
+    fn parse_caps_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Deep enough to overflow the stack without the cap.
+        assert!(Json::parse(&"[".repeat(200_000)).is_err());
     }
 }
