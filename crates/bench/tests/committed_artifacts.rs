@@ -9,12 +9,18 @@
 //!   GBST schedules (FASTBC, Robust FASTBC, dilated FASTBC) against
 //!   Decay, so any change to which rounds a fast node broadcasts in
 //!   moves these bytes too.
+//! - E10 and E12 must reproduce `BENCH_routing_quick.json`. They drive
+//!   the adaptive-routing runner with the BFS-layer pipeline on the
+//!   worst-case topology (many senders, listed out of node order) and
+//!   with the sequential source on a single link, so any change to how
+//!   the runner resolves senders or draws losses moves these bytes.
 
 use noisy_radio_bench::{diff_artifacts, experiments, suite_json, Scale};
 use radio_sweep::{Json, SweepConfig};
 
 const COMMITTED_E8_QUICK: &str = include_str!("../../../BENCH_e8_quick.json");
 const COMMITTED_GBST_QUICK: &str = include_str!("../../../BENCH_gbst_quick.json");
+const COMMITTED_ROUTING_QUICK: &str = include_str!("../../../BENCH_routing_quick.json");
 
 fn assert_reproduces(ids: &[&str], committed: &str) {
     let cfg = SweepConfig::new(Some(2), 42);
@@ -34,4 +40,9 @@ fn e8_quick_reproduces_the_committed_artifact() {
 #[test]
 fn gbst_quick_reproduces_the_committed_artifact() {
     assert_reproduces(&["E2", "E4", "E5"], COMMITTED_GBST_QUICK);
+}
+
+#[test]
+fn routing_quick_reproduces_the_committed_artifact() {
+    assert_reproduces(&["E10", "E12"], COMMITTED_ROUTING_QUICK);
 }

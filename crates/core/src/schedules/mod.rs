@@ -19,7 +19,7 @@ pub mod star;
 pub mod wct;
 
 use netgraph::NodeId;
-use radio_model::adaptive::{Knowledge, RoutingAction, RoutingController};
+use radio_model::adaptive::{Knowledge, MsgId, RoutingController};
 use rand::rngs::SmallRng;
 
 /// The sequential source schedule of Lemmas 15 and 32: the source
@@ -41,27 +41,9 @@ impl RoutingController for SequentialSourceController {
         _round: u64,
         knowledge: &Knowledge,
         _rng: &mut SmallRng,
-    ) -> Vec<RoutingAction> {
-        let n = knowledge.node_count();
-        let mut lowest = None;
-        for i in 0..n {
-            if let Some(m) = knowledge.first_missing(NodeId::from_index(i)) {
-                lowest = Some(match lowest {
-                    None => m,
-                    Some(cur) if m < cur => m,
-                    Some(cur) => cur,
-                });
-            }
-        }
-        (0..n)
-            .map(|i| {
-                if NodeId::from_index(i) == self.source {
-                    lowest.map_or(RoutingAction::Silent, RoutingAction::Send)
-                } else {
-                    RoutingAction::Silent
-                }
-            })
-            .collect()
+        senders: &mut Vec<(NodeId, MsgId)>,
+    ) {
+        senders.extend(knowledge.lowest_missing().map(|m| (self.source, m)));
     }
 }
 

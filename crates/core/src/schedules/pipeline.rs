@@ -18,9 +18,7 @@
 
 use netgraph::bfs::BfsLayers;
 use netgraph::{Graph, NodeId};
-use radio_model::adaptive::{
-    run_routing, Knowledge, MsgId, RoutingAction, RoutingController, RoutingOutcome,
-};
+use radio_model::adaptive::{run_routing, Knowledge, MsgId, RoutingController, RoutingOutcome};
 use radio_model::Channel;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -33,8 +31,6 @@ use crate::CoreError;
 /// convenience wrapper [`pipeline_routing`].
 #[derive(Debug, Clone)]
 pub struct BipartitePipeline {
-    /// BFS level per node.
-    levels: Vec<u32>,
     /// `layers[i]` = nodes at distance `i` from the source.
     layers: Vec<Vec<NodeId>>,
     phase_len: u32,
@@ -91,7 +87,6 @@ impl BipartitePipeline {
             .map(|i| layering.layer(i).to_vec())
             .collect();
         Ok(BipartitePipeline {
-            levels: layering.levels().to_vec(),
             layers,
             phase_len,
             meta_len,
@@ -142,14 +137,15 @@ impl BipartitePipeline {
 }
 
 impl RoutingController for BipartitePipeline {
+    /// Lists each active layer's Decay winners, layer by layer in BFS
+    /// order; the runner sorts them by node.
     fn decide(
         &mut self,
         round: u64,
         knowledge: &Knowledge,
         rng: &mut SmallRng,
-    ) -> Vec<RoutingAction> {
-        let n = knowledge.node_count();
-        let mut actions = vec![RoutingAction::Silent; n];
+        senders: &mut Vec<(NodeId, MsgId)>,
+    ) {
         let active_residue = (round / self.meta_len) % 3;
         let p = DecayNode::broadcast_probability(self.phase_len, round);
         for i in 0..self.layers.len().saturating_sub(1) {
@@ -161,12 +157,10 @@ impl RoutingController for BipartitePipeline {
             };
             for &u in &self.layers[i] {
                 if knowledge.knows(u, m) && rng.gen_bool(p) {
-                    actions[u.index()] = RoutingAction::Send(m);
+                    senders.push((u, m));
                 }
             }
         }
-        let _ = &self.levels; // levels retained for debugging/inspection
-        actions
     }
 }
 

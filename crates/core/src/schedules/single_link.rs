@@ -299,6 +299,34 @@ mod tests {
     }
 
     #[test]
+    fn adaptive_rounds_per_message_are_geometric() {
+        // Lemma 32: each message is repeated until it arrives, so its
+        // rounds are geometric with mean 1/(1−p). The mean over 500
+        // seeds × 8 messages must sit in its 99.9% confidence interval.
+        let (seeds, k) = (500u64, 8usize);
+        for p in [0.2, 0.5] {
+            for fault in [Channel::sender(p).unwrap(), Channel::receiver(p).unwrap()] {
+                let total: u64 = (0..seeds)
+                    .map(|i| {
+                        let seed = radio_model::fork_seed(0x5EED, i);
+                        single_link_adaptive_routing(k, fault, seed, 1_000_000)
+                            .unwrap()
+                            .rounds_used()
+                    })
+                    .sum();
+                let samples = (seeds * k as u64) as f64;
+                let mean = total as f64 / samples;
+                let half_width = 3.2905 * (p / ((1.0 - p) * (1.0 - p)) / samples).sqrt();
+                let expected = 1.0 / (1.0 - p);
+                assert!(
+                    (mean - expected).abs() <= half_width,
+                    "{fault}: {mean:.4} rounds per message, want {expected:.4} ± {half_width:.4}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn parameter_validation() {
         assert!(single_link_nonadaptive_routing(0, 1, Channel::faultless(), 0).is_err());
         assert!(single_link_nonadaptive_routing(1, 0, Channel::faultless(), 0).is_err());

@@ -52,9 +52,8 @@ pub fn star_routing(
 /// [`star_routing`] with per-phase wall-clock attribution: also
 /// returns the [`PhaseSet`] splitting the run between
 /// `routing/decide` and `routing/resolve` (see
-/// [`run_routing_telemetry`]) — the breakdown that exposes the
-/// routing arm as E8's wall-clock hotspot at large leaf counts. The
-/// outcome is bit-identical to [`star_routing`].
+/// [`run_routing_telemetry`]). The outcome is bit-identical to
+/// [`star_routing`].
 ///
 /// # Errors
 ///
@@ -288,8 +287,17 @@ mod tests {
 
     #[test]
     fn faultless_routing_is_k_rounds() {
-        let out = star_routing(32, 10, Channel::faultless(), 1, 10_000).unwrap();
-        assert_eq!(out.rounds, Some(10));
+        // One broadcast per message, each reaching every leaf.
+        for leaves in [1usize, 7, 32, 200] {
+            for k in [0u64, 1, 10, 64, 70] {
+                let out =
+                    star_routing(leaves, k as usize, Channel::faultless(), 1, 10_000).unwrap();
+                assert_eq!(out.rounds, Some(k), "leaves {leaves}, k {k}");
+                assert_eq!(out.broadcasts, k, "leaves {leaves}, k {k}");
+                let fresh = leaves as u64 * k;
+                assert_eq!(out.fresh_deliveries, fresh, "leaves {leaves}, k {k}");
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use netgraph::{Graph, NodeId};
 use radio_obs::{PhaseSet, SpanTimer};
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 use crate::rng::fork_rng;
 use crate::{BitMatrix, Channel, ModelError};
@@ -32,30 +32,34 @@ impl MsgId {
     }
 }
 
-/// A routing action: stay silent or broadcast one of the `k` messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RoutingAction {
-    /// Listen this round.
-    Silent,
-    /// Broadcast message `m` (ignored — node stays silent — if the
-    /// node does not know `m`, per §3.1).
-    Send(MsgId),
-}
-
 /// The global knowledge state: `knows(v, i)` iff node `v` has message
 /// `i`. This is exactly the information an adaptive routing schedule
 /// is allowed to consult (Definition 14).
+///
+/// Beside the matrix it keeps, per message, the number of nodes still
+/// lacking it, and a cursor at the lowest message some node lacks.
+/// Counts only fall, so the cursor only moves forward, and
+/// [`Knowledge::all_complete`] and [`Knowledge::lowest_missing`] are
+/// O(1).
 #[derive(Debug, Clone)]
 pub struct Knowledge {
     matrix: BitMatrix,
+    /// `missing[m]`: how many nodes still lack message `m`.
+    missing: Vec<usize>,
+    /// The lowest `m` with `missing[m] > 0`; `k` once all is known.
+    lowest: usize,
 }
 
 impl Knowledge {
     /// Creates an empty knowledge state for `n` nodes and `k` messages.
     pub fn new(n: usize, k: usize) -> Self {
-        Knowledge {
+        let mut knowledge = Knowledge {
             matrix: BitMatrix::new(n, k),
-        }
+            missing: vec![n; k],
+            lowest: 0,
+        };
+        knowledge.advance();
+        knowledge
     }
 
     /// Number of nodes.
@@ -70,12 +74,17 @@ impl Knowledge {
 
     /// Grants message `m` to node `v`. Returns whether this was new.
     pub fn grant(&mut self, v: NodeId, m: MsgId) -> bool {
-        self.matrix.set(v.index(), m.index())
+        let fresh = self.grant_if(v.index(), m.index(), u64::MAX) == 1;
+        self.advance();
+        fresh
     }
 
     /// Grants all messages to `v` (the source's initial state).
     pub fn grant_all(&mut self, v: NodeId) {
-        self.matrix.set_row(v.index());
+        for m in 0..self.message_count() {
+            self.grant_if(v.index(), m, u64::MAX);
+        }
+        self.advance();
     }
 
     /// Whether node `v` knows message `m`.
@@ -95,7 +104,12 @@ impl Knowledge {
 
     /// Whether every node knows every message (broadcast solved).
     pub fn all_complete(&self) -> bool {
-        self.matrix.all_ones()
+        self.lowest == self.missing.len()
+    }
+
+    /// The lowest message some node still lacks, if any.
+    pub fn lowest_missing(&self) -> Option<MsgId> {
+        (!self.all_complete()).then_some(MsgId(self.lowest as u32))
     }
 
     /// The smallest message index `v` is missing, if any.
@@ -104,34 +118,58 @@ impl Knowledge {
             .first_zero_in_row(v.index())
             .map(|c| MsgId(c as u32))
     }
+
+    /// Grants `m` to `v` if `enable` is all ones (0 grants nothing),
+    /// without branching; returns 1 if the grant was new, else 0. The
+    /// cursor waits for [`Self::advance`].
+    #[inline]
+    fn grant_if(&mut self, v: usize, m: usize, enable: u64) -> u64 {
+        let fresh = self.matrix.set_masked(v, m, enable);
+        self.missing[m] -= fresh as usize;
+        fresh
+    }
+
+    /// Moves the cursor past every message that no node lacks.
+    fn advance(&mut self) {
+        while self.missing.get(self.lowest) == Some(&0) {
+            self.lowest += 1;
+        }
+    }
 }
 
 /// A centralized adaptive routing schedule: sees the topology (however
 /// it was captured at construction) and the full [`Knowledge`] each
-/// round, and directs every node.
+/// round, and names the round's broadcasters.
 pub trait RoutingController {
-    /// Produces one action per node for round `round`.
+    /// Appends the broadcasters of round `round` to `senders` as
+    /// `(node, message)` pairs, in any order. `senders` arrives empty,
+    /// and every node it does not list stays silent.
     ///
-    /// The returned vector must have exactly one entry per node.
+    /// A node may be listed once, with a node index below the graph's
+    /// node count and a message index below `k`; the runner rejects
+    /// anything else with [`ModelError::InvalidSender`]. A listed node
+    /// that does not know its message stays silent (§3.1).
     fn decide(
         &mut self,
         round: u64,
         knowledge: &Knowledge,
         rng: &mut SmallRng,
-    ) -> Vec<RoutingAction>;
+        senders: &mut Vec<(NodeId, MsgId)>,
+    );
 }
 
 impl<F> RoutingController for F
 where
-    F: FnMut(u64, &Knowledge, &mut SmallRng) -> Vec<RoutingAction>,
+    F: FnMut(u64, &Knowledge, &mut SmallRng, &mut Vec<(NodeId, MsgId)>),
 {
     fn decide(
         &mut self,
         round: u64,
         knowledge: &Knowledge,
         rng: &mut SmallRng,
-    ) -> Vec<RoutingAction> {
-        self(round, knowledge, rng)
+        senders: &mut Vec<(NodeId, MsgId)>,
+    ) {
+        self(round, knowledge, rng, senders)
     }
 }
 
@@ -161,8 +199,9 @@ pub struct RoutingOutcome {
 ///
 /// # Errors
 ///
-/// [`ModelError::ActionCountMismatch`] if the controller returns a
-/// wrong-sized action vector.
+/// [`ModelError::InvalidSender`] if the controller lists a node twice
+/// in one round, a node outside the graph, or a message outside
+/// `0..k`.
 pub fn run_routing(
     graph: &Graph,
     channel: Channel,
@@ -180,10 +219,9 @@ pub fn run_routing(
 
 /// [`run_routing`] with per-phase wall-clock attribution: returns the
 /// outcome together with a [`PhaseSet`] splitting the run between
-/// `routing/decide` (the controller's decision plus the knows-it
-/// filter — the known E8 hotspot at large leaf counts) and
-/// `routing/resolve` (fault draws and per-listener slot resolution),
-/// one call tallied per round.
+/// `routing/decide` (the controller's decision, the sender-list checks
+/// and the knows-it filter) and `routing/resolve` (fault draws and the
+/// delivery sweep), one call tallied per round.
 ///
 /// Timing is observational only: the outcome is bit-identical to
 /// [`run_routing`] under the same arguments.
@@ -204,6 +242,15 @@ pub fn run_routing_telemetry(
         graph, channel, source, k, controller, seed, max_rounds, true,
     )
 }
+
+/// `heard` entry of a node no broadcaster reached.
+const SILENT: u32 = u32::MAX;
+/// `heard` entry of a broadcaster (half-duplex: it hears nothing).
+const SENDING: u32 = u32::MAX - 1;
+/// `heard` entry of a listener that heard noise: two or more
+/// broadcasters, or one whose sender fault fired. Every smaller entry
+/// is the index of the one clean broadcaster in the sender list.
+const NOISE: u32 = u32::MAX - 2;
 
 #[allow(clippy::too_many_arguments)]
 fn run_routing_inner(
@@ -227,24 +274,15 @@ fn run_routing_inner(
     let mut broadcasts = 0u64;
     let mut fresh = 0u64;
     let mut round = 0u64;
-    let mut sending: Vec<Option<MsgId>> = vec![None; n];
+    let mut senders: Vec<(NodeId, MsgId)> = Vec::new();
+    let mut heard = vec![SILENT; n];
     let mut phases = PhaseSet::new();
 
     loop {
-        if knowledge.all_complete() {
+        if knowledge.all_complete() || round >= max_rounds {
             return Ok((
                 RoutingOutcome {
-                    rounds: Some(round),
-                    broadcasts,
-                    fresh_deliveries: fresh,
-                },
-                phases,
-            ));
-        }
-        if round >= max_rounds {
-            return Ok((
-                RoutingOutcome {
-                    rounds: None,
+                    rounds: knowledge.all_complete().then_some(round),
                     broadcasts,
                     fresh_deliveries: fresh,
                 },
@@ -252,72 +290,46 @@ fn run_routing_inner(
             ));
         }
         let decide_timer = SpanTimer::start(timed);
-        let actions = controller.decide(round, &knowledge, &mut ctrl_rng);
-        if actions.len() != n {
-            return Err(ModelError::ActionCountMismatch {
-                supplied: actions.len(),
-                expected: n,
-            });
-        }
+        senders.clear();
+        controller.decide(round, &knowledge, &mut ctrl_rng, &mut senders);
+        check_senders(&mut senders, round, n, k)?;
         // Routing semantics: broadcasting an unknown message = silence.
-        for (i, action) in actions.iter().enumerate() {
-            sending[i] = match *action {
-                RoutingAction::Silent => None,
-                RoutingAction::Send(m) => {
-                    if knowledge.knows(NodeId::from_index(i), m) {
-                        broadcasts += 1;
-                        Some(m)
-                    } else {
-                        None
-                    }
-                }
-            };
-        }
+        senders.retain(|&(u, m)| knowledge.knows(u, m));
+        broadcasts += senders.len() as u64;
         if decide_timer.enabled() {
             phases.add("routing/decide", decide_timer.elapsed_nanos());
         }
         let resolve_timer = SpanTimer::start(timed);
-        // Sender faults: one draw per broadcaster (composed channels
-        // contribute their sender-side component).
-        let mut sender_ok = vec![true; n];
-        if let Some(p) = sender_fault {
-            for (i, s) in sending.iter().enumerate() {
-                if s.is_some() && fault_rng.gen_bool(p) {
-                    sender_ok[i] = false;
-                }
+        for &(u, _) in &senders {
+            heard[u.index()] = SENDING;
+        }
+        // Sender faults: one draw per broadcaster, in ascending node
+        // order (composed channels contribute their sender-side
+        // component). A faulted broadcast still occupies the channel.
+        for (j, &(u, _)) in senders.iter().enumerate() {
+            let faulted = sender_fault.is_some_and(|p| fault_rng.gen_bool(p));
+            let tag = if faulted { NOISE } else { j as u32 };
+            // A second broadcaster turns a listener's slot into noise;
+            // a broadcaster stays SENDING, the larger sentinel.
+            for &v in graph.neighbors(u) {
+                let h = &mut heard[v.index()];
+                *h = if *h == SILENT { tag } else { (*h).max(NOISE) };
             }
         }
-        // Resolve receptions.
-        for i in 0..n {
-            if sending[i].is_some() {
-                continue;
+        fresh += match delivery_fault {
+            None => deliver(&mut knowledge, &mut heard, &senders, || u64::MAX),
+            Some(p) => {
+                // A local copy keeps the stream in registers.
+                let threshold = loss_threshold(p);
+                let mut rng = fault_rng.clone();
+                let fresh = deliver(&mut knowledge, &mut heard, &senders, || {
+                    kept_mask(rng.next_u64(), threshold)
+                });
+                fault_rng = rng;
+                fresh
             }
-            let v = NodeId::from_index(i);
-            let mut tx: Option<NodeId> = None;
-            let mut count = 0;
-            for &u in graph.neighbors(v) {
-                if sending[u.index()].is_some() {
-                    count += 1;
-                    if count > 1 {
-                        break;
-                    }
-                    tx = Some(u);
-                }
-            }
-            if count == 1 {
-                let s = tx.expect("count == 1 implies a sender");
-                if !sender_ok[s.index()] {
-                    continue;
-                }
-                if delivery_fault.map_or(false, |p| fault_rng.gen_bool(p)) {
-                    continue;
-                }
-                let m = sending[s.index()].expect("sender has a message");
-                if knowledge.grant(v, m) {
-                    fresh += 1;
-                }
-            }
-        }
+        };
+        knowledge.advance();
         if resolve_timer.enabled() {
             phases.add("routing/resolve", resolve_timer.elapsed_nanos());
         }
@@ -325,10 +337,82 @@ fn run_routing_inner(
     }
 }
 
+/// Sorts the round's sender list by node and checks that every entry
+/// names a distinct node below `n` and a message below `k`.
+fn check_senders(
+    senders: &mut [(NodeId, MsgId)],
+    round: u64,
+    n: usize,
+    k: usize,
+) -> Result<(), ModelError> {
+    senders.sort_unstable_by_key(|&(u, _)| u);
+    let mut previous = None;
+    for &(u, m) in senders.iter() {
+        if u.index() >= n || m.index() >= k || previous == Some(u) {
+            return Err(ModelError::InvalidSender {
+                round,
+                node: u.index(),
+                message: m.index(),
+                nodes: n,
+                messages: k,
+            });
+        }
+        previous = Some(u);
+    }
+    // Sender indices are stored as `u32` below the sentinels.
+    assert!(
+        senders.len() < NOISE as usize,
+        "{} senders overflow the heard index",
+        senders.len()
+    );
+    Ok(())
+}
+
+/// The delivery sweep. Visits every node in ascending order and resets
+/// its `heard` entry; each clean listener draws one keep mask from
+/// `kept` and gets a grant masked by it, so no branch depends on the
+/// draw or on whether the message was new. Returns the fresh
+/// deliveries.
+fn deliver(
+    knowledge: &mut Knowledge,
+    heard: &mut [u32],
+    senders: &[(NodeId, MsgId)],
+    mut kept: impl FnMut() -> u64,
+) -> u64 {
+    let mut fresh = 0;
+    for (v, h) in heard.iter_mut().enumerate() {
+        let j = std::mem::replace(h, SILENT);
+        if j < NOISE {
+            let m = senders[j as usize].1;
+            fresh += knowledge.grant_if(v, m.index(), kept());
+        }
+    }
+    fresh
+}
+
+/// `⌈p · 2⁵³⌉`, the integer form of a loss probability `p` in `[0, 1]`
+/// for [`kept_mask`].
+fn loss_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// `gen_bool(p)` on the same single draw, as a mask: all ones if the
+/// delivery survives, 0 if it is lost. The vendored `rand` loses iff
+/// `(draw >> 11) · 2⁻⁵³ < p`, which for the integer `draw >> 11` holds
+/// iff `draw >> 11 < ⌈p · 2⁵³⌉`. The mask comes from the sign of the
+/// difference rather than from a `bool`: a `bool`-driven grant
+/// compiled to a branch on the draw, which mispredicts for about half
+/// the listeners at `p = 1/2`.
+#[inline]
+fn kept_mask(draw: u64, threshold: u64) -> u64 {
+    !(((draw >> 11).wrapping_sub(threshold) as i64 >> 63) as u64)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use netgraph::generators;
+    use proptest::prelude::*;
 
     /// Controller: the source broadcasts the lowest message some node
     /// is still missing; everyone else is silent. On a star this is
@@ -343,27 +427,9 @@ mod tests {
             _round: u64,
             knowledge: &Knowledge,
             _rng: &mut SmallRng,
-        ) -> Vec<RoutingAction> {
-            let n = knowledge.node_count();
-            let mut missing: Option<MsgId> = None;
-            for i in 0..n {
-                if let Some(m) = knowledge.first_missing(NodeId::from_index(i)) {
-                    missing = Some(match missing {
-                        None => m,
-                        Some(cur) if m < cur => m,
-                        Some(cur) => cur,
-                    });
-                }
-            }
-            (0..n)
-                .map(|i| {
-                    if NodeId::from_index(i) == self.source {
-                        missing.map_or(RoutingAction::Silent, RoutingAction::Send)
-                    } else {
-                        RoutingAction::Silent
-                    }
-                })
-                .collect()
+            senders: &mut Vec<(NodeId, MsgId)>,
+        ) {
+            senders.extend(knowledge.lowest_missing().map(|m| (self.source, m)));
         }
     }
 
@@ -402,64 +468,133 @@ mod tests {
         // Controller tells a leaf (which knows nothing) to broadcast:
         // nothing should ever be delivered, and broadcast count stays 0.
         let g = generators::star(2);
-        let mut c = |_round: u64, _k: &Knowledge, _rng: &mut SmallRng| {
-            vec![
-                RoutingAction::Silent,
-                RoutingAction::Send(MsgId(0)),
-                RoutingAction::Silent,
-            ]
+        let mut c = |_round: u64,
+                     _k: &Knowledge,
+                     _rng: &mut SmallRng,
+                     senders: &mut Vec<(NodeId, MsgId)>| {
+            senders.push((NodeId::new(1), MsgId(0)));
         };
         let out = run_routing(&g, Channel::faultless(), NodeId::new(0), 1, &mut c, 0, 10).unwrap();
         assert_eq!(out.rounds, None);
         assert_eq!(out.broadcasts, 0);
     }
 
-    #[test]
-    fn action_count_mismatch_detected() {
-        let g = generators::star(2);
-        let mut c = |_round: u64, _k: &Knowledge, _rng: &mut SmallRng| {
-            vec![RoutingAction::Silent] // wrong length
-        };
-        let err =
-            run_routing(&g, Channel::faultless(), NodeId::new(0), 1, &mut c, 0, 10).unwrap_err();
-        assert_eq!(
-            err,
-            ModelError::ActionCountMismatch {
-                supplied: 1,
-                expected: 3
+    /// Runs a controller that lists `later` from round 1 on, after the
+    /// source sends message 0 alone in round 0, on the path 0–1–2.
+    fn run_listing(later: Vec<(NodeId, MsgId)>, k: usize) -> Result<RoutingOutcome, ModelError> {
+        let g = generators::path(3);
+        let mut c = move |round: u64,
+                          _k: &Knowledge,
+                          _rng: &mut SmallRng,
+                          senders: &mut Vec<(NodeId, MsgId)>| {
+            if round == 0 {
+                senders.push((NodeId::new(0), MsgId(0)));
+            } else {
+                senders.extend_from_slice(&later);
             }
+        };
+        run_routing(&g, Channel::faultless(), NodeId::new(0), k, &mut c, 0, 10)
+    }
+
+    #[test]
+    fn message_beyond_k_is_rejected_not_granted_elsewhere() {
+        // Message 64 with k = 1 used to alias bit 0 of the next node's
+        // row: node 1 "knew" it and granted message 0 to node 2, which
+        // is not adjacent to the sender.
+        assert_eq!(
+            run_listing(vec![(NodeId::new(0), MsgId(64))], 1),
+            Err(ModelError::InvalidSender {
+                round: 1,
+                node: 0,
+                message: 64,
+                nodes: 3,
+                messages: 1,
+            })
+        );
+    }
+
+    #[test]
+    fn node_outside_the_graph_is_rejected() {
+        assert_eq!(
+            run_listing(vec![(NodeId::new(3), MsgId(0))], 1),
+            Err(ModelError::InvalidSender {
+                round: 1,
+                node: 3,
+                message: 0,
+                nodes: 3,
+                messages: 1,
+            })
+        );
+    }
+
+    #[test]
+    fn node_listed_twice_is_rejected() {
+        let twice = vec![
+            (NodeId::new(1), MsgId(0)),
+            (NodeId::new(0), MsgId(0)),
+            (NodeId::new(1), MsgId(1)),
+        ];
+        let err = run_listing(twice, 2).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ModelError::InvalidSender {
+                    round: 1,
+                    node: 1,
+                    ..
+                }
+            ),
+            "{err:?}"
         );
     }
 
     #[test]
     fn collision_between_two_senders_blocks_delivery() {
-        // Complete bipartite K_{2,1}: nodes 0,1 on one side know the
-        // message... simpler: path 0-1-2 where 0 and 2 both know
-        // message 0 — wait, only source starts with knowledge.
-        // Instead: triangle where the controller makes source and an
-        // informed node broadcast simultaneously forever.
-        let g = generators::complete(3);
-        // Round 0: source broadcasts alone (informs 1 and 2).
-        // Rounds >0: nodes 0 and 1 both broadcast m0 — node 2 would
-        // collide, but it already has m0, so completion happened at
-        // round 1.
-        let mut c = |round: u64, _k: &Knowledge, _rng: &mut SmallRng| {
-            if round == 0 {
-                vec![
-                    RoutingAction::Send(MsgId(0)),
-                    RoutingAction::Silent,
-                    RoutingAction::Silent,
-                ]
-            } else {
-                vec![
-                    RoutingAction::Send(MsgId(0)),
-                    RoutingAction::Send(MsgId(0)),
-                    RoutingAction::Silent,
-                ]
+        // Cycle 0–1–2–3–0, k = 1. Round 0: the source informs nodes 1
+        // and 3. From round 1 on, both broadcast, listed in descending
+        // order, and node 2 hears a collision every round.
+        let g = generators::cycle(4).unwrap();
+        let relay = |both: bool| {
+            move |round: u64,
+                  _k: &Knowledge,
+                  _rng: &mut SmallRng,
+                  senders: &mut Vec<(NodeId, MsgId)>| {
+                if round == 0 {
+                    senders.push((NodeId::new(0), MsgId(0)));
+                } else {
+                    senders.push((NodeId::new(3), MsgId(0)));
+                    if both {
+                        senders.push((NodeId::new(1), MsgId(0)));
+                    }
+                }
             }
         };
-        let out = run_routing(&g, Channel::faultless(), NodeId::new(0), 1, &mut c, 0, 10).unwrap();
-        assert_eq!(out.rounds, Some(1));
+        let out = run_routing(
+            &g,
+            Channel::faultless(),
+            NodeId::new(0),
+            1,
+            &mut relay(true),
+            0,
+            10,
+        )
+        .unwrap();
+        assert_eq!(out.rounds, None);
+        assert_eq!(out.broadcasts, 1 + 2 * 9);
+        assert_eq!(out.fresh_deliveries, 2);
+        // Control: node 3 alone informs node 2 in round 1.
+        let out = run_routing(
+            &g,
+            Channel::faultless(),
+            NodeId::new(0),
+            1,
+            &mut relay(false),
+            0,
+            10,
+        )
+        .unwrap();
+        assert_eq!(out.rounds, Some(2));
+        assert_eq!(out.fresh_deliveries, 3);
     }
 
     #[test]
@@ -470,11 +605,81 @@ mod tests {
         k.grant_all(NodeId::new(0));
         assert!(k.node_complete(NodeId::new(0)));
         assert!(!k.all_complete());
+        assert_eq!(k.lowest_missing(), Some(MsgId(0)));
         assert!(k.grant(NodeId::new(1), MsgId(2)));
         assert!(!k.grant(NodeId::new(1), MsgId(2)), "regrant is not fresh");
         assert_eq!(k.known_count(NodeId::new(1)), 1);
         assert_eq!(k.first_missing(NodeId::new(1)), Some(MsgId(0)));
         assert_eq!(k.first_missing(NodeId::new(0)), None);
+        for v in 1..3 {
+            assert!(k.grant(NodeId::new(v), MsgId(0)));
+        }
+        assert_eq!(k.lowest_missing(), Some(MsgId(1)));
+    }
+
+    #[test]
+    fn empty_knowledge_is_complete() {
+        for (n, k) in [(0, 0), (0, 5), (4, 0)] {
+            let knowledge = Knowledge::new(n, k);
+            assert!(knowledge.all_complete(), "n = {n}, k = {k}");
+            assert_eq!(knowledge.lowest_missing(), None, "n = {n}, k = {k}");
+        }
+        assert_eq!(Knowledge::new(1, 1).lowest_missing(), Some(MsgId(0)));
+    }
+
+    /// The lowest message some node lacks, by scanning every row.
+    fn brute_lowest_missing(k: &Knowledge) -> Option<MsgId> {
+        (0..k.node_count())
+            .filter_map(|v| k.first_missing(NodeId::from_index(v)))
+            .min()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn lowest_missing_and_all_complete_match_a_scan(
+            n in 0usize..6,
+            k in 0usize..71,
+            grants in proptest::collection::vec((0usize..6, 0usize..71, any::<bool>()), 0..300),
+        ) {
+            let mut knowledge = Knowledge::new(n, k);
+            for (v, m, all) in grants {
+                if v >= n || m >= k {
+                    continue;
+                }
+                if all {
+                    knowledge.grant_all(NodeId::from_index(v));
+                } else {
+                    knowledge.grant(NodeId::from_index(v), MsgId(m as u32));
+                }
+                let scan = brute_lowest_missing(&knowledge);
+                prop_assert_eq!(knowledge.lowest_missing(), scan);
+                let complete = (0..n).all(|v| knowledge.node_complete(NodeId::from_index(v)));
+                prop_assert_eq!(knowledge.all_complete(), complete);
+            }
+            prop_assert_eq!(knowledge.lowest_missing(), brute_lowest_missing(&knowledge));
+        }
+    }
+
+    #[test]
+    fn kept_mask_matches_gen_bool() {
+        use rand::SeedableRng;
+        for p in [0.0, 1e-300, 0.1, 0.3, 0.5, 0.75, 1.0 - f64::EPSILON] {
+            let mut a = SmallRng::seed_from_u64(p.to_bits());
+            let mut b = a.clone();
+            let threshold = loss_threshold(p);
+            for _ in 0..2000 {
+                let kept = kept_mask(a.next_u64(), threshold);
+                let lost = b.gen_bool(p);
+                assert_eq!(kept, if lost { 0 } else { u64::MAX }, "p = {p}");
+            }
+        }
+        // The boundary draws themselves: exactly at the threshold the
+        // delivery survives, one below it is lost.
+        let threshold = loss_threshold(0.5);
+        assert_eq!(kept_mask(threshold << 11, threshold), u64::MAX);
+        assert_eq!(kept_mask((threshold - 1) << 11, threshold), 0);
     }
 
     #[test]

@@ -57,10 +57,23 @@ impl BitMatrix {
     ///
     /// Panics in debug builds if out of bounds.
     pub fn set(&mut self, r: usize, c: usize) -> bool {
-        let (w, mask) = self.index(r, c);
-        let was = self.bits[w] & mask != 0;
-        self.bits[w] |= mask;
-        !was
+        self.set_masked(r, c, u64::MAX) == 1
+    }
+
+    /// Sets bit `(r, c)` if `enable` is all ones and leaves it if
+    /// `enable` is 0, without branching on either or on the bit's old
+    /// value. Returns 1 if the bit changed, else 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if out of bounds.
+    #[inline]
+    pub(crate) fn set_masked(&mut self, r: usize, c: usize, enable: u64) -> u64 {
+        let (w, bit) = self.index(r, c);
+        let mask = bit & enable;
+        let word = self.bits[w];
+        self.bits[w] = word | mask;
+        u64::from(!word & mask != 0)
     }
 
     /// Clears bit `(r, c)`.
@@ -109,13 +122,6 @@ impl BitMatrix {
         }
         None
     }
-
-    /// Sets every bit of row `r`.
-    pub fn set_row(&mut self, r: usize) {
-        for c in 0..self.cols {
-            self.set(r, c);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -133,6 +139,27 @@ mod tests {
     }
 
     #[test]
+    fn set_masked_reports_only_real_changes() {
+        let mut m = BitMatrix::new(2, 70);
+        assert_eq!(
+            m.set_masked(1, 65, 0),
+            0,
+            "a masked-off set changes nothing"
+        );
+        assert!(!m.get(1, 65));
+        assert_eq!(m.set_masked(1, 65, u64::MAX), 1);
+        assert_eq!(
+            m.set_masked(1, 65, u64::MAX),
+            0,
+            "second set reports no change"
+        );
+        assert_eq!(m.set_masked(1, 65, 0), 0);
+        assert!(m.get(1, 65));
+        assert_eq!(m.row_count_ones(1), 1);
+        assert_eq!(m.row_count_ones(0), 0);
+    }
+
+    #[test]
     fn row_counts_across_word_boundary() {
         let mut m = BitMatrix::new(1, 130);
         m.set(0, 0);
@@ -146,7 +173,9 @@ mod tests {
     fn all_ones_detection() {
         let mut m = BitMatrix::new(2, 65);
         for r in 0..2 {
-            m.set_row(r);
+            for c in 0..65 {
+                m.set(r, c);
+            }
         }
         assert!(m.all_ones());
         m.clear(1, 64);
@@ -162,7 +191,9 @@ mod tests {
             m.set(0, c);
         }
         assert_eq!(m.first_zero_in_row(0), Some(65));
-        m.set_row(0);
+        for c in 65..70 {
+            m.set(0, c);
+        }
         assert_eq!(m.first_zero_in_row(0), None);
     }
 

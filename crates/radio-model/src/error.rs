@@ -20,12 +20,20 @@ pub enum ModelError {
         /// Nodes in the graph.
         expected: usize,
     },
-    /// A controller returned an action vector of the wrong length.
-    ActionCountMismatch {
-        /// Actions supplied.
-        supplied: usize,
+    /// A routing controller listed a sender the runner cannot accept:
+    /// a node outside the graph, a message outside `0..k`, or a node
+    /// listed twice in one round.
+    InvalidSender {
+        /// Round of the offending decision.
+        round: u64,
+        /// The listed node index.
+        node: usize,
+        /// The listed message index.
+        message: usize,
         /// Nodes in the graph.
-        expected: usize,
+        nodes: usize,
+        /// Messages `k` of the run.
+        messages: usize,
     },
     /// Two channels whose delivery-side presentations differ
     /// (`receiver` noise vs `erasure` detection) cannot be composed.
@@ -54,11 +62,21 @@ impl fmt::Display for ModelError {
                     "supplied {supplied} per-node values for a graph of {expected} nodes"
                 )
             }
-            ModelError::ActionCountMismatch { supplied, expected } => {
-                write!(
-                    f,
-                    "controller returned {supplied} actions for a graph of {expected} nodes"
-                )
+            ModelError::InvalidSender {
+                round,
+                node,
+                message,
+                nodes,
+                messages,
+            } => {
+                write!(f, "round {round}: controller listed ")?;
+                if node >= nodes {
+                    write!(f, "node {node} in a graph of {nodes} nodes")
+                } else if message >= messages {
+                    write!(f, "message {message} for node {node}, but k = {messages}")
+                } else {
+                    write!(f, "node {node} twice")
+                }
             }
             ModelError::IncompatibleChannels { left, right } => {
                 write!(
@@ -97,13 +115,24 @@ mod tests {
             .to_string(),
             "supplied 2 per-node values for a graph of 3 nodes"
         );
+        let sender = |node, message| ModelError::InvalidSender {
+            round: 3,
+            node,
+            message,
+            nodes: 4,
+            messages: 2,
+        };
         assert_eq!(
-            ModelError::ActionCountMismatch {
-                supplied: 5,
-                expected: 4
-            }
-            .to_string(),
-            "controller returned 5 actions for a graph of 4 nodes"
+            sender(4, 0).to_string(),
+            "round 3: controller listed node 4 in a graph of 4 nodes"
+        );
+        assert_eq!(
+            sender(1, 64).to_string(),
+            "round 3: controller listed message 64 for node 1, but k = 2"
+        );
+        assert_eq!(
+            sender(1, 1).to_string(),
+            "round 3: controller listed node 1 twice"
         );
         assert_eq!(
             ModelError::IncompatibleChannels {

@@ -550,13 +550,21 @@ fn cmd_traffic(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_gap(opts: &Options) -> Result<(), String> {
+    // Both arms need something to send and someone to send it to;
+    // reject empty inputs before either arm runs.
+    if opts.leaves == 0 {
+        return Err("gap needs --leaves ≥ 1".into());
+    }
+    if opts.k == 0 {
+        return Err("gap needs --k ≥ 1".into());
+    }
     println!(
         "star with {} leaves, k = {}, fault {} (Theorem 17 setting)",
         opts.leaves, opts.k, opts.fault
     );
     // With telemetry requested, the routing run additionally
-    // attributes wall clock to its decide/resolve phases (the E8
-    // hotspot); results are identical either way.
+    // attributes wall clock to its decide/resolve phases; results are
+    // identical either way.
     let (routing_out, phases) = if opts.telemetry_enabled() {
         let (out, phases) =
             star_routing_telemetry(opts.leaves, opts.k, opts.fault, opts.seed, MAX_ROUNDS)
@@ -866,6 +874,20 @@ mod tests {
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
             assert_eq!(run(&args), Ok(()));
         }
+    }
+
+    #[test]
+    fn gap_rejects_empty_inputs_before_running() {
+        let args = |a: &[&str]| -> Vec<String> { a.iter().map(|s| s.to_string()).collect() };
+        assert_eq!(
+            run(&args(&["gap", "--leaves", "0"])),
+            Err("gap needs --leaves ≥ 1".into())
+        );
+        assert_eq!(
+            run(&args(&["gap", "--leaves", "4", "--k", "0"])),
+            Err("gap needs --k ≥ 1".into())
+        );
+        assert_eq!(run(&args(&["gap", "--leaves", "1", "--k", "1"])), Ok(()));
     }
 
     #[test]
