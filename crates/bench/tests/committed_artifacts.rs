@@ -14,6 +14,11 @@
 //!   worst-case topology (many senders, listed out of node order) and
 //!   with the sequential source on a single link, so any change to how
 //!   the runner resolves senders or draws losses moves these bytes.
+//! - E1, E3, E13 and E14 must reproduce `BENCH_engine_quick.json`.
+//!   They run Decay faultless and under receiver, sender and composed
+//!   sender+erasure channels, the erasure-aware relay, and first-packet
+//!   latencies, so any change to how the engine resolves a listener's
+//!   slot — collisions, sender faults, loss draws — moves these bytes.
 
 use noisy_radio_bench::{diff_artifacts, experiments, suite_json, Scale};
 use radio_sweep::{Json, SweepConfig};
@@ -21,6 +26,7 @@ use radio_sweep::{Json, SweepConfig};
 const COMMITTED_E8_QUICK: &str = include_str!("../../../BENCH_e8_quick.json");
 const COMMITTED_GBST_QUICK: &str = include_str!("../../../BENCH_gbst_quick.json");
 const COMMITTED_ROUTING_QUICK: &str = include_str!("../../../BENCH_routing_quick.json");
+const COMMITTED_ENGINE_QUICK: &str = include_str!("../../../BENCH_engine_quick.json");
 
 fn assert_reproduces(ids: &[&str], committed: &str) {
     let cfg = SweepConfig::new(Some(2), 42);
@@ -45,4 +51,9 @@ fn gbst_quick_reproduces_the_committed_artifact() {
 #[test]
 fn routing_quick_reproduces_the_committed_artifact() {
     assert_reproduces(&["E10", "E12"], COMMITTED_ROUTING_QUICK);
+}
+
+#[test]
+fn engine_quick_reproduces_the_committed_artifact() {
+    assert_reproduces(&["E1", "E3", "E13", "E14"], COMMITTED_ENGINE_QUICK);
 }

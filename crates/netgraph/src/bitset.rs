@@ -108,6 +108,13 @@ impl Bitset {
         &self.words
     }
 
+    /// Mutable word storage, for loops that update several bitsets
+    /// word by word. Bits at or past `len` in the last word must stay
+    /// zero.
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Iterates the set indices in ascending order.
     pub fn ones(&self) -> Ones<'_> {
         self.ones_in(0..self.len)
@@ -288,5 +295,13 @@ mod tests {
         s.or_word(1, 0b110);
         s.or_word(2, 0b1);
         assert_eq!(s.ones().collect::<Vec<_>>(), vec![64, 65, 66, 128]);
+    }
+
+    #[test]
+    fn words_mut_writes_through() {
+        let mut s = Bitset::new(130);
+        s.words_mut()[1] |= 1 << 3;
+        s.words_mut()[0] = 0b101;
+        assert_eq!(s.ones().collect::<Vec<_>>(), vec![0, 2, 67]);
     }
 }

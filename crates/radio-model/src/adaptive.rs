@@ -18,7 +18,7 @@ use radio_obs::{PhaseSet, SpanTimer};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore};
 
-use crate::rng::fork_rng;
+use crate::rng::{fork_rng, kept_mask, loss_threshold};
 use crate::{BitMatrix, Channel, ModelError};
 
 /// Index of one of the `k` broadcast messages.
@@ -390,24 +390,6 @@ fn deliver(
     fresh
 }
 
-/// `⌈p · 2⁵³⌉`, the integer form of a loss probability `p` in `[0, 1]`
-/// for [`kept_mask`].
-fn loss_threshold(p: f64) -> u64 {
-    (p * (1u64 << 53) as f64).ceil() as u64
-}
-
-/// `gen_bool(p)` on the same single draw, as a mask: all ones if the
-/// delivery survives, 0 if it is lost. The vendored `rand` loses iff
-/// `(draw >> 11) · 2⁻⁵³ < p`, which for the integer `draw >> 11` holds
-/// iff `draw >> 11 < ⌈p · 2⁵³⌉`. The mask comes from the sign of the
-/// difference rather than from a `bool`: a `bool`-driven grant
-/// compiled to a branch on the draw, which mispredicts for about half
-/// the listeners at `p = 1/2`.
-#[inline]
-fn kept_mask(draw: u64, threshold: u64) -> u64 {
-    !(((draw >> 11).wrapping_sub(threshold) as i64 >> 63) as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -660,26 +642,6 @@ mod tests {
             }
             prop_assert_eq!(knowledge.lowest_missing(), brute_lowest_missing(&knowledge));
         }
-    }
-
-    #[test]
-    fn kept_mask_matches_gen_bool() {
-        use rand::SeedableRng;
-        for p in [0.0, 1e-300, 0.1, 0.3, 0.5, 0.75, 1.0 - f64::EPSILON] {
-            let mut a = SmallRng::seed_from_u64(p.to_bits());
-            let mut b = a.clone();
-            let threshold = loss_threshold(p);
-            for _ in 0..2000 {
-                let kept = kept_mask(a.next_u64(), threshold);
-                let lost = b.gen_bool(p);
-                assert_eq!(kept, if lost { 0 } else { u64::MAX }, "p = {p}");
-            }
-        }
-        // The boundary draws themselves: exactly at the threshold the
-        // delivery survives, one below it is lost.
-        let threshold = loss_threshold(0.5);
-        assert_eq!(kept_mask(threshold << 11, threshold), u64::MAX);
-        assert_eq!(kept_mask((threshold - 1) << 11, threshold), 0);
     }
 
     #[test]

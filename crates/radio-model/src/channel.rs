@@ -266,7 +266,15 @@ impl Channel {
     /// undetected [`Reception::Noise`] while `erasure(p)` losses
     /// present as detected [`Reception::Erased`], and one listener
     /// draw cannot present both ways.
+    ///
+    /// [`ModelError::InvalidFaultProbability`] when a merged
+    /// probability rounds to 1, which the constructors reject — two
+    /// `receiver(0.99999999999)` components, say.
     pub fn compose(self, other: Channel) -> Result<Channel, ModelError> {
+        let merge = |a, b| {
+            let p = independent_or(a, b);
+            Self::check(p).map(|()| p)
+        };
         let (s1, d1) = self.components();
         let (s2, d2) = other.components();
         let delivery = match (d1, d2) {
@@ -278,12 +286,12 @@ impl Channel {
                         right: other.to_string(),
                     });
                 }
-                Some((independent_or(a, b), ea))
+                Some((merge(a, b)?, ea))
             }
         };
         let sender = match (s1, s2) {
             (None, s) | (s, None) => s,
-            (Some(a), Some(b)) => Some(independent_or(a, b)),
+            (Some(a), Some(b)) => Some(merge(a, b)?),
         };
         Ok(Channel {
             kind: match (sender, delivery) {
@@ -385,7 +393,8 @@ impl Channel {
 }
 
 /// `1 − (1−a)(1−b)`: the loss probability of two independent loss
-/// processes in series. Both inputs in `[0, 1)` keep the result there.
+/// processes in series. Inputs in `[0, 1)` keep the exact result below
+/// 1, but the rounded one is 1 once `(1−a)(1−b) ≤ 2⁻⁵⁴`.
 fn independent_or(a: f64, b: f64) -> f64 {
     1.0 - (1.0 - a) * (1.0 - b)
 }
@@ -540,6 +549,33 @@ mod tests {
             cr.compose(e),
             Err(ModelError::IncompatibleChannels { .. })
         ));
+    }
+
+    #[test]
+    fn compose_rejects_merged_probabilities_that_round_to_one() {
+        let a = 0.99999999999;
+        for (left, right) in [
+            (Channel::receiver(a), Channel::receiver(a)),
+            (Channel::sender(a), Channel::sender(a)),
+            (Channel::erasure(a), Channel::erasure(a)),
+        ] {
+            assert_eq!(
+                left.unwrap().compose(right.unwrap()),
+                Err(ModelError::InvalidFaultProbability { p: 1.0 })
+            );
+        }
+        assert_eq!(
+            "receiver:0.99999999999+receiver:0.99999999999".parse::<Channel>(),
+            Err(ModelError::InvalidFaultProbability { p: 1.0 })
+        );
+        // The two sides never merge, so a composed channel of two
+        // near-certain components is valid; only its overall loss
+        // rounds to 1.
+        let c = Channel::sender(a)
+            .unwrap()
+            .compose(Channel::receiver(a).unwrap())
+            .unwrap();
+        assert_eq!(c.to_string().parse::<Channel>().unwrap(), c);
     }
 
     #[test]

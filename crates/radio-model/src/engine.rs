@@ -31,10 +31,10 @@ use std::time::Instant;
 use netgraph::{Bitset, Graph, NodeId};
 use radio_obs::TelemetrySink;
 use rand::rngs::SmallRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 use crate::latency::LatencyProfile;
-use crate::rng::fork_rng;
+use crate::rng::{fork_rng, kept_mask, loss_threshold};
 use crate::{Action, Channel, ModelError, Payload, Reception};
 
 /// Fork-index base of the per-node channel-loss streams: node `i`
@@ -323,6 +323,12 @@ pub struct Simulator<'g, P, B> {
     /// something other than silence. The receive sweep's domain is
     /// `active ∪ reach`, unioned word-by-word on the fly.
     reach: Bitset,
+    /// The members of `reach` that two or more broadcasters reached.
+    collided: Bitset,
+    /// `heard_from[i]`: a broadcaster that reached node `i` this round.
+    /// Read only for reached nodes outside `collided`, where it is the
+    /// one broadcaster, so stale entries never need clearing.
+    heard_from: Vec<u32>,
     /// Set by [`Simulator::behaviors_mut`]: behavior state may have
     /// changed outside a sweep, so the active set must be rebuilt from
     /// `wants_poll`/`queued` before the next round.
@@ -397,6 +403,8 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
             active: Bitset::new(n),
             next_active: Bitset::new(n),
             reach: Bitset::new(n),
+            collided: Bitset::new(n),
+            heard_from: vec![0; n],
             // The first round's active set is built from the
             // constructed behaviors' own answers.
             stale: true,
@@ -591,6 +599,8 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
             &self.active,
             &self.broadcasting,
             &self.reach,
+            &self.collided,
+            &self.heard_from,
             &mut self.behaviors,
             &mut self.node_rngs,
             &mut self.fault_rngs,
@@ -627,13 +637,26 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
 
     /// Computes the reach set — every neighbor of every broadcaster,
     /// i.e. exactly the nodes whose slot resolves to something other
-    /// than silence. Runs after the act sweep.
+    /// than silence — and resolves who each reached node heard: the
+    /// nodes a second broadcaster reaches join `collided`, and
+    /// `heard_from` records a broadcaster of every reached node. Runs
+    /// after the act sweep.
     fn compute_reach(&mut self) {
         let t0 = self.timed.then(Instant::now);
         self.reach.clear();
+        self.collided.clear();
+        let reach = self.reach.words_mut();
+        let collided = self.collided.words_mut();
+        let heard_from = &mut self.heard_from[..self.graph.node_count()];
         for s in self.broadcasting.ones() {
             for &u in self.graph.neighbors(NodeId::from_index(s)) {
-                self.reach.insert(u.index());
+                let i = u.index();
+                let (w, bit) = (i / 64, 1u64 << (i % 64));
+                // Already reached means a second broadcaster: no branch,
+                // the old reach bit moves into `collided`.
+                collided[w] |= reach[w] & bit;
+                reach[w] |= bit;
+                heard_from[i] = s as u32;
             }
         }
         if let Some(t) = t0 {
@@ -878,6 +901,15 @@ fn act_sweep<P: Payload, B: NodeBehavior<P>>(
 /// have heard silence and, by the [`NodeBehavior::wants_poll`]
 /// contract, ignored it with frozen observables. Trace entries are
 /// appended in ascending listener order.
+///
+/// Each word's outcomes are settled before any behavior runs: from the
+/// `reach`, `collided` and `heard_from` the reach pass recorded, the
+/// sweep builds the word's sender-faulted, lost and delivered masks,
+/// drawing each clean listener's loss once from its own channel
+/// stream, and tallies the round's counters by popcount. Behaviors
+/// then receive in ascending order. Every draw comes from the
+/// listener's own stream and no behavior can touch another node's, so
+/// this order consumes exactly the draws the per-listener order did.
 // Out of line like `act_sweep`, so each phase timer brackets its own
 // loop.
 #[allow(clippy::too_many_arguments)]
@@ -889,6 +921,8 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
     active: &Bitset,
     broadcasting: &Bitset,
     reach: &Bitset,
+    collided: &Bitset,
+    heard_from: &[u32],
     behaviors: &mut [B],
     node_rngs: &mut [SmallRng],
     fault_rngs: &mut [SmallRng],
@@ -906,14 +940,14 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
     // Composed channels contribute their delivery-side component here
     // (the sender side was drawn in the act sweep, from the
     // broadcaster's stream — the two components never share a draw).
-    let delivery_fault = channel.delivery_fault();
+    let sender_fault = channel.sender_fault().is_some();
+    let loss = channel.delivery_fault().map(loss_threshold);
     let presents_erasure = channel.delivery_presents_erasure();
     let mut part = RecvPart::default();
     // Word-at-a-time sweep over active ∪ reach, unioned on the fly:
-    // the three per-node classifications (broadcaster / reached /
-    // silent) are single register bit tests, and each word's
-    // next-active bits accumulate in a register with one store. For
-    // silence-transparent behaviors the silent and broadcaster bits
+    // each node's classification is a register bit test, and each
+    // word's next-active bits accumulate in a register with one store.
+    // For silence-transparent behaviors the silent and broadcaster bits
     // are settled wholesale — their per-node processing is vacuous by
     // the [`NodeBehavior::SILENCE_TRANSPARENT`] promise — and only the
     // reached listeners enter the per-node loop.
@@ -923,25 +957,65 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
     let fault_rngs = &mut fault_rngs[..n];
     let first_packet = &mut first_packet[..n];
     let decode_round = &mut decode_round[..n];
+    let heard_from = &heard_from[..n];
     let active_words = active.words();
-    for (w, ((&aw, &rw), &bw)) in active_words
+    for (w, (((&aw, &rw), &bw), &cw)) in active_words
         .iter()
         .zip(reach.words())
         .zip(broadcasting.words())
+        .zip(collided.words())
         .enumerate()
     {
         if aw | rw == 0 {
             continue;
         }
         part.words_visited += 1;
+        // Reached listeners (broadcasters hear nothing: half-duplex),
+        // split into collided ones and those one broadcaster reached.
+        let heard = rw & !bw;
+        let noisy = heard & cw;
+        let single = heard & !cw;
+        // A lone broadcaster whose sender fault fired transmitted
+        // noise to every listener it reached.
+        let mut faulted = 0u64;
+        if sender_fault {
+            let mut m = single;
+            while m != 0 {
+                let bit = m.trailing_zeros();
+                m &= m - 1;
+                let s = heard_from[w * 64 + bit as usize] as usize;
+                faulted |= u64::from(!sender_ok[s]) << bit;
+            }
+        }
+        let clean = single & !faulted;
+        // One loss draw per clean listener, from its own stream.
+        let mut lost = 0u64;
+        if let Some(threshold) = loss {
+            let mut m = clean;
+            while m != 0 {
+                let bit = m.trailing_zeros();
+                m &= m - 1;
+                let kept = kept_mask(fault_rngs[w * 64 + bit as usize].next_u64(), threshold);
+                lost |= !kept & (1 << bit);
+            }
+        }
+        let delivered = clean & !lost;
+        let erased = if presents_erasure { lost } else { 0 };
+        part.collisions += u64::from(noisy.count_ones());
+        part.deliveries += u64::from(delivered.count_ones());
+        if presents_erasure {
+            part.erasures += u64::from(lost.count_ones());
+        } else {
+            part.receiver_faults += u64::from(lost.count_ones());
+        }
         let mut m;
         let mut na_word;
         if B::SILENCE_TRANSPARENT {
             // Broadcasters and silent actives keep their activity bits
             // verbatim (nothing about them can change this sweep);
             // reached listeners are re-decided per node below.
-            na_word = aw & !(rw & !bw);
-            m = rw & !bw;
+            na_word = aw & !heard;
+            m = heard;
         } else {
             m = aw | rw;
             na_word = 0u64;
@@ -967,71 +1041,44 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
                 na_word |= mask;
                 continue;
             }
-            let rx: Reception<P> = if !B::SILENCE_TRANSPARENT && rw & mask == 0 {
+            let rx: Reception<P> = if delivered & mask != 0 {
+                // The delivery site asks the payload for this
+                // listener's copy: honest payloads clone, while
+                // equivocating payloads split the audience (see the
+                // `Payload` trait).
+                let s = heard_from[i] as usize;
+                let packet = actions[s]
+                    .payload()
+                    .expect("broadcasting sender has a payload")
+                    .for_listener(node);
+                if first_packet[i].is_none() {
+                    first_packet[i] = Some(round);
+                    part.first_deliveries += 1;
+                    if let Some(t) = trace.as_deref_mut() {
+                        t.first_packet_listeners.push(node);
+                    }
+                }
+                if let Some(t) = trace.as_deref_mut() {
+                    t.deliveries.push((NodeId::from_index(s), node));
+                }
+                Reception::Packet(packet)
+            } else if erased & mask != 0 {
+                if let Some(t) = trace.as_deref_mut() {
+                    t.erased_listeners.push(node);
+                }
+                Reception::Erased
+            } else if heard & mask != 0 {
+                // A collision, a sender fault or a receiver fault.
+                if let Some(t) = trace.as_deref_mut() {
+                    if noisy & mask != 0 {
+                        t.collided_listeners.push(node);
+                    }
+                }
+                Reception::Noise
+            } else {
                 // Active but out of every broadcaster's reach: the
                 // slot is silent, no channel randomness is drawn.
                 Reception::Silence
-            } else {
-                // Reached: ≥ 1 broadcasting neighbor, so the slot
-                // resolves to a packet, noise, or an erasure — never
-                // silence.
-                let mut sender: Option<NodeId> = None;
-                let mut count = 0usize;
-                for &u in graph.neighbors(node) {
-                    if broadcasting.contains(u.index()) {
-                        count += 1;
-                        if count > 1 {
-                            break;
-                        }
-                        sender = Some(u);
-                    }
-                }
-                if count > 1 {
-                    part.collisions += 1;
-                    if let Some(t) = trace.as_deref_mut() {
-                        t.collided_listeners.push(node);
-                    }
-                    Reception::Noise
-                } else {
-                    let s = sender.expect("reached listener has a broadcasting neighbor");
-                    if !sender_ok[s.index()] {
-                        // The sender transmitted noise; every listener
-                        // of this broadcaster hears noise.
-                        Reception::Noise
-                    } else if delivery_fault.map_or(false, |p| fault_rngs[i].gen_bool(p)) {
-                        if presents_erasure {
-                            part.erasures += 1;
-                            if let Some(t) = trace.as_deref_mut() {
-                                t.erased_listeners.push(node);
-                            }
-                            Reception::Erased
-                        } else {
-                            part.receiver_faults += 1;
-                            Reception::Noise
-                        }
-                    } else {
-                        // The delivery site asks the payload for this
-                        // listener's copy: honest payloads clone,
-                        // while equivocating payloads split the
-                        // audience (see the `Payload` trait).
-                        let packet = actions[s.index()]
-                            .payload()
-                            .expect("broadcasting sender has a payload")
-                            .for_listener(node);
-                        part.deliveries += 1;
-                        if first_packet[i].is_none() {
-                            first_packet[i] = Some(round);
-                            part.first_deliveries += 1;
-                            if let Some(t) = trace.as_deref_mut() {
-                                t.first_packet_listeners.push(node);
-                            }
-                        }
-                        if let Some(t) = trace.as_deref_mut() {
-                            t.deliveries.push((s, node));
-                        }
-                        Reception::Packet(packet)
-                    }
-                }
             };
             let mut ctx = Ctx {
                 node,

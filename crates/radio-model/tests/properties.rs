@@ -52,14 +52,27 @@ impl NodeBehavior<u64> for RandomChatter {
     }
 }
 
-/// Every channel constructor, including the erasure channel — so the
-/// generators exercise every `Reception` variant across the suite.
+/// Every channel constructor, including the erasure channel, and the
+/// compositions of a sender component with either delivery component
+/// — so the generators exercise every `Reception` variant and every
+/// loss path across the suite.
 fn arb_channel() -> impl Strategy<Value = Channel> {
     prop_oneof![
         Just(Channel::faultless()),
         (0.0..0.9f64).prop_map(|p| Channel::sender(p).expect("valid p")),
         (0.0..0.9f64).prop_map(|p| Channel::receiver(p).expect("valid p")),
         (0.0..0.9f64).prop_map(|p| Channel::erasure(p).expect("valid p")),
+        (0.0..0.9f64, 0.0..0.9f64, any::<bool>()).prop_map(|(s, d, erased)| {
+            let delivery = if erased {
+                Channel::erasure(d)
+            } else {
+                Channel::receiver(d)
+            };
+            Channel::sender(s)
+                .expect("valid p")
+                .compose(delivery.expect("valid p"))
+                .expect("sender and delivery sides compose")
+        }),
     ]
 }
 
@@ -244,29 +257,55 @@ proptest! {
             //     losses): every delivered or erased receiver has exactly
             //     one broadcasting neighbor; every collided listener has
             //     at least two.
+            let broadcasting = |v: NodeId| trace.broadcasters.binary_search(&v).is_ok();
+            let reached_by =
+                |v: NodeId| g.neighbors(v).iter().filter(|&&u| broadcasting(u)).count();
             let singles = trace
                 .deliveries
                 .iter()
                 .map(|&(_, r)| r)
                 .chain(trace.erased_listeners.iter().copied());
             for r in singles {
-                let b = g
-                    .neighbors(r)
-                    .iter()
-                    .filter(|&&u| trace.broadcasters.binary_search(&u).is_ok())
-                    .count();
+                let b = reached_by(r);
                 prop_assert_eq!(b, 1, "receiver {} had {} broadcasting neighbors", r, b);
             }
             for &c in &trace.collided_listeners {
-                let b = g
-                    .neighbors(c)
-                    .iter()
-                    .filter(|&&u| trace.broadcasters.binary_search(&u).is_ok())
-                    .count();
+                let b = reached_by(c);
                 prop_assert!(b >= 2, "collided listener {} had {} broadcasting neighbors", c, b);
             }
-            // (5) Erasures only occur on the erasure channel.
-            if !channel.is_erasure() {
+            // (4b) The converse, which sparse ≡ dense cannot check (both
+            //     modes share the slot resolution): every listener with
+            //     two or more broadcasting neighbors collided, so the
+            //     collision count is exactly theirs; and every node in
+            //     a listener list is a listener that some broadcaster
+            //     reached.
+            let mut multiply_reached = 0u64;
+            for v in g.nodes().filter(|&v| !broadcasting(v)) {
+                if reached_by(v) >= 2 {
+                    multiply_reached += 1;
+                    prop_assert!(
+                        trace.collided_listeners.binary_search(&v).is_ok(),
+                        "listener {} had {} broadcasting neighbors but no collision",
+                        v,
+                        reached_by(v)
+                    );
+                }
+            }
+            prop_assert_eq!(report.collisions, multiply_reached);
+            let listed = trace
+                .deliveries
+                .iter()
+                .map(|&(_, r)| r)
+                .chain(trace.collided_listeners.iter().copied())
+                .chain(trace.erased_listeners.iter().copied())
+                .chain(trace.first_packet_listeners.iter().copied());
+            for v in listed {
+                prop_assert!(!broadcasting(v), "broadcaster {} is in a listener list", v);
+                prop_assert!(reached_by(v) >= 1, "unreached node {} is in a listener list", v);
+            }
+            // (5) Erasures only occur on channels whose delivery losses
+            //     present as erasures.
+            if !channel.delivery_presents_erasure() {
                 prop_assert!(trace.erased_listeners.is_empty());
             }
             // (6) Faultless runs lose nothing: every listener with
@@ -276,12 +315,7 @@ proptest! {
                     if trace.broadcasters.binary_search(&v).is_ok() {
                         continue;
                     }
-                    let b = g
-                        .neighbors(v)
-                        .iter()
-                        .filter(|&&u| trace.broadcasters.binary_search(&u).is_ok())
-                        .count();
-                    if b == 1 {
+                    if reached_by(v) == 1 {
                         prop_assert!(
                             trace.deliveries.iter().any(|&(_, r)| r == v),
                             "faultless single-broadcaster listener {} missed its packet",

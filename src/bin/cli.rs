@@ -324,6 +324,12 @@ fn parse_topology(spec: &str, seed: u64) -> Result<Graph, String> {
     Ok(g)
 }
 
+/// The rounds a run took, or an error if it used up the
+/// `MAX_ROUNDS` budget without completing.
+fn completed_rounds(rounds: Option<u64>) -> Result<u64, String> {
+    rounds.ok_or_else(|| format!("did not complete within {MAX_ROUNDS} rounds"))
+}
+
 fn cmd_broadcast(opts: &Options) -> Result<(), String> {
     let g = parse_topology(&opts.topology, opts.seed)?;
     let algo = opts.algo.as_deref().unwrap_or("robust-fastbc");
@@ -383,7 +389,7 @@ fn cmd_broadcast(opts: &Options) -> Result<(), String> {
             };
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             Ok((
-                run.rounds_used(),
+                completed_rounds(run.rounds)?,
                 profile.delivery_latencies_excluding(source),
                 ms,
                 counter,
@@ -459,7 +465,7 @@ fn cmd_multicast(opts: &Options) -> Result<(), String> {
                 .run(&g, source, opts.k, opts.fault, ctx.seed, MAX_ROUNDS)
                 .map_err(|e| e.to_string())?,
             };
-            Ok((out.run.rounds_used(), out.decoded_ok))
+            Ok((completed_rounds(out.run.rounds)?, out.decoded_ok))
         });
     let mut total = 0u64;
     for (t, trial) in per_trial.into_iter().enumerate() {
@@ -576,9 +582,11 @@ fn cmd_gap(opts: &Options) -> Result<(), String> {
         (out, None)
     };
     let routing = routing_out.rounds.ok_or("routing did not finish")?;
-    let coding = star_coding(opts.leaves, opts.k, opts.fault, opts.seed, MAX_ROUNDS)
-        .map_err(|e| e.to_string())?
-        .rounds_used();
+    let coding = completed_rounds(
+        star_coding(opts.leaves, opts.k, opts.fault, opts.seed, MAX_ROUNDS)
+            .map_err(|e| e.to_string())?
+            .rounds,
+    )?;
     println!(
         "  adaptive routing: {routing} rounds (τ = {:.4})",
         opts.k as f64 / routing as f64
@@ -888,6 +896,33 @@ mod tests {
             Err("gap needs --k ≥ 1".into())
         );
         assert_eq!(run(&args(&["gap", "--leaves", "1", "--k", "1"])), Ok(()));
+    }
+
+    #[test]
+    fn an_exhausted_budget_is_an_error_not_a_panic() {
+        assert_eq!(completed_rounds(Some(17)), Ok(17));
+        assert_eq!(
+            completed_rounds(None),
+            Err("did not complete within 500000000 rounds".into())
+        );
+    }
+
+    #[test]
+    fn a_fault_spec_that_composes_to_certain_loss_is_rejected() {
+        let args: Vec<String> = [
+            "broadcast",
+            "--topology",
+            "path:4",
+            "--algo",
+            "decay",
+            "--fault",
+            "receiver:0.99999999999+receiver:0.99999999999",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let err = run(&args).unwrap_err();
+        assert_eq!(err, "fault probability 1 outside [0, 1)");
     }
 
     #[test]
