@@ -17,6 +17,18 @@
 //! and [`Simulator::with_dense_sweeps`] forces the dense reference
 //! behavior for differential tests.
 //!
+//! # Slot resolution
+//!
+//! The reach pass that enumerates each broadcaster's neighbors also
+//! settles who every reached node heard: a node a second broadcaster
+//! reaches joins a `collided` set, and `heard_from` records the
+//! broadcaster of each node reached once. The receive sweep then
+//! resolves 64 listeners at a time from bit masks — collided,
+//! sender-faulted, lost, delivered — drawing each clean listener's loss
+//! once, counting outcomes by popcount, and only then handing out
+//! receptions in ascending node order. No listener re-scans its
+//! neighbors.
+//!
 //! # Per-node random streams
 //!
 //! All randomness is drawn from *per-node* streams forked from the
@@ -645,18 +657,26 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
         let t0 = self.timed.then(Instant::now);
         self.reach.clear();
         self.collided.clear();
+        // Word-at-a-time over the broadcasters, like `act_sweep`; the
+        // equal-length slices share one bounds check per neighbor.
         let reach = self.reach.words_mut();
-        let collided = self.collided.words_mut();
+        let collided = &mut self.collided.words_mut()[..reach.len()];
         let heard_from = &mut self.heard_from[..self.graph.node_count()];
-        for s in self.broadcasting.ones() {
-            for &u in self.graph.neighbors(NodeId::from_index(s)) {
-                let i = u.index();
-                let (w, bit) = (i / 64, 1u64 << (i % 64));
-                // Already reached means a second broadcaster: no branch,
-                // the old reach bit moves into `collided`.
-                collided[w] |= reach[w] & bit;
-                reach[w] |= bit;
-                heard_from[i] = s as u32;
+        for (bw_index, &bw) in self.broadcasting.words().iter().enumerate() {
+            let mut m = bw;
+            while m != 0 {
+                let sender = NodeId::from_index(bw_index * 64 + m.trailing_zeros() as usize);
+                m &= m - 1;
+                for &u in self.graph.neighbors(sender) {
+                    let i = u.index();
+                    let (w, bit) = (i / 64, 1u64 << (i % 64));
+                    // Already reached means a second broadcaster: no
+                    // branch, the old reach bit moves into `collided`.
+                    let r = reach[w];
+                    collided[w] |= r & bit;
+                    reach[w] = r | bit;
+                    heard_from[i] = sender.raw();
+                }
             }
         }
         if let Some(t) = t0 {
@@ -1046,8 +1066,8 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
                 // listener's copy: honest payloads clone, while
                 // equivocating payloads split the audience (see the
                 // `Payload` trait).
-                let s = heard_from[i] as usize;
-                let packet = actions[s]
+                let sender = NodeId::new(heard_from[i]);
+                let packet = actions[sender.index()]
                     .payload()
                     .expect("broadcasting sender has a payload")
                     .for_listener(node);
@@ -1059,7 +1079,7 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
                     }
                 }
                 if let Some(t) = trace.as_deref_mut() {
-                    t.deliveries.push((NodeId::from_index(s), node));
+                    t.deliveries.push((sender, node));
                 }
                 Reception::Packet(packet)
             } else if erased & mask != 0 {

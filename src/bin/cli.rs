@@ -761,6 +761,11 @@ mod tests {
         assert!(parse_fault("receiver:1.5").is_err());
         // Mixed delivery presentations cannot compose.
         assert!(parse_fault("receiver:0.1+erasure:0.1").is_err());
+        // Nor can components whose merged loss rounds to certainty.
+        assert_eq!(
+            parse_fault("receiver:0.99999999999+receiver:0.99999999999"),
+            Err("fault probability 1 outside [0, 1)".into())
+        );
     }
 
     #[test]
@@ -905,24 +910,6 @@ mod tests {
             completed_rounds(None),
             Err("did not complete within 500000000 rounds".into())
         );
-    }
-
-    #[test]
-    fn a_fault_spec_that_composes_to_certain_loss_is_rejected() {
-        let args: Vec<String> = [
-            "broadcast",
-            "--topology",
-            "path:4",
-            "--algo",
-            "decay",
-            "--fault",
-            "receiver:0.99999999999+receiver:0.99999999999",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let err = run(&args).unwrap_err();
-        assert_eq!(err, "fault probability 1 outside [0, 1)");
     }
 
     #[test]
