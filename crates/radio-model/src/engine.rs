@@ -929,7 +929,7 @@ fn act_sweep<P: Payload, B: NodeBehavior<P>>(
 /// stream, and tallies the round's counters by popcount. Behaviors
 /// then receive in ascending order. Every draw comes from the
 /// listener's own stream and no behavior can touch another node's, so
-/// this order consumes exactly the draws the per-listener order did.
+/// drawing a word's losses before its behaviors run moves no draw.
 // Out of line like `act_sweep`, so each phase timer brackets its own
 // loop.
 #[allow(clippy::too_many_arguments)]
