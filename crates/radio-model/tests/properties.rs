@@ -311,10 +311,7 @@ proptest! {
             // (6) Faultless runs lose nothing: every listener with
             //     exactly one broadcasting neighbor receives.
             if channel == Channel::faultless() {
-                for v in g.nodes() {
-                    if trace.broadcasters.binary_search(&v).is_ok() {
-                        continue;
-                    }
+                for v in g.nodes().filter(|&v| !broadcasting(v)) {
                     if reached_by(v) == 1 {
                         prop_assert!(
                             trace.deliveries.iter().any(|&(_, r)| r == v),
