@@ -120,10 +120,7 @@ impl Decay {
         }
         let setup = radio_obs::SpanTimer::start(sink.enabled());
         let behaviors: Vec<DecayNode> = (0..n)
-            .map(|i| DecayNode {
-                informed: i == source.index(),
-                phase_len,
-            })
+            .map(|i| DecayNode::new(i == source.index(), phase_len))
             .collect();
         setup.stop(sink, "schedule/setup");
         crate::outcome::run_profiled_telemetry(graph, fault, behaviors, seed, max_rounds, sink)
@@ -199,9 +196,10 @@ const PHASE_RECIP: [u64; 65] = {
 /// `step mod phase_len`, division-free for the phase lengths that
 /// occur in practice (`⌈log₂ n⌉ + 1 ≤ 64` up to astronomical n).
 ///
-/// Every informed node evaluates this each round, and a runtime `u64`
-/// modulo is the single most expensive instruction on that path. The
-/// multiply-shift `⌊step·⌈2⁶⁴/L⌉ / 2⁶⁴⌋ = ⌊step/L⌋` is exact whenever
+/// Decay-family nodes evaluate this for their coins (a [`DecayNode`]
+/// once per draw-ahead), and a runtime `u64` modulo is the single most
+/// expensive instruction on that path. The multiply-shift
+/// `⌊step·⌈2⁶⁴/L⌉ / 2⁶⁴⌋ = ⌊step/L⌋` is exact whenever
 /// `step·(L·⌈2⁶⁴/L⌉ − 2⁶⁴) < 2⁶⁴`, which holds comfortably for every
 /// reachable round count (`step < 2⁵⁷` suffices for `L ≤ 64`).
 #[inline]
@@ -216,17 +214,49 @@ fn phase_step(phase_len: u32, step: u64) -> u64 {
     r
 }
 
+/// [`DecayNode`]'s next round while it is uninformed: never, until the
+/// message reaches it.
+const UNINFORMED: u64 = u64::MAX;
+
+/// A drawn-ahead broadcast round from being informed until the first
+/// act draws it: round 0, so the engine sweeps the node in every round
+/// until then.
+pub(crate) const UNDRAWN: u64 = 0;
+
 /// Per-node Decay state machine. Exposed so other algorithms (FASTBC's
 /// slow rounds) and the multi-message variants can reuse the step rule.
+///
+/// An informed node draws its coins ahead: at its first act it draws
+/// round by round until one fires, broadcasts in that round, and then
+/// draws ahead again from the round after. Every coin still comes from
+/// the node's own stream in round order, one per round, so the
+/// broadcasts are exactly those of a coin drawn in each round, and the
+/// engine can skip the node until its next broadcast (see
+/// [`NodeBehavior::next_act`]).
 #[derive(Debug, Clone)]
 pub struct DecayNode {
-    /// Whether this node holds the message.
-    pub informed: bool,
     /// Phase length `L`.
-    pub phase_len: u32,
+    phase_len: u32,
+    /// The round of this node's next broadcast: [`UNINFORMED`],
+    /// [`UNDRAWN`], or the round its coin next fires.
+    next: u64,
 }
 
 impl DecayNode {
+    /// A node that holds the message from the start iff `informed`,
+    /// running phases of `phase_len` rounds.
+    pub fn new(informed: bool, phase_len: u32) -> Self {
+        DecayNode {
+            phase_len,
+            next: if informed { UNDRAWN } else { UNINFORMED },
+        }
+    }
+
+    /// Whether this node holds the message.
+    pub fn informed(&self) -> bool {
+        self.next != UNINFORMED
+    }
+
     /// The Decay broadcast probability for (0-based) `step` within the
     /// phase structure: `2^{-((step mod L) + 1)}`.
     pub fn broadcast_probability(phase_len: u32, step: u64) -> f64 {
@@ -265,40 +295,73 @@ impl DecayNode {
             rand::Rng::gen_bool(rng, Self::broadcast_probability(phase_len, step))
         }
     }
+
+    /// The first step at or after `from_step` whose Decay coin fires,
+    /// drawing the coins of `from_step`, `from_step + 1`, … in turn:
+    /// the same draws, in the same order and with the same outcomes,
+    /// as calling [`DecayNode::draw_broadcast`] step by step until it
+    /// returns `true`.
+    pub fn next_broadcast<R: rand::RngCore>(phase_len: u32, from_step: u64, rng: &mut R) -> u64 {
+        let mut step = from_step;
+        if !(1..=53).contains(&phase_len) {
+            while !Self::draw_broadcast(phase_len, step, rng) {
+                step += 1;
+            }
+            return step;
+        }
+        // `draw_broadcast`'s test for phase index `i`, `(draw >> 11) <
+        // 2^(53−i)`, is `draw < 2^(64−i)`. The threshold halves from
+        // step to step and returns to 2⁶³ at each phase start, exact at
+        // every step, so there is no 2⁵⁷ bound.
+        let last = 1u64 << (64 - phase_len);
+        let mut threshold = 1u64 << (63 - phase_step(phase_len, step));
+        while rng.next_u64() >= threshold {
+            step += 1;
+            threshold = if threshold == last {
+                1 << 63
+            } else {
+                threshold >> 1
+            };
+        }
+        step
+    }
 }
 
 impl NodeBehavior<()> for DecayNode {
     fn act(&mut self, ctx: &mut Ctx<'_>) -> Action<()> {
-        if !self.informed {
+        if self.next == UNDRAWN {
+            self.next = Self::next_broadcast(self.phase_len, ctx.round, ctx.rng);
+        }
+        // The engine wakes the node at `next` (see `next_act`); an
+        // uninformed node's `next` is never reached.
+        debug_assert!(ctx.round <= self.next, "Decay broadcast skipped");
+        if ctx.round != self.next {
             return Action::Listen;
         }
-        if Self::draw_broadcast(self.phase_len, ctx.round, ctx.rng) {
-            Action::Broadcast(())
-        } else {
-            Action::Listen
-        }
+        self.next = Self::next_broadcast(self.phase_len, ctx.round + 1, ctx.rng);
+        Action::Broadcast(())
     }
 
     fn receive(&mut self, _ctx: &mut Ctx<'_>, rx: Reception<()>) {
-        if rx.is_packet() {
-            self.informed = true;
+        if rx.is_packet() && self.next == UNINFORMED {
+            self.next = UNDRAWN;
         }
     }
 
     fn decoded(&self) -> bool {
-        self.informed
+        self.informed()
     }
 
-    // Quiescence opt-in: an uninformed Decay node listens without
-    // drawing (see `act`) and ignores silence, so the engine may skip
-    // it until the message reaches it.
-    fn wants_poll(&self) -> bool {
-        self.informed
+    // Uninformed: never, until a packet arrives. Informed: every round
+    // until the first act draws ahead, then the round of the next
+    // broadcast. A packet only moves `UNINFORMED` to `UNDRAWN`, round 0.
+    fn next_act(&self) -> u64 {
+        self.next
     }
 
     // Silence never changes a Decay node (see `receive`), `act` only
-    // touches the RNG, and there is no queue: the engine may settle
-    // silent and broadcasting Decay nodes word-at-a-time.
+    // draws ahead, and there is no queue: the engine may settle silent
+    // and broadcasting Decay nodes word-at-a-time.
     const SILENCE_TRANSPARENT: bool = true;
 }
 
@@ -335,6 +398,33 @@ mod tests {
                 let slow = rand::Rng::gen_bool(&mut b, p);
                 assert_eq!(fast, slow, "phase_len {phase_len} step {step}");
                 assert_eq!(a.next_u64(), b.next_u64(), "streams diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn next_broadcast_matches_drawing_step_by_step() {
+        use rand::{RngCore, SeedableRng};
+        // 54 and 64 take the `gen_bool` fallback; the rest carry the
+        // threshold across phase boundaries and past 2⁵⁷.
+        for phase_len in [1u32, 2, 13, 53, 54, 64] {
+            let l = u64::from(phase_len);
+            let near_2_57 = (1u64 << 57) / l * l;
+            let starts = [0, l - 1, l, l + 1, 5 * l - 1, 5 * l, 5 * l + 1]
+                .into_iter()
+                .chain([near_2_57 - l - 1, near_2_57 - 1, near_2_57, (1 << 57) - 1])
+                .chain([1 << 57, (1 << 57) + 1]);
+            for (k, from) in starts.enumerate() {
+                for seed in 0..40 {
+                    let mut ahead = rand::rngs::SmallRng::seed_from_u64(seed * 31 + k as u64);
+                    let mut stepwise = ahead.clone();
+                    let got = DecayNode::next_broadcast(phase_len, from, &mut ahead);
+                    let want = (from..)
+                        .find(|&s| DecayNode::draw_broadcast(phase_len, s, &mut stepwise))
+                        .unwrap();
+                    assert_eq!(got, want, "phase_len {phase_len} from {from} seed {seed}");
+                    assert_eq!(ahead.next_u64(), stepwise.next_u64(), "streams diverged");
+                }
             }
         }
     }
@@ -531,6 +621,40 @@ mod tests {
             assert!(first < run.rounds_used());
             last = first;
         }
+    }
+
+    #[test]
+    fn informed_nodes_are_visited_only_to_broadcast() {
+        // The act sweep visits an informed node in the rounds it
+        // broadcasts (plus its first act, which draws ahead), not in
+        // every round after it is informed.
+        let g = generators::grid(16, 16);
+        let mut sink = radio_obs::CounterSink::new();
+        let (run, profile) = Decay::new()
+            .run_telemetry(
+                &g,
+                NodeId::new(0),
+                Channel::receiver(0.3).unwrap(),
+                9,
+                100_000,
+                &mut sink,
+            )
+            .unwrap();
+        let rounds = run.rounds_used();
+        let informed_node_rounds: u64 = g
+            .nodes()
+            .map(|v| rounds - profile.decode_complete(v).expect("decoded"))
+            .sum();
+        let visits = sink.counter_total("engine/active_node_rounds").unwrap();
+        let broadcasts = sink.counter_total("engine/broadcasts").unwrap();
+        assert!(
+            broadcasts <= visits,
+            "{broadcasts} broadcasts, {visits} visits"
+        );
+        assert!(
+            visits < informed_node_rounds / 3,
+            "{visits} act visits over {informed_node_rounds} informed node-rounds"
+        );
     }
 
     #[test]

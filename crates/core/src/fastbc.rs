@@ -23,7 +23,7 @@ use gbst::Gbst;
 use netgraph::{Graph, NodeId};
 use radio_model::{Action, Channel, Ctx, NodeBehavior, Reception, RoundTrace, Simulator};
 
-use crate::decay::{default_phase_len, DecayNode};
+use crate::decay::{default_phase_len, DecayNode, UNDRAWN};
 use crate::{BroadcastRun, CoreError};
 
 /// Tunables for [`FastbcSchedule`].
@@ -150,7 +150,7 @@ impl<'g> FastbcSchedule<'g> {
         }
     }
 
-    fn behaviors(&self) -> Vec<FastbcNode<FastTiming>> {
+    pub(crate) fn behaviors(&self) -> Vec<FastbcNode<FastTiming>> {
         let n = self.graph.node_count();
         (0..n)
             .map(|i| {
@@ -301,6 +301,10 @@ impl FastSlots for FastTiming {
 
 /// Per-node behavior of FASTBC and Robust FASTBC: the fast slots `T`
 /// on even rounds, a Decay step on odd rounds.
+///
+/// Both halves are cached as the round they next broadcast in, and
+/// [`NodeBehavior::next_act`] reports the earlier of the two, so the
+/// engine wakes an informed node only in the rounds it broadcasts.
 #[derive(Debug, Clone)]
 pub(crate) struct FastbcNode<T> {
     informed: bool,
@@ -312,6 +316,12 @@ pub(crate) struct FastbcNode<T> {
     /// re-deriving the slot. [`NEVER`] while uninformed and for slow
     /// nodes.
     next_due: u64,
+    /// The odd round whose Decay coin fires next, drawn ahead from the
+    /// node's own stream (see [`DecayNode::next_broadcast`]) at its
+    /// first act after being informed and again after each slow
+    /// broadcast. [`NEVER`] while uninformed, [`UNDRAWN`] from being
+    /// informed until that first act.
+    next_slow: u64,
 }
 
 impl<T: FastSlots> FastbcNode<T> {
@@ -321,6 +331,7 @@ impl<T: FastSlots> FastbcNode<T> {
             phase_len,
             fast,
             next_due: NEVER,
+            next_slow: NEVER,
         };
         if source {
             node.inform(0);
@@ -331,6 +342,13 @@ impl<T: FastSlots> FastbcNode<T> {
     fn inform(&mut self, from: u64) {
         self.informed = true;
         self.next_due = self.fast.map_or(NEVER, |slots| slots.next_due(from));
+        self.next_slow = UNDRAWN;
+    }
+
+    /// The odd round `2t + 1` of the first Decay step `t ≥ from_step`
+    /// whose coin fires.
+    fn draw_slow(&self, from_step: u64, ctx: &mut Ctx<'_>) -> u64 {
+        2 * DecayNode::next_broadcast(self.phase_len, from_step, ctx.rng) + 1
     }
 }
 
@@ -339,25 +357,26 @@ impl<T: FastSlots> NodeBehavior<()> for FastbcNode<T> {
         if !self.informed {
             return Action::Listen;
         }
-        if ctx.round.is_multiple_of(2) {
-            // Fast round. An informed node is polled every round (see
-            // `wants_poll`), so `act` meets each due round exactly.
-            debug_assert!(ctx.round <= self.next_due, "fast slot skipped");
-            if ctx.round != self.next_due {
-                return Action::Listen;
-            }
+        if self.next_slow == UNDRAWN {
+            // Slow round 2t + 1 runs Decay step t; the first at or
+            // after this round is step ⌊round/2⌋.
+            self.next_slow = self.draw_slow(ctx.round / 2, ctx);
+        }
+        // The engine wakes the node at `next_act`, the earlier of the
+        // two, so neither due round can pass unseen.
+        debug_assert!(ctx.round <= self.next_due, "fast slot skipped");
+        debug_assert!(ctx.round <= self.next_slow, "slow broadcast skipped");
+        if ctx.round == self.next_due {
             if let Some(slots) = self.fast {
                 self.next_due = slots.next_due(ctx.round + 1);
             }
             Action::Broadcast(())
+        } else if ctx.round == self.next_slow {
+            // Slow round 2t + 1: draw ahead from Decay step t + 1.
+            self.next_slow = self.draw_slow(ctx.round.div_ceil(2), ctx);
+            Action::Broadcast(())
         } else {
-            // Slow transmission round 2t + 1: Decay step t.
-            let t = (ctx.round - 1) / 2;
-            if DecayNode::draw_broadcast(self.phase_len, t, ctx.rng) {
-                Action::Broadcast(())
-            } else {
-                Action::Listen
-            }
+            Action::Listen
         }
     }
 
@@ -371,15 +390,15 @@ impl<T: FastSlots> NodeBehavior<()> for FastbcNode<T> {
         self.informed
     }
 
-    // Quiescence opt-in: an uninformed node listens without drawing in
-    // both the fast (deterministic slot) and Decay halves, so the
-    // engine may skip it until the message reaches it.
-    fn wants_poll(&self) -> bool {
-        self.informed
+    // Uninformed: never, until a packet arrives. Informed: every round
+    // until the first act draws the slow coins ahead, then the next
+    // fast or slow broadcast. A packet only moves `NEVER` to `UNDRAWN`.
+    fn next_act(&self) -> u64 {
+        self.next_due.min(self.next_slow)
     }
 
     // Silence never changes a node (see `receive`), `act` only draws
-    // and advances `next_due`, and there is no queue.
+    // ahead and advances the cached rounds, and there is no queue.
     const SILENCE_TRANSPARENT: bool = true;
 }
 
@@ -596,6 +615,106 @@ mod tests {
                     })
                     .unwrap();
                 assert!(run.completed());
+            }
+        }
+    }
+
+    /// Runs `behaviors` to full decode (or 100 000 rounds), sparse or
+    /// dense, returning every round's trace, the stats, the latency
+    /// profile and the act sweep's node visits.
+    fn observe<B: NodeBehavior<()> + Clone>(
+        g: &Graph,
+        channel: Channel,
+        behaviors: &[B],
+        seed: u64,
+        dense: bool,
+    ) -> (
+        Vec<RoundTrace>,
+        radio_model::SimStats,
+        radio_model::LatencyProfile,
+        u64,
+    ) {
+        let mut sim = Simulator::new(g, channel, behaviors.to_vec(), seed)
+            .unwrap()
+            .with_dense_sweeps(dense)
+            .with_telemetry(true);
+        let mut traces = Vec::new();
+        while sim.stats().decoded_nodes < g.node_count() as u64 && sim.round() < 100_000 {
+            let mut t = RoundTrace::default();
+            sim.step_traced(&mut t);
+            traces.push(t);
+        }
+        let visits = sim.telemetry().active_node_rounds;
+        (traces, *sim.stats(), sim.latency_profile(), visits)
+    }
+
+    /// Checks that informed nodes sleeping in the engine's wake wheel
+    /// change nothing against the dense oracle, which acts every node in
+    /// every round, and that they do sleep.
+    fn assert_sleeping_matches_dense<B: NodeBehavior<()> + Clone>(
+        g: &Graph,
+        channel: Channel,
+        behaviors: &[B],
+        seed: u64,
+    ) {
+        let (traces, stats, profile, visits) = observe(g, channel, behaviors, seed, false);
+        let dense = observe(g, channel, behaviors, seed, true);
+        assert_eq!(stats.decoded_nodes, g.node_count() as u64, "{channel}");
+        for (round, (sparse, dense)) in traces.iter().zip(&dense.0).enumerate() {
+            assert_eq!(sparse, dense, "round {round} under {channel}, seed {seed}");
+        }
+        assert_eq!(traces.len(), dense.0.len());
+        assert_eq!(
+            (stats, profile),
+            (dense.1, dense.2),
+            "{channel}, seed {seed}"
+        );
+        // At least a quarter of the dense visits are skipped.
+        assert!(
+            4 * visits < 3 * dense.3,
+            "{visits} of {} act visits",
+            dense.3
+        );
+    }
+
+    #[test]
+    fn sleeping_decay_and_fastbc_nodes_match_dense_sweeps() {
+        // Dilated FASTBC (`ρ = 3`) rides along: it sleeps through the
+        // fast base rounds whose slot does not fire.
+        use crate::decay::{default_phase_len, DecayNode};
+        use crate::repetition::RepeatedFastbcSchedule;
+        use crate::robust_fastbc::RobustFastbcSchedule;
+        let graphs = [
+            generators::path(40),
+            generators::grid(8, 8),
+            generators::gnp_connected(64, 0.08, 3).unwrap(),
+        ];
+        let channels = [
+            Channel::faultless(),
+            Channel::receiver(0.3).unwrap(),
+            Channel::sender(0.2)
+                .unwrap()
+                .compose(Channel::erasure(0.3).unwrap())
+                .unwrap(),
+        ];
+        for g in &graphs {
+            let source = NodeId::new(0);
+            let phase_len = default_phase_len(g.node_count());
+            let decay: Vec<DecayNode> = (0..g.node_count())
+                .map(|i| DecayNode::new(i == 0, phase_len))
+                .collect();
+            let fast = FastbcSchedule::new(g, source).unwrap().behaviors();
+            let robust = RobustFastbcSchedule::new(g, source).unwrap().behaviors();
+            let dilated = RepeatedFastbcSchedule::new(g, source, 3)
+                .unwrap()
+                .behaviors();
+            for channel in channels {
+                for seed in [3, 4] {
+                    assert_sleeping_matches_dense(g, channel, &decay, seed);
+                    assert_sleeping_matches_dense(g, channel, &fast, seed);
+                    assert_sleeping_matches_dense(g, channel, &robust, seed);
+                    assert_sleeping_matches_dense(g, channel, &dilated, seed);
+                }
             }
         }
     }

@@ -99,9 +99,17 @@ impl<'g> RepeatedFastbcSchedule<'g> {
         seed: u64,
         max_rounds: u64,
     ) -> Result<BroadcastRun, CoreError> {
+        let mut sim = Simulator::new(self.graph, fault, self.behaviors(), seed)?;
+        let rounds = sim.run_until_decoded(max_rounds);
+        Ok(BroadcastRun {
+            rounds,
+            stats: *sim.stats(),
+        })
+    }
+
+    pub(crate) fn behaviors(&self) -> Vec<DilatedFastbcNode> {
         let gbst = self.inner.gbst();
-        let n = self.graph.node_count();
-        let behaviors: Vec<DilatedFastbcNode> = (0..n)
+        (0..self.graph.node_count())
             .map(|i| {
                 let v = NodeId::from_index(i);
                 DilatedFastbcNode {
@@ -109,26 +117,25 @@ impl<'g> RepeatedFastbcSchedule<'g> {
                     repetitions: u64::from(self.repetitions),
                     phase_len: self.inner.phase_len(),
                     fast: gbst.is_fast(v).then(|| self.inner.timing(v)),
+                    resume: 0,
                 }
             })
-            .collect();
-        let mut sim = Simulator::new(self.graph, fault, behaviors, seed)?;
-        let rounds = sim.run_until_decoded(max_rounds);
-        Ok(BroadcastRun {
-            rounds,
-            stats: *sim.stats(),
-        })
+            .collect()
     }
 }
 
 /// FASTBC node behavior dilated by `ρ`: real round `r` executes base
 /// round `r / ρ` (fresh randomness per repetition of slow rounds).
 #[derive(Debug, Clone)]
-struct DilatedFastbcNode {
+pub(crate) struct DilatedFastbcNode {
     informed: bool,
     repetitions: u64,
     phase_len: u32,
     fast: Option<FastTiming>,
+    /// The first round of the next slow base round, set in a fast base
+    /// round whose slot does not fire: the node has nothing to do until
+    /// then. Stale (at or before the current round) otherwise.
+    resume: u64,
 }
 
 impl NodeBehavior<()> for DilatedFastbcNode {
@@ -141,7 +148,10 @@ impl NodeBehavior<()> for DilatedFastbcNode {
             let t = base / 2;
             match self.fast {
                 Some(slot) if slot.matches(t) => Action::Broadcast(()),
-                _ => Action::Listen,
+                _ => {
+                    self.resume = (base + 1) * self.repetitions;
+                    Action::Listen
+                }
             }
         } else {
             let t = (base - 1) / 2;
@@ -163,14 +173,19 @@ impl NodeBehavior<()> for DilatedFastbcNode {
         self.informed
     }
 
-    // Quiescence opt-in, as for undilated FASTBC: an uninformed node
-    // listens without drawing in both halves.
-    fn wants_poll(&self) -> bool {
-        self.informed
+    // Quiescence opt-in: an uninformed node listens without drawing in
+    // both halves, and an informed one draws nothing in a fast base
+    // round whose slot does not fire, so it sleeps until `resume`.
+    fn next_act(&self) -> u64 {
+        if self.informed {
+            self.resume
+        } else {
+            u64::MAX
+        }
     }
 
-    // Silence never changes a node (see `receive`), `act` only reads
-    // state and draws, and there is no queue.
+    // Silence never changes a node (see `receive`), `act` only draws
+    // and sets `resume`, and there is no queue.
     const SILENCE_TRANSPARENT: bool = true;
 }
 

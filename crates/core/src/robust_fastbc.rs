@@ -180,7 +180,7 @@ impl<'g> RobustFastbcSchedule<'g> {
         }
     }
 
-    fn behaviors(&self) -> Vec<FastbcNode<BlockTiming>> {
+    pub(crate) fn behaviors(&self) -> Vec<FastbcNode<BlockTiming>> {
         let n = self.graph.node_count();
         (0..n)
             .map(|i| {

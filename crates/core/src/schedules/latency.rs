@@ -243,10 +243,13 @@ impl NodeBehavior<()> for XinXiaNode {
     }
 
     // Quiescence opt-in: an uninformed Xin–Xia node listens without
-    // drawing (informed nodes still act — their slot gating is
-    // round-dependent, which this hook cannot express).
-    fn wants_poll(&self) -> bool {
-        self.informed
+    // drawing. Informed nodes are swept in every round.
+    fn next_act(&self) -> u64 {
+        if self.informed {
+            0
+        } else {
+            u64::MAX
+        }
     }
 
     // Silence never changes a Xin–Xia node (see `receive`), `act`

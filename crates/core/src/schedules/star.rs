@@ -113,8 +113,11 @@ impl NodeBehavior<u64> for CodingNode {
     // Quiescence opt-in: leaves never broadcast and only count
     // packets, so the act sweep can skip them every round — the
     // engine's reach set still delivers the center's broadcasts.
-    fn wants_poll(&self) -> bool {
-        matches!(self, CodingNode::Center)
+    fn next_act(&self) -> u64 {
+        match self {
+            CodingNode::Center => 0,
+            CodingNode::Leaf { .. } => u64::MAX,
+        }
     }
 }
 

@@ -146,8 +146,12 @@ impl NodeBehavior<u64> for DecayTrafficNode {
     // without drawing. The source additionally stays swept through its
     // `queued` backlog, and every injection goes through
     // `Simulator::behaviors_mut`, which re-activates it regardless.
-    fn wants_poll(&self) -> bool {
-        self.informed
+    fn next_act(&self) -> u64 {
+        if self.informed {
+            0
+        } else {
+            u64::MAX
+        }
     }
 
     fn queued(&self) -> u64 {
@@ -325,8 +329,12 @@ impl NodeBehavior<u64> for XinXiaTrafficNode {
     // Quiescence opt-in: with an empty relay queue the slot-gated
     // `act` neither draws nor mutates (it only cycles a non-empty
     // queue), and only packets change state.
-    fn wants_poll(&self) -> bool {
-        !self.relay.is_empty()
+    fn next_act(&self) -> u64 {
+        if self.relay.is_empty() {
+            u64::MAX
+        } else {
+            0
+        }
     }
 
     fn queued(&self) -> u64 {
@@ -486,8 +494,12 @@ impl NodeBehavior<(u64, CodedPacket<Gf256>)> for RlncTrafficNode {
     // node listens without drawing and discards every reception, so
     // the engine may skip it until `drain` starts the next generation
     // (which runs under `Simulator::behaviors_mut` and re-activates).
-    fn wants_poll(&self) -> bool {
-        self.state.is_some()
+    fn next_act(&self) -> u64 {
+        if self.state.is_some() {
+            0
+        } else {
+            u64::MAX
+        }
     }
 
     fn queued(&self) -> u64 {

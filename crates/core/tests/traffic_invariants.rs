@@ -21,14 +21,11 @@ fn one_message_traffic_degenerates_to_one_shot_decay() {
     // Reference: a hand-stepped one-shot Decay run with traces.
     let phase_len = default_phase_len(g.node_count());
     let behaviors: Vec<DecayNode> = (0..g.node_count())
-        .map(|i| DecayNode {
-            informed: i == source.index(),
-            phase_len,
-        })
+        .map(|i| DecayNode::new(i == source.index(), phase_len))
         .collect();
     let mut sim = Simulator::new(&g, channel, behaviors, seed).unwrap();
     let mut reference_traces = Vec::new();
-    while !sim.behaviors().iter().all(|b| b.informed) {
+    while !sim.behaviors().iter().all(DecayNode::informed) {
         let mut t = RoundTrace::default();
         sim.step_traced(&mut t);
         reference_traces.push(t);

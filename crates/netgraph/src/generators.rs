@@ -8,13 +8,37 @@
 //! topologies), and stars / the WCT (throughput-gap topologies).
 //!
 //! All random generators take an explicit `u64` seed and are fully
-//! deterministic given that seed.
+//! deterministic given that seed. Every fallible generator rejects a
+//! node count that [`NodeId`] cannot index (see
+//! [`checked_node_count`]) before it allocates anything.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::{Graph, GraphBuilder, GraphError, NodeId};
+
+/// The most nodes a graph can hold: [`NodeId`]s are `u32`, so ids run
+/// from 0 to `u32::MAX`.
+const MAX_NODES: u64 = 1 << 32;
+
+/// Checks the node count of a `family` topology, computed with checked
+/// arithmetic (`None` where it overflowed), against the range of
+/// [`NodeId`]. The fallible generators call this before they build;
+/// callers of the infallible ones (`path`, `star`, `grid`) can call it
+/// first to turn an oversized request into an error.
+///
+/// # Errors
+///
+/// Returns [`GraphError::DegenerateTopology`] if the count overflowed
+/// or exceeds `2³²`.
+pub fn checked_node_count(family: &str, count: Option<usize>) -> Result<usize, GraphError> {
+    count
+        .filter(|&n| n as u64 <= MAX_NODES)
+        .ok_or_else(|| GraphError::DegenerateTopology {
+            reason: format!("{family} has more than {MAX_NODES} nodes"),
+        })
+}
 
 /// Path graph `P_n`: nodes `0 — 1 — … — n-1`. Diameter `n - 1`.
 ///
@@ -40,7 +64,7 @@ pub fn cycle(n: usize) -> Result<Graph, GraphError> {
             reason: format!("cycle requires n >= 3, got {n}"),
         });
     }
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::new(checked_node_count("cycle", Some(n))?);
     for i in 0..n {
         b.add_edge(NodeId::from_index(i), NodeId::from_index((i + 1) % n))
             .expect("cycle edges are always valid");
@@ -103,20 +127,27 @@ pub fn grid(rows: usize, cols: usize) -> Graph {
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::DegenerateTopology`] if `arity == 0`.
+/// Returns [`GraphError::DegenerateTopology`] if `arity == 0` or the
+/// tree has more nodes than [`NodeId`] can index.
 pub fn balanced_tree(arity: usize, depth: usize) -> Result<Graph, GraphError> {
     if arity == 0 {
         return Err(GraphError::DegenerateTopology {
             reason: "tree arity must be >= 1".into(),
         });
     }
-    // Node count: 1 + a + a^2 + ... + a^depth.
-    let mut count = 1usize;
+    // Node count: 1 + a + a^2 + ... + a^depth. Every level adds a node,
+    // so 2³² levels are out of range, and the loop stops as soon as the
+    // count is.
+    let mut count = ((depth as u64) < MAX_NODES).then_some(1usize);
     let mut level = 1usize;
     for _ in 0..depth {
-        level = level.checked_mul(arity).expect("tree too large");
-        count = count.checked_add(level).expect("tree too large");
+        level = level.saturating_mul(arity);
+        count = count.and_then(|c| c.checked_add(level));
+        if count.map_or(true, |c| c as u64 > MAX_NODES) {
+            break;
+        }
     }
+    let count = checked_node_count("tree", count)?;
     let mut b = GraphBuilder::new(count);
     // Children of node i are a*i + 1 .. a*i + a (heap layout) for arity a.
     for i in 0..count {
@@ -138,14 +169,18 @@ pub fn balanced_tree(arity: usize, depth: usize) -> Result<Graph, GraphError> {
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::DegenerateTopology`] if `spine == 0`.
+/// Returns [`GraphError::DegenerateTopology`] if `spine == 0` or the
+/// caterpillar has more nodes than [`NodeId`] can index.
 pub fn caterpillar(spine: usize, legs: usize) -> Result<Graph, GraphError> {
     if spine == 0 {
         return Err(GraphError::DegenerateTopology {
             reason: "caterpillar spine empty".into(),
         });
     }
-    let n = spine + spine * legs;
+    let n = checked_node_count(
+        "caterpillar",
+        spine.checked_mul(legs).and_then(|l| l.checked_add(spine)),
+    )?;
     let mut b = GraphBuilder::new(n);
     for i in 1..spine {
         b.add_edge(NodeId::from_index(i - 1), NodeId::from_index(i))
@@ -166,15 +201,19 @@ pub fn caterpillar(spine: usize, legs: usize) -> Result<Graph, GraphError> {
 ///
 /// # Errors
 ///
-/// Returns [`GraphError::DegenerateTopology`] if `legs == 0` or
-/// `leg_len == 0`.
+/// Returns [`GraphError::DegenerateTopology`] if `legs == 0`,
+/// `leg_len == 0`, or the spider has more nodes than [`NodeId`] can
+/// index.
 pub fn spider(legs: usize, leg_len: usize) -> Result<Graph, GraphError> {
     if legs == 0 || leg_len == 0 {
         return Err(GraphError::DegenerateTopology {
             reason: "spider requires legs >= 1 and leg_len >= 1".into(),
         });
     }
-    let n = 1 + legs * leg_len;
+    let n = checked_node_count(
+        "spider",
+        legs.checked_mul(leg_len).and_then(|l| l.checked_add(1)),
+    )?;
     let mut b = GraphBuilder::new(n);
     for leg in 0..legs {
         let base = 1 + leg * leg_len;
@@ -231,6 +270,7 @@ pub fn gnp(n: usize, edge_prob: f64, seed: u64) -> Result<Graph, GraphError> {
             reason: format!("edge probability {edge_prob} outside [0, 1]"),
         });
     }
+    checked_node_count("gnp", Some(n))?;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut b = GraphBuilder::new(n);
     for i in 0..n {
@@ -263,6 +303,7 @@ pub fn gnp_connected(n: usize, edge_prob: f64, seed: u64) -> Result<Graph, Graph
             reason: format!("edge probability {edge_prob} outside [0, 1]"),
         });
     }
+    checked_node_count("gnp_connected", Some(n))?;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut b = GraphBuilder::new(n);
     // Random spanning tree: random order, attach each new node to a
@@ -297,6 +338,7 @@ pub fn random_tree(n: usize, seed: u64) -> Result<Graph, GraphError> {
             reason: "random_tree needs n >= 1".into(),
         });
     }
+    checked_node_count("random_tree", Some(n))?;
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut order: Vec<usize> = (0..n).collect();
     order.shuffle(&mut rng);
@@ -339,7 +381,10 @@ pub fn layered_random(
         });
     }
     let mut rng = SmallRng::seed_from_u64(seed);
-    let n = 1 + layers * width;
+    let n = checked_node_count(
+        "layered_random",
+        layers.checked_mul(width).and_then(|l| l.checked_add(1)),
+    )?;
     let id = |layer: usize, i: usize| NodeId::from_index(1 + layer * width + i);
     let mut b = GraphBuilder::new(n);
     for i in 0..width {
@@ -385,6 +430,7 @@ pub fn unit_disk(n: usize, radius: f64, seed: u64) -> Result<Graph, GraphError> 
             reason: format!("radius {radius} must be positive and finite"),
         });
     }
+    checked_node_count("unit_disk", Some(n))?;
     let mut rng = SmallRng::seed_from_u64(seed);
     let points: Vec<(f64, f64)> = (0..n)
         .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
@@ -422,6 +468,7 @@ pub fn unit_disk_connected(n: usize, radius: f64, seed: u64) -> Result<Graph, Gr
             reason: format!("radius {radius} must be positive and finite"),
         });
     }
+    checked_node_count("unit_disk", Some(n))?;
     let mut rng = SmallRng::seed_from_u64(seed);
     let points: Vec<(f64, f64)> = (0..n)
         .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
@@ -458,15 +505,17 @@ pub fn unit_disk_connected(n: usize, radius: f64, seed: u64) -> Result<Graph, Gr
 /// # Errors
 ///
 /// Returns [`GraphError::DegenerateTopology`] if either dimension is
-/// below 3 (wraparound would create multi-edges/self-loops).
+/// below 3 (wraparound would create multi-edges/self-loops) or the
+/// torus has more nodes than [`NodeId`] can index.
 pub fn torus(rows: usize, cols: usize) -> Result<Graph, GraphError> {
     if rows < 3 || cols < 3 {
         return Err(GraphError::DegenerateTopology {
             reason: format!("torus needs both dimensions >= 3, got {rows}×{cols}"),
         });
     }
+    let n = checked_node_count("torus", rows.checked_mul(cols))?;
     let id = |r: usize, c: usize| NodeId::from_index(r * cols + c);
-    let mut b = GraphBuilder::new(rows * cols);
+    let mut b = GraphBuilder::new(n);
     for r in 0..rows {
         for c in 0..cols {
             b.add_edge(id(r, c), id((r + 1) % rows, c))
@@ -686,5 +735,24 @@ mod tests {
         assert_eq!(g.node_count(), 7);
         assert_eq!(g.edge_count(), 12);
         assert_eq!(metrics::diameter(&g), Some(2));
+    }
+
+    #[test]
+    fn node_counts_beyond_node_ids_are_errors() {
+        let big = 1usize << 32;
+        assert_eq!(checked_node_count("path", Some(big)), Ok(big));
+        assert!(checked_node_count("path", Some(big + 1)).is_err());
+        assert!(checked_node_count("grid", big.checked_mul(big)).is_err());
+        // Each fails before building anything.
+        assert!(torus(big, big).is_err());
+        assert!(torus(big, 3).is_err());
+        assert!(spider(big, big).is_err());
+        assert!(caterpillar(big, big).is_err());
+        assert!(layered_random(big, 2, 0.5, 1).is_err());
+        assert!(balanced_tree(1000, 1000).is_err());
+        assert!(balanced_tree(2, 32).is_err());
+        assert!(balanced_tree(1, usize::MAX).is_err());
+        assert!(gnp(big + 1, 0.5, 1).is_err());
+        assert_eq!(balanced_tree(2, 3).unwrap().node_count(), 15);
     }
 }

@@ -241,14 +241,14 @@ where
         }
     }
 
-    fn wants_poll(&self) -> bool {
+    fn next_act(&self) -> u64 {
         match self.role {
             // Jammers draw their coin every round, forever.
-            Some(Misbehavior::Jam) => true,
+            Some(Misbehavior::Jam) => 0,
             // Crashed and equivocating nodes delegate `act` to (or
             // silence) the inner behavior, so its quiescence promise
             // carries over unchanged.
-            _ => self.inner.wants_poll(),
+            _ => self.inner.next_act(),
         }
     }
 }

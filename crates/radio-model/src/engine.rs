@@ -8,14 +8,26 @@
 //! set united with the **reach set** — the neighbors of this round's
 //! broadcasters, recomputed each round, which is exactly the set of
 //! nodes that hear something other than silence. A node leaves the
-//! active set when its behavior reports [`NodeBehavior::wants_poll`]`
-//! = false` with no queued traffic (a quiescence promise: acting and
+//! active set when its behavior reports [`NodeBehavior::next_act`]`
+//! = u64::MAX` with no queued traffic (a quiescence promise: acting and
 //! hearing silence are no-ops for it), and re-enters it the moment a
 //! broadcast reaches it. Dense execution is therefore reproduced
 //! bit-for-bit — skipped nodes are precisely those for which the
 //! dense sweeps would have drawn nothing and changed nothing —
 //! and [`Simulator::with_dense_sweeps`] forces the dense reference
 //! behavior for differential tests.
+//!
+//! # Wake wheel
+//!
+//! A [silence-transparent](NodeBehavior::SILENCE_TRANSPARENT) node
+//! whose `next_act` lies past the next round also leaves the active
+//! set, right after its `act`, and is filed in a wheel of 64 bitsets
+//! under that round; each round begins by moving its due slot back
+//! into the active set. A wake more than 64 rounds ahead is filed in
+//! the wheel's last slot, and when that slot fires the node acts (a
+//! no-op, by the promise) and is filed again. A node reached while
+//! asleep stays in its slot, which the reception rule of
+//! [`NodeBehavior::next_act`] makes safe.
 //!
 //! # Slot resolution
 //!
@@ -54,6 +66,10 @@ use crate::{Action, Channel, ModelError, Payload, Reception};
 /// `fork_rng(seed, FAULT_STREAM_BASE + i)`. Disjoint from the behavior
 /// streams at indices `0..n` for any representable node count.
 const FAULT_STREAM_BASE: u64 = 1 << 63;
+
+/// Slots in the wake wheel: a sleeper is filed at most this many rounds
+/// ahead (see the module docs).
+const WHEEL_SLOTS: u64 = 64;
 
 /// Per-round context handed to a [`NodeBehavior`].
 #[derive(Debug)]
@@ -124,14 +140,17 @@ pub trait NodeBehavior<P> {
         0
     }
 
-    /// Whether the engine must keep sweeping this node while nothing
-    /// reaches it.
+    /// The earliest round whose [`NodeBehavior::act`] can do anything
+    /// before this node next hears a non-[`Reception::Silence`]
+    /// reception.
     ///
-    /// Returning `false` is a **quiescence promise**: until this node
-    /// next hears a non-[`Reception::Silence`] reception, (a) its
-    /// [`NodeBehavior::act`] returns [`Action::Listen`] without
-    /// drawing from the node's RNG or mutating state, (b) its
-    /// [`NodeBehavior::receive`] of [`Reception::Silence`] is a no-op,
+    /// Answering `r` is a **quiescence promise**: until this node next
+    /// hears a non-silent reception, its `act` in every round before
+    /// `r` returns [`Action::Listen`] without drawing from the node's
+    /// RNG or mutating state. The default `0` promises nothing and
+    /// keeps the node swept every round — always safe. `u64::MAX`
+    /// promises it for every round, and further that (b) the node's
+    /// [`NodeBehavior::receive`] of [`Reception::Silence`] is a no-op
     /// and (c) its [`NodeBehavior::decoded`] and
     /// [`NodeBehavior::queued`] answers are frozen. The engine then
     /// drops the node from the active set and skips it entirely —
@@ -142,13 +161,23 @@ pub trait NodeBehavior<P> {
     /// [`NodeBehavior::queued`]` > 0` stays active regardless of this
     /// answer.
     ///
-    /// The engine re-polls this after every sweep in which the node
-    /// participated, so the answer may change with state (e.g. an
-    /// uninformed Decay node answers `false`, then `true` from the
-    /// round it first hears the message). The default `true` keeps a
-    /// behavior swept every round — always safe.
-    fn wants_poll(&self) -> bool {
-        true
+    /// A finite round later than the next one lets a
+    /// [silence-transparent](NodeBehavior::SILENCE_TRANSPARENT) node
+    /// sleep: the engine takes it out of the active set right after
+    /// its `act` and files it in a 64-slot wake wheel under that round
+    /// (a round further ahead under the wheel's last slot, where the
+    /// node acts, as a no-op, and is filed again). Other behaviors stay
+    /// swept every round while the answer is finite.
+    ///
+    /// The engine re-polls this whenever it sweeps the node, so the
+    /// answer may change with state (e.g. an uninformed Decay node
+    /// answers `u64::MAX`, `0` from the round it first hears the
+    /// message, and its next broadcast round from its first act on).
+    /// **Reception rule:** a reception may leave the answer unchanged
+    /// or bring it to the next round or earlier, never to any other
+    /// round — a node reached while asleep stays filed where it was.
+    fn next_act(&self) -> u64 {
+        0
     }
 
     /// Whether this behavior is **silence-transparent**: a compile-time
@@ -157,9 +186,8 @@ pub trait NodeBehavior<P> {
     /// 1. [`NodeBehavior::receive`] of [`Reception::Silence`] is a
     ///    no-op,
     /// 2. [`NodeBehavior::act`] never changes the answers of
-    ///    [`NodeBehavior::decoded`], [`NodeBehavior::queued`], or
-    ///    [`NodeBehavior::wants_poll`] (only non-silent receptions
-    ///    can), and
+    ///    [`NodeBehavior::decoded`] or [`NodeBehavior::queued`] (only
+    ///    non-silent receptions can), and
     /// 3. [`NodeBehavior::queued`] is identically `0`.
     ///
     /// Under this promise a round's silent listeners and broadcasters
@@ -167,8 +195,10 @@ pub trait NodeBehavior<P> {
     /// deliver, no decode or queue transition to record — so the
     /// engine resolves only the **reached** listeners per-node and
     /// carries everyone else's activity bits forward a whole word at a
-    /// time. Observables are bit-identical either way; the promise
-    /// merely licenses skipping work the contract makes vacuous.
+    /// time, and it may put a node to sleep until its
+    /// [`NodeBehavior::next_act`]. Observables are bit-identical either
+    /// way; the promise merely licenses skipping work the contract
+    /// makes vacuous.
     ///
     /// The default `false` keeps every swept node's silence delivery
     /// and end-of-round poll — always safe. Behaviors that queue
@@ -270,7 +300,8 @@ pub struct RoundTrace {
 /// Per-phase engine telemetry accumulated while
 /// [`Simulator::with_telemetry`] is on: wall-clock nanoseconds per
 /// sweep phase, word-parallel sweep efficiency (words visited vs
-/// skipped wholesale), and active-set occupancy summed over rounds.
+/// skipped wholesale), and the act sweep's node visits summed over
+/// rounds.
 ///
 /// Pure observation: the engine computes every result before touching
 /// these tallies, so enabling telemetry cannot change any artifact —
@@ -298,8 +329,9 @@ pub struct EngineTelemetry {
     pub recv_words_visited: u64,
     /// Receive-sweep words skipped wholesale.
     pub recv_words_skipped: u64,
-    /// Active-set occupancy summed over rounds (node-rounds swept by
-    /// the act sweep).
+    /// Node visits the act sweep made, summed over rounds: the
+    /// active-set occupancy at the start of each act sweep, before
+    /// sleepers leave it.
     pub active_node_rounds: u64,
 }
 
@@ -329,6 +361,10 @@ pub struct Simulator<'g, P, B> {
     sender_ok: Vec<bool>,
     /// Nodes swept by this round's act sweep (see the module docs).
     active: Bitset,
+    /// The wake wheel: slot `r % 64` holds the sleepers due back in
+    /// round `r` (see the module docs). Empty unless the behavior is
+    /// silence-transparent.
+    wheel: Vec<Bitset>,
     /// The active set being accumulated for the next round.
     next_active: Bitset,
     /// Neighbors of this round's broadcasters: the nodes that hear
@@ -343,7 +379,7 @@ pub struct Simulator<'g, P, B> {
     heard_from: Vec<u32>,
     /// Set by [`Simulator::behaviors_mut`]: behavior state may have
     /// changed outside a sweep, so the active set must be rebuilt from
-    /// `wants_poll`/`queued` before the next round.
+    /// `next_act`/`queued` before the next round.
     stale: bool,
     /// Forces full sweeps every round (the dense reference mode).
     dense: bool,
@@ -413,6 +449,11 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
             broadcasting: Bitset::new(n),
             sender_ok: vec![true; n],
             active: Bitset::new(n),
+            wheel: if B::SILENCE_TRANSPARENT {
+                (0..WHEEL_SLOTS).map(|_| Bitset::new(n)).collect()
+            } else {
+                Vec::new()
+            },
             next_active: Bitset::new(n),
             reach: Bitset::new(n),
             collided: Bitset::new(n),
@@ -427,10 +468,10 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
     }
 
     /// Forces the dense reference mode: every round sweeps every node,
-    /// as if every behavior answered [`NodeBehavior::wants_poll`]` =
-    /// true`. By the quiescence contract this is bit-identical to the
-    /// default sparse mode — differential tests use it as the oracle;
-    /// there is no other reason to turn it on.
+    /// as if every behavior answered [`NodeBehavior::next_act`]` = 0`,
+    /// and the wake wheel is unused. By the quiescence contract this is
+    /// bit-identical to the default sparse mode — differential tests
+    /// use it as the oracle; there is no other reason to turn it on.
     pub fn with_dense_sweeps(mut self, dense: bool) -> Self {
         self.dense = dense;
         self
@@ -589,11 +630,13 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
     /// One synchronous round: act, reach, deliver/receive, merge.
     fn step_inner(&mut self, mut trace: Option<&mut RoundTrace>) -> RoundReport {
         self.begin_round();
+        let wheel: &mut [Bitset] = if self.dense { &mut [] } else { &mut self.wheel };
         let act = act_sweep(
             self.graph,
             self.channel,
             self.round,
-            &self.active,
+            &mut self.active,
+            wheel,
             &mut self.behaviors,
             &mut self.node_rngs,
             &mut self.fault_rngs,
@@ -628,20 +671,32 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
     }
 
     /// Prepares the round's scratch sets: rebuilds the active set when
-    /// it is stale (or forced dense), and clears the per-round
+    /// it is stale (or forced dense), moves the sleepers due this round
+    /// from the wake wheel into it, and clears the per-round
     /// broadcaster and next-active accumulators.
     fn begin_round(&mut self) {
         if self.dense {
             self.active.insert_all();
             self.stale = false;
-        } else if self.stale {
-            self.active.clear();
-            for (i, b) in self.behaviors.iter().enumerate() {
-                if b.wants_poll() || b.queued() > 0 {
-                    self.active.insert(i);
+        } else {
+            if self.stale {
+                // Every node that may act joins; a sleeper that acts
+                // before its round does nothing and is filed again.
+                self.active.clear();
+                self.wheel.iter_mut().for_each(Bitset::clear);
+                for (i, b) in self.behaviors.iter().enumerate() {
+                    if b.next_act() != u64::MAX || b.queued() > 0 {
+                        self.active.insert(i);
+                    }
+                }
+                self.stale = false;
+            }
+            if let Some(due) = self.wheel.get_mut((self.round % WHEEL_SLOTS) as usize) {
+                for (a, d) in self.active.words_mut().iter_mut().zip(due.words_mut()) {
+                    *a |= *d;
+                    *d = 0;
                 }
             }
-            self.stale = false;
         }
         self.broadcasting.clear();
         self.next_active.clear();
@@ -701,10 +756,8 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
             queued: recv.queued,
         };
         if self.timed {
-            // Occupancy reads the *executed* round's active set, so it
-            // must precede the swap below.
             self.telemetry.rounds += 1;
-            self.telemetry.active_node_rounds += self.active.count_ones() as u64;
+            self.telemetry.active_node_rounds += act.visits;
             self.telemetry.act_ns += act.nanos;
             self.telemetry.receive_ns += recv.nanos;
             self.telemetry.act_words_visited += act.words_visited;
@@ -795,6 +848,8 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
 struct ActPart {
     broadcasters: u64,
     sender_faults: u64,
+    /// Nodes whose `act` the sweep called.
+    visits: u64,
     /// Sweep wall-clock (0 unless the simulator is timed).
     nanos: u64,
     /// Bitset words that entered the per-node loop.
@@ -825,8 +880,15 @@ struct RecvPart {
 /// broadcasters, and sample sender faults (one draw per broadcaster,
 /// from the broadcaster's own channel stream — a faulted sender still
 /// occupies the channel). Inactive nodes are skipped entirely: by the
-/// [`NodeBehavior::wants_poll`] contract their `act` would return
+/// [`NodeBehavior::next_act`] contract their `act` would return
 /// [`Action::Listen`] without drawing or mutating.
+///
+/// Unless `wheel` is empty (behaviors that cannot sleep, and dense
+/// mode), a node whose `next_act` lies past the next round leaves
+/// `active` right after its `act` and is filed in the wheel under that
+/// round, or under the wheel's last slot if it lies further ahead; a
+/// node that answers `u64::MAX` is filed nowhere, as a reception is
+/// what wakes it.
 ///
 /// `actions` and `sender_ok` entries are written only for
 /// broadcasters — every read of either is guarded by the broadcaster
@@ -840,7 +902,8 @@ fn act_sweep<P: Payload, B: NodeBehavior<P>>(
     graph: &Graph,
     channel: Channel,
     round: u64,
-    active: &Bitset,
+    active: &mut Bitset,
+    wheel: &mut [Bitset],
     behaviors: &mut [B],
     node_rngs: &mut [SmallRng],
     fault_rngs: &mut [SmallRng],
@@ -870,14 +933,18 @@ fn act_sweep<P: Payload, B: NodeBehavior<P>>(
     let fault_rngs = &mut fault_rngs[..n];
     let actions = &mut actions[..n];
     let sender_ok = &mut sender_ok[..n];
-    let words = active.words();
-    for (w, &mw) in words.iter().enumerate() {
+    let sleeps = B::SILENCE_TRANSPARENT && !wheel.is_empty();
+    let words = active.words_mut();
+    for (w, word) in words.iter_mut().enumerate() {
+        let mw = *word;
         let mut m = mw;
         if m == 0 {
             continue;
         }
         part.words_visited += 1;
+        part.visits += u64::from(mw.count_ones());
         let mut b_word = 0u64;
+        let mut asleep = 0u64;
         while m != 0 {
             let bit = m.trailing_zeros() as usize;
             m &= m - 1;
@@ -890,6 +957,16 @@ fn act_sweep<P: Payload, B: NodeBehavior<P>>(
                 graph,
             };
             let action = behaviors[i].act(&mut ctx);
+            if sleeps {
+                let wake = behaviors[i].next_act();
+                if wake > round + 1 {
+                    asleep |= 1 << bit;
+                    if wake != u64::MAX {
+                        let slot = wake.min(round + WHEEL_SLOTS) % WHEEL_SLOTS;
+                        wheel[slot as usize].or_word(w, 1 << bit);
+                    }
+                }
+            }
             if action.is_broadcast() {
                 b_word |= 1 << bit;
                 part.broadcasters += 1;
@@ -904,6 +981,7 @@ fn act_sweep<P: Payload, B: NodeBehavior<P>>(
                 actions[i] = action;
             }
         }
+        *word = mw & !asleep;
         if b_word != 0 {
             broadcasting.or_word(w, b_word);
         }
@@ -918,7 +996,7 @@ fn act_sweep<P: Payload, B: NodeBehavior<P>>(
 /// Phase 3 over `active ∪ reach`: resolve every listener's slot
 /// outcome and deliver it, then poll each swept node's decode and
 /// queue state and decide its next-round activity. Skipped nodes would
-/// have heard silence and, by the [`NodeBehavior::wants_poll`]
+/// have heard silence and, by the [`NodeBehavior::next_act`]
 /// contract, ignored it with frozen observables. Trace entries are
 /// appended in ascending listener order.
 ///
@@ -1106,6 +1184,11 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
                 rng: &mut node_rngs[i],
                 graph,
             };
+            let before = if cfg!(debug_assertions) {
+                behaviors[i].next_act()
+            } else {
+                0
+            };
             behaviors[i].receive(&mut ctx, rx);
             let depth = poll_node(
                 &behaviors[i],
@@ -1118,8 +1201,20 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
             // Re-polled *after* the reception: a node stays active
             // exactly while its (possibly just-updated) state asks for
             // sweeping. Nodes that go quiescent here are re-woken
-            // through the reach set the next time a broadcast arrives.
-            if depth > 0 || behaviors[i].wants_poll() {
+            // through the reach set the next time a broadcast arrives;
+            // a silence-transparent sleeper reached here stays filed in
+            // the wake wheel, which the reception rule keeps on time.
+            let wake = behaviors[i].next_act();
+            debug_assert!(
+                !B::SILENCE_TRANSPARENT || wake == before || wake <= round + 1,
+                "{node}'s reception in round {round} moved next_act from {before} to {wake}"
+            );
+            let stays = if B::SILENCE_TRANSPARENT {
+                wake <= round + 1
+            } else {
+                depth > 0 || wake != u64::MAX
+            };
+            if stays {
                 na_word |= mask;
             }
         }

@@ -114,8 +114,69 @@ impl NodeBehavior<()> for Flood {
     fn decoded(&self) -> bool {
         self.informed
     }
-    fn wants_poll(&self) -> bool {
-        self.informed
+    fn next_act(&self) -> u64 {
+        if self.informed {
+            0
+        } else {
+            u64::MAX
+        }
+    }
+}
+
+/// Sleeping behavior for the wake wheel: an informed node draws the
+/// round of its next broadcast ahead, 1 to `MAX_NAP` rounds on, and
+/// reports it through `next_act`, so the sparse engine files it in the
+/// wake wheel — past the wheel's 64 slots for most gaps — and must wake
+/// it exactly on time. It tallies its non-silent receptions, so nodes
+/// reached while asleep change state without changing `next_act`.
+#[derive(Debug, Clone, PartialEq)]
+struct Napper {
+    /// The round of the next broadcast: `u64::MAX` while uninformed,
+    /// 0 from being informed until the first act draws.
+    next: u64,
+    heard: u64,
+}
+
+/// The longest gap a [`Napper`] draws between broadcasts.
+const MAX_NAP: u64 = 200;
+
+impl Napper {
+    fn new(informed: bool) -> Self {
+        Napper {
+            next: if informed { 0 } else { u64::MAX },
+            heard: 0,
+        }
+    }
+}
+
+impl NodeBehavior<()> for Napper {
+    const SILENCE_TRANSPARENT: bool = true;
+
+    fn act(&mut self, ctx: &mut Ctx<'_>) -> Action<()> {
+        if self.next == 0 {
+            self.next = ctx.round + rand::Rng::gen_range(ctx.rng, 0..MAX_NAP);
+        }
+        assert!(ctx.round <= self.next, "napper woken late");
+        if ctx.round != self.next {
+            return Action::Listen;
+        }
+        self.next = ctx.round + rand::Rng::gen_range(ctx.rng, 1..=MAX_NAP);
+        Action::Broadcast(())
+    }
+    fn receive(&mut self, _ctx: &mut Ctx<'_>, rx: Reception<()>) {
+        if rx.kind() == ReceptionKind::Silence {
+            return;
+        }
+        self.heard += 1;
+        if rx.is_packet() && self.next == u64::MAX {
+            self.next = 0;
+        }
+    }
+    fn decoded(&self) -> bool {
+        self.next != u64::MAX
+    }
+    fn next_act(&self) -> u64 {
+        self.next
     }
 }
 
@@ -202,7 +263,7 @@ proptest! {
         // — traces, reports, stats, latency profile, and behavior
         // state.
         //
-        // Chatter nodes keep the default `wants_poll = true`, so every
+        // Chatter nodes keep the default `next_act = 0`, so every
         // node stays in the active set; this pins the always-active
         // path.
         let chatter = chatter(g.node_count(), prob);
@@ -219,6 +280,15 @@ proptest! {
             .collect();
         let sparse = modal_run(&g, channel, &floods, seed, 25, false);
         let dense = modal_run(&g, channel, &floods, seed, 25, true);
+        prop_assert_eq!(sparse, dense);
+
+        // Nappers sleep in the wake wheel between broadcasts, often
+        // beyond its last slot, and are reached while asleep. 200
+        // rounds wrap the wheel three times; half the nodes start
+        // informed so most sleep from the first rounds on.
+        let nappers: Vec<Napper> = (0..g.node_count()).map(|i| Napper::new(i % 2 == 0)).collect();
+        let sparse = modal_run(&g, channel, &nappers, seed, 200, false);
+        let dense = modal_run(&g, channel, &nappers, seed, 200, true);
         prop_assert_eq!(sparse, dense);
     }
 
@@ -529,7 +599,7 @@ fn every_reception_kind_is_observable() {
     assert_eq!(sim.stats().erasures, b[3].counts[2]);
 }
 
-/// Behavior that reports `wants_poll = false` while listening and
+/// Behavior that reports `next_act = u64::MAX` while listening and
 /// counts every `act`/`receive` call it gets — it makes the sparse
 /// engine's sweep-skipping directly visible. (It deliberately keeps
 /// observable state in calls the quiescence contract lets the engine
@@ -563,8 +633,12 @@ impl NodeBehavior<()> for SleepCounter {
     fn receive(&mut self, _ctx: &mut Ctx<'_>, _rx: Reception<()>) {
         self.receptions += 1;
     }
-    fn wants_poll(&self) -> bool {
-        self.broadcast
+    fn next_act(&self) -> u64 {
+        if self.broadcast {
+            0
+        } else {
+            u64::MAX
+        }
     }
 }
 
@@ -649,4 +723,30 @@ fn behaviors_mut_reactivates_quiescent_nodes() {
         (0, 0),
         "far node stays asleep"
     );
+}
+
+/// A stale active set (after `behaviors_mut`) is rebuilt with every
+/// sleeper awake and the wake wheel cleared; the sleepers then act as
+/// no-ops and are filed again, so the run still matches the dense
+/// oracle round for round.
+#[test]
+fn stale_rebuild_keeps_sleepers_on_time() {
+    let g = generators::gnp_connected(30, 0.15, 5).unwrap();
+    let channel = Channel::receiver(0.3).unwrap();
+    let nappers: Vec<Napper> = (0..30).map(|i| Napper::new(i % 3 == 0)).collect();
+    let mut sparse = Simulator::new(&g, channel, nappers.clone(), 8).unwrap();
+    let mut dense = Simulator::new(&g, channel, nappers, 8)
+        .unwrap()
+        .with_dense_sweeps(true);
+    for round in 0..300 {
+        if round % 37 == 0 {
+            sparse.behaviors_mut();
+        }
+        let (mut a, mut b) = (RoundTrace::default(), RoundTrace::default());
+        sparse.step_traced(&mut a);
+        dense.step_traced(&mut b);
+        assert_eq!(a, b, "round {round}");
+    }
+    assert_eq!(sparse.stats(), dense.stats());
+    assert_eq!(sparse.behaviors(), dense.behaviors());
 }

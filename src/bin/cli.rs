@@ -291,12 +291,20 @@ fn parse_topology(spec: &str, seed: u64) -> Result<Graph, String> {
         let (r, c) = s.split_once('x').ok_or_else(usage)?;
         Ok((num(r)?, num(c)?))
     };
+    // The infallible generators build whatever they are asked for, so
+    // their node counts are checked here.
+    let count = |family, n| generators::checked_node_count(family, n).map_err(|e| e.to_string());
     let g = match (parts.first().copied(), parts.len()) {
-        (Some("path"), 2) => generators::path(num(parts[1])?),
+        (Some("path"), 2) => generators::path(count("path", Some(num(parts[1])?))?),
         (Some("cycle"), 2) => generators::cycle(num(parts[1])?).map_err(|e| e.to_string())?,
-        (Some("star"), 2) => generators::star(num(parts[1])?),
+        (Some("star"), 2) => {
+            let leaves = num(parts[1])?;
+            count("star", leaves.checked_add(1))?;
+            generators::star(leaves)
+        }
         (Some("grid"), 2) => {
             let (r, c) = dims(parts[1])?;
+            count("grid", r.checked_mul(c))?;
             generators::grid(r, c)
         }
         (Some("torus"), 2) => {
@@ -309,7 +317,8 @@ fn parse_topology(spec: &str, seed: u64) -> Result<Graph, String> {
         (Some("gnp"), 3) => generators::gnp_connected(num(parts[1])?, fnum(parts[2])?, seed)
             .map_err(|e| e.to_string())?,
         (Some("hypercube"), 2) => {
-            generators::hypercube(num(parts[1])? as u32).map_err(|e| e.to_string())?
+            let dim = parts[1].parse::<u32>().map_err(|_| usage())?;
+            generators::hypercube(dim).map_err(|e| e.to_string())?
         }
         (Some("caterpillar"), 3) => {
             generators::caterpillar(num(parts[1])?, num(parts[2])?).map_err(|e| e.to_string())?
@@ -813,6 +822,19 @@ mod tests {
         assert!(parse_topology("udg:30:0.3", 1).is_ok());
         assert!(parse_topology("banana:3", 1).is_err());
         assert!(parse_topology("grid:3", 1).is_err());
+        // Node counts past `NodeId`'s range are errors, not truncated
+        // or panicking builds.
+        for spec in [
+            "hypercube:4294967297",
+            "grid:4294967296x4294967296",
+            "torus:4294967296x4294967296",
+            "spider:4294967296:4294967296",
+            "tree:1000:1000",
+            "star:18446744073709551615",
+            "caterpillar:4294967296:4294967296",
+        ] {
+            assert!(parse_topology(spec, 1).is_err(), "{spec}");
+        }
     }
 
     #[test]
