@@ -680,10 +680,12 @@ mod tests {
     #[test]
     fn sleeping_decay_and_fastbc_nodes_match_dense_sweeps() {
         // Dilated FASTBC (`ρ = 3`) rides along: it sleeps through the
-        // fast base rounds whose slot does not fire.
+        // fast base rounds whose slot does not fire. So does Xin–Xia,
+        // which sleeps through the rounds outside its layer's mod-3 slot.
         use crate::decay::{default_phase_len, DecayNode};
         use crate::repetition::RepeatedFastbcSchedule;
         use crate::robust_fastbc::RobustFastbcSchedule;
+        use crate::schedules::latency::XinXiaSchedule;
         let graphs = [
             generators::path(40),
             generators::grid(8, 8),
@@ -708,12 +710,14 @@ mod tests {
             let dilated = RepeatedFastbcSchedule::new(g, source, 3)
                 .unwrap()
                 .behaviors();
+            let xin_xia = XinXiaSchedule::new(g, source).unwrap().behaviors();
             for channel in channels {
                 for seed in [3, 4] {
                     assert_sleeping_matches_dense(g, channel, &decay, seed);
                     assert_sleeping_matches_dense(g, channel, &fast, seed);
                     assert_sleeping_matches_dense(g, channel, &robust, seed);
                     assert_sleeping_matches_dense(g, channel, &dilated, seed);
+                    assert_sleeping_matches_dense(g, channel, &xin_xia, seed);
                 }
             }
         }

@@ -123,7 +123,7 @@ impl<'g> XinXiaSchedule<'g> {
         self.contention[layer]
     }
 
-    fn behaviors(&self) -> Vec<XinXiaNode> {
+    pub(crate) fn behaviors(&self) -> Vec<XinXiaNode> {
         let n = self.graph.node_count();
         (0..n)
             .map(|i| {
@@ -133,6 +133,7 @@ impl<'g> XinXiaSchedule<'g> {
                     layer,
                     slot_probability: 1.0 / f64::from(self.contention[layer as usize]),
                     informed: v == self.layers.source(),
+                    next_slot: 0,
                 }
             })
             .collect()
@@ -214,10 +215,13 @@ fn contention_bounds(graph: &Graph, layers: &BfsLayers) -> Vec<u32> {
 /// Per-node Xin–Xia behavior: broadcast (if informed) in rounds
 /// `r ≡ layer (mod 3)` with the layer's slot probability.
 #[derive(Debug, Clone)]
-struct XinXiaNode {
+pub(crate) struct XinXiaNode {
     layer: u32,
     slot_probability: f64,
     informed: bool,
+    /// Three rounds on from the last slot round this node acted in;
+    /// `0` before its first, so the engine sweeps it until then.
+    next_slot: u64,
 }
 
 impl NodeBehavior<()> for XinXiaNode {
@@ -225,6 +229,7 @@ impl NodeBehavior<()> for XinXiaNode {
         if !self.informed || ctx.round % 3 != u64::from(self.layer) % 3 {
             return Action::Listen;
         }
+        self.next_slot = ctx.round + 3;
         if rand::Rng::gen_bool(ctx.rng, self.slot_probability) {
             Action::Broadcast(())
         } else {
@@ -242,11 +247,12 @@ impl NodeBehavior<()> for XinXiaNode {
         self.informed
     }
 
-    // Quiescence opt-in: an uninformed Xin–Xia node listens without
-    // drawing. Informed nodes are swept in every round.
+    // Uninformed: never, until a packet arrives. Informed: every round
+    // until its first slot round, then three rounds on from each, since
+    // `act` only listens in the rounds between.
     fn next_act(&self) -> u64 {
         if self.informed {
-            0
+            self.next_slot
         } else {
             u64::MAX
         }
