@@ -363,9 +363,9 @@ impl NodeBehavior<()> for DecayNode {
         self.next
     }
 
-    // Silence never changes a Decay node (see `receive`), `act` only
-    // draws ahead, and there is no queue: the engine may settle silent
-    // and broadcasting Decay nodes word-at-a-time.
+    // Only a packet changes a Decay node (see `receive`), `act` only
+    // draws ahead, and there is no queue: the engine may settle every
+    // Decay node but the delivered listeners word-at-a-time.
     const SILENCE_TRANSPARENT: bool = true;
 }
 

@@ -397,7 +397,7 @@ impl<T: FastSlots> NodeBehavior<()> for FastbcNode<T> {
         self.next_due.min(self.next_slow)
     }
 
-    // Silence never changes a node (see `receive`), `act` only draws
+    // Only a packet changes a node (see `receive`), `act` only draws
     // ahead and advances the cached rounds, and there is no queue.
     const SILENCE_TRANSPARENT: bool = true;
 }
@@ -719,6 +719,51 @@ mod tests {
                     assert_sleeping_matches_dense(g, channel, &dilated, seed);
                     assert_sleeping_matches_dense(g, channel, &xin_xia, seed);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn packet_only_dispatch_matches_the_opaque_oracle() {
+        // Past one 64-node bitset word, so that the receive sweep's
+        // activity carries cross word boundaries.
+        use crate::decay::{default_phase_len, DecayNode};
+        use crate::opaque::assert_matches_opaque;
+        use crate::repetition::RepeatedFastbcSchedule;
+        use crate::robust_fastbc::RobustFastbcSchedule;
+        use crate::schedules::latency::XinXiaSchedule;
+        let graphs = [
+            generators::path(200),
+            generators::grid(12, 12),
+            generators::star(150),
+        ];
+        let channels = [
+            Channel::faultless(),
+            Channel::receiver(0.3).unwrap(),
+            Channel::sender(0.2)
+                .unwrap()
+                .compose(Channel::erasure(0.3).unwrap())
+                .unwrap(),
+        ];
+        for g in &graphs {
+            let source = NodeId::new(0);
+            let phase_len = default_phase_len(g.node_count());
+            let decay: Vec<DecayNode> = (0..g.node_count())
+                .map(|i| DecayNode::new(i == 0, phase_len))
+                .collect();
+            let fast = FastbcSchedule::new(g, source).unwrap().behaviors();
+            let robust = RobustFastbcSchedule::new(g, source).unwrap().behaviors();
+            let dilated = RepeatedFastbcSchedule::new(g, source, 3)
+                .unwrap()
+                .behaviors();
+            let xin_xia = XinXiaSchedule::new(g, source).unwrap().behaviors();
+            for channel in channels {
+                let seed = 6;
+                assert_matches_opaque(g, channel, &decay, seed, 100_000);
+                assert_matches_opaque(g, channel, &fast, seed, 100_000);
+                assert_matches_opaque(g, channel, &robust, seed, 100_000);
+                assert_matches_opaque(g, channel, &dilated, seed, 100_000);
+                assert_matches_opaque(g, channel, &xin_xia, seed, 100_000);
             }
         }
     }

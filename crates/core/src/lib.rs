@@ -36,6 +36,8 @@
 #![warn(missing_docs)]
 
 mod error;
+#[cfg(test)]
+mod opaque;
 mod outcome;
 
 pub mod consensus;

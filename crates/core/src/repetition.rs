@@ -184,7 +184,7 @@ impl NodeBehavior<()> for DilatedFastbcNode {
         }
     }
 
-    // Silence never changes a node (see `receive`), `act` only draws
+    // Only a packet changes a node (see `receive`), `act` only draws
     // and sets `resume`, and there is no queue.
     const SILENCE_TRANSPARENT: bool = true;
 }

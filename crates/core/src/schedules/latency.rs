@@ -258,7 +258,7 @@ impl NodeBehavior<()> for XinXiaNode {
         }
     }
 
-    // Silence never changes a Xin–Xia node (see `receive`), `act`
+    // Only a packet changes a Xin–Xia node (see `receive`), `act`
     // only reads the slot gate and draws, and there is no queue.
     const SILENCE_TRANSPARENT: bool = true;
 }

@@ -20,13 +20,29 @@ use radio_obs::PhaseSet;
 use crate::schedules::SequentialSourceController;
 use crate::{BroadcastRun, CoreError};
 
+/// The star with `leaves` leaves that every schedule here runs on.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidParameter`] if the star has more nodes than a
+/// [`NodeId`] can index; it is rejected before anything is allocated.
+fn checked_star(leaves: usize) -> Result<Graph, CoreError> {
+    generators::checked_node_count("star", leaves.checked_add(1)).map_err(|e| {
+        CoreError::InvalidParameter {
+            reason: e.to_string(),
+        }
+    })?;
+    Ok(generators::star(leaves))
+}
+
 /// Runs the Lemma 15 adaptive routing schedule on a star with
 /// `leaves` leaves: broadcast `m_1` until every leaf has it, then
 /// `m_2`, and so on.
 ///
 /// # Errors
 ///
-/// Propagates simulator configuration errors.
+/// Propagates simulator configuration errors;
+/// [`CoreError::InvalidParameter`] if the star has more than 2³² nodes.
 pub fn star_routing(
     leaves: usize,
     k: usize,
@@ -34,7 +50,7 @@ pub fn star_routing(
     seed: u64,
     max_rounds: u64,
 ) -> Result<RoutingOutcome, CoreError> {
-    let g = generators::star(leaves);
+    let g = checked_star(leaves)?;
     let mut c = SequentialSourceController {
         source: NodeId::new(0),
     };
@@ -65,7 +81,7 @@ pub fn star_routing_telemetry(
     seed: u64,
     max_rounds: u64,
 ) -> Result<(RoutingOutcome, PhaseSet), CoreError> {
-    let g = generators::star(leaves);
+    let g = checked_star(leaves)?;
     let mut c = SequentialSourceController {
         source: NodeId::new(0),
     };
@@ -119,6 +135,11 @@ impl NodeBehavior<u64> for CodingNode {
             CodingNode::Leaf { .. } => u64::MAX,
         }
     }
+
+    // Only a packet changes a leaf (see `receive`), and `decoded` and
+    // `queued` keep their defaults: the engine calls only the leaves a
+    // packet reached.
+    const SILENCE_TRANSPARENT: bool = true;
 }
 
 /// Runs the Lemma 16 Reed–Solomon coding schedule on a star until
@@ -128,7 +149,8 @@ impl NodeBehavior<u64> for CodingNode {
 /// # Errors
 ///
 /// Propagates simulator configuration errors;
-/// [`CoreError::InvalidParameter`] if `k == 0`.
+/// [`CoreError::InvalidParameter`] if `k == 0` or the star has more
+/// than 2³² nodes.
 pub fn star_coding(
     leaves: usize,
     k: usize,
@@ -141,7 +163,7 @@ pub fn star_coding(
             reason: "k must be ≥ 1".into(),
         });
     }
-    let g = generators::star(leaves);
+    let g = checked_star(leaves)?;
     let behaviors: Vec<CodingNode> = std::iter::once(CodingNode::Center)
         .chain((0..leaves).map(|_| CodingNode::Leaf { received: 0 }))
         .collect();
@@ -166,7 +188,8 @@ pub fn star_coding(
 ///
 /// # Errors
 ///
-/// Propagates simulator configuration errors.
+/// Propagates simulator configuration errors;
+/// [`CoreError::InvalidParameter`] if the star has more than 2³² nodes.
 pub fn star_coding_fixed_length(
     leaves: usize,
     k: usize,
@@ -174,7 +197,7 @@ pub fn star_coding_fixed_length(
     fault: Channel,
     seed: u64,
 ) -> Result<bool, CoreError> {
-    let g = generators::star(leaves);
+    let g = checked_star(leaves)?;
     let behaviors: Vec<CodingNode> = std::iter::once(CodingNode::Center)
         .chain((0..leaves).map(|_| CodingNode::Leaf { received: 0 }))
         .collect();
@@ -195,7 +218,8 @@ pub fn star_coding_fixed_length(
 ///
 /// # Errors
 ///
-/// Propagates coding and simulator errors.
+/// Propagates coding and simulator errors;
+/// [`CoreError::InvalidParameter`] if the star has more than 2³² nodes.
 pub fn star_coding_end_to_end(
     leaves: usize,
     k: usize,
@@ -209,6 +233,7 @@ pub fn star_coding_end_to_end(
 
     use std::rc::Rc;
 
+    let g = checked_star(leaves)?;
     let mut rng = radio_model::fork_rng(seed, 0xE2E);
     let data: Rc<Vec<Vec<Gf65536>>> = Rc::new(
         (0..k)
@@ -220,7 +245,6 @@ pub fn star_coding_end_to_end(
             .collect(),
     );
     let rs = ReedSolomon::<Gf65536>::new(k)?;
-    let g = generators::star(leaves);
     // The schedule can use at most |F| - 1 distinct packets.
     let max_rounds = max_rounds.min(ReedSolomon::<Gf65536>::capacity() as u64);
 
@@ -383,11 +407,54 @@ mod tests {
     }
 
     #[test]
+    fn star_beyond_node_id_range_is_rejected_before_it_is_built() {
+        // 2³² leaves make 2³² + 1 nodes, one more than `NodeId` holds;
+        // building that star would push 2³² edges first.
+        let fault = Channel::faultless();
+        for leaves in [1usize << 32, usize::MAX] {
+            let rejected = |r: Result<(), CoreError>| {
+                assert!(
+                    matches!(r, Err(CoreError::InvalidParameter { .. })),
+                    "{leaves} leaves: {r:?}"
+                );
+            };
+            rejected(star_routing(leaves, 1, fault, 0, 10).map(drop));
+            rejected(star_routing_telemetry(leaves, 1, fault, 0, 10).map(drop));
+            rejected(star_coding(leaves, 1, fault, 0, 10).map(drop));
+            rejected(star_coding_fixed_length(leaves, 1, 10, fault, 0).map(drop));
+            rejected(star_coding_end_to_end(leaves, 1, 1, fault, 0, 10).map(drop));
+        }
+    }
+
+    #[test]
     fn zero_k_rejected() {
         assert!(matches!(
             star_coding(4, 0, Channel::faultless(), 0, 10),
             Err(CoreError::InvalidParameter { .. })
         ));
+    }
+
+    #[test]
+    fn coding_leaves_match_the_opaque_oracle() {
+        // Leaves are called only when a packet reaches them; behind
+        // `Opaque` they hear every noise and erasure too.
+        let channels = [
+            Channel::faultless(),
+            Channel::receiver(0.3).unwrap(),
+            Channel::sender(0.2)
+                .unwrap()
+                .compose(Channel::erasure(0.3).unwrap())
+                .unwrap(),
+        ];
+        for leaves in [150, 299] {
+            let g = generators::star(leaves);
+            let behaviors: Vec<CodingNode> = std::iter::once(CodingNode::Center)
+                .chain((0..leaves).map(|_| CodingNode::Leaf { received: 0 }))
+                .collect();
+            for channel in channels {
+                crate::opaque::assert_matches_opaque(&g, channel, &behaviors, 8, 60);
+            }
+        }
     }
 
     #[test]

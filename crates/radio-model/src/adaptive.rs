@@ -12,12 +12,21 @@
 //! The runner enforces the routing semantics of §3.1: if a controller
 //! directs a node to broadcast a message the node has not received,
 //! the node stays silent instead.
+//!
+//! Slots resolve as in the engine ([`crate::Simulator`]): the round's
+//! senders go through the engine's reach pass, which settles who heard
+//! whom, and one sweep over 64 listeners at a time draws a loss for
+//! each clean listener — reached by exactly one sender, not sending,
+//! and not sender-faulted — and grants only the delivered ones their
+//! sender's message. A listener whose slot changes nothing costs only
+//! its loss draw.
 
-use netgraph::{Graph, NodeId};
+use netgraph::{Bitset, Graph, NodeId};
 use radio_obs::{PhaseSet, SpanTimer};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore};
 
+use crate::engine::{reach_pass, sender_faulted};
 use crate::rng::{fork_rng, kept_mask, loss_threshold};
 use crate::{BitMatrix, Channel, ModelError};
 
@@ -74,7 +83,8 @@ impl Knowledge {
 
     /// Grants message `m` to node `v`. Returns whether this was new.
     pub fn grant(&mut self, v: NodeId, m: MsgId) -> bool {
-        let fresh = self.grant_if(v.index(), m.index(), u64::MAX) == 1;
+        let fresh = self.matrix.set(v.index(), m.index());
+        self.missing[m.index()] -= usize::from(fresh);
         self.advance();
         fresh
     }
@@ -82,7 +92,7 @@ impl Knowledge {
     /// Grants all messages to `v` (the source's initial state).
     pub fn grant_all(&mut self, v: NodeId) {
         for m in 0..self.message_count() {
-            self.grant_if(v.index(), m, u64::MAX);
+            self.missing[m] -= usize::from(self.matrix.set(v.index(), m));
         }
         self.advance();
     }
@@ -117,16 +127,6 @@ impl Knowledge {
         self.matrix
             .first_zero_in_row(v.index())
             .map(|c| MsgId(c as u32))
-    }
-
-    /// Grants `m` to `v` if `enable` is all ones (0 grants nothing),
-    /// without branching; returns 1 if the grant was new, else 0. The
-    /// cursor waits for [`Self::advance`].
-    #[inline]
-    fn grant_if(&mut self, v: usize, m: usize, enable: u64) -> u64 {
-        let fresh = self.matrix.set_masked(v, m, enable);
-        self.missing[m] -= fresh as usize;
-        fresh
     }
 
     /// Moves the cursor past every message that no node lacks.
@@ -243,15 +243,6 @@ pub fn run_routing_telemetry(
     )
 }
 
-/// `heard` entry of a node no broadcaster reached.
-const SILENT: u32 = u32::MAX;
-/// `heard` entry of a broadcaster (half-duplex: it hears nothing).
-const SENDING: u32 = u32::MAX - 1;
-/// `heard` entry of a listener that heard noise: two or more
-/// broadcasters, or one whose sender fault fired. Every smaller entry
-/// is the index of the one clean broadcaster in the sender list.
-const NOISE: u32 = u32::MAX - 2;
-
 #[allow(clippy::too_many_arguments)]
 fn run_routing_inner(
     graph: &Graph,
@@ -269,13 +260,21 @@ fn run_routing_inner(
     let mut ctrl_rng = fork_rng(seed, 0);
     let mut fault_rng = fork_rng(seed, 1);
     let sender_fault = channel.sender_fault();
-    let delivery_fault = channel.delivery_fault();
+    let loss = channel.delivery_fault().map(loss_threshold);
 
     let mut broadcasts = 0u64;
     let mut fresh = 0u64;
     let mut round = 0u64;
     let mut senders: Vec<(NodeId, MsgId)> = Vec::new();
-    let mut heard = vec![SILENT; n];
+    let mut slot = Slot {
+        broadcasting: Bitset::new(n),
+        msg_of: vec![0; n],
+        sender_ok: vec![true; n],
+        reach: Bitset::new(n),
+        collided: Bitset::new(n),
+        heard_from: vec![0; n],
+        delivered: Bitset::new(n),
+    };
     let mut phases = PhaseSet::new();
 
     loop {
@@ -300,41 +299,56 @@ fn run_routing_inner(
             phases.add("routing/decide", decide_timer.elapsed_nanos());
         }
         let resolve_timer = SpanTimer::start(timed);
-        for &(u, _) in &senders {
-            heard[u.index()] = SENDING;
-        }
         // Sender faults: one draw per broadcaster, in ascending node
         // order (composed channels contribute their sender-side
         // component). A faulted broadcast still occupies the channel.
-        for (j, &(u, _)) in senders.iter().enumerate() {
-            let faulted = sender_fault.is_some_and(|p| fault_rng.gen_bool(p));
-            let tag = if faulted { NOISE } else { j as u32 };
-            // A second broadcaster turns a listener's slot into noise;
-            // a broadcaster stays SENDING, the larger sentinel.
-            for &v in graph.neighbors(u) {
-                let h = &mut heard[v.index()];
-                *h = if *h == SILENT { tag } else { (*h).max(NOISE) };
-            }
+        slot.broadcasting.clear();
+        for &(u, m) in &senders {
+            let i = u.index();
+            slot.broadcasting.insert(i);
+            slot.msg_of[i] = m.0;
+            slot.sender_ok[i] = !sender_fault.is_some_and(|p| fault_rng.gen_bool(p));
         }
-        fresh += match delivery_fault {
-            None => deliver(&mut knowledge, &mut heard, &senders, || u64::MAX),
-            Some(p) => {
-                // A local copy keeps the stream in registers.
-                let threshold = loss_threshold(p);
-                let mut rng = fault_rng.clone();
-                let fresh = deliver(&mut knowledge, &mut heard, &senders, || {
-                    kept_mask(rng.next_u64(), threshold)
-                });
-                fault_rng = rng;
-                fresh
-            }
-        };
+        reach_pass(
+            graph,
+            &slot.broadcasting,
+            &mut slot.reach,
+            &mut slot.collided,
+            &mut slot.heard_from,
+        );
+        let delivered;
+        (delivered, fault_rng) = resolve_listeners(
+            &mut knowledge,
+            &mut slot,
+            sender_fault.is_some(),
+            loss,
+            fault_rng,
+        );
+        fresh += delivered;
         knowledge.advance();
         if resolve_timer.enabled() {
             phases.add("routing/resolve", resolve_timer.elapsed_nanos());
         }
         round += 1;
     }
+}
+
+/// One round's slot, as the routing runner resolves it, in scratch
+/// reused across rounds: the senders with their messages and
+/// sender-fault outcomes, and what the shared [reach pass](reach_pass)
+/// settled of who heard whom.
+struct Slot {
+    broadcasting: Bitset,
+    /// `msg_of[u]` and `sender_ok[u]` are written only when `u` sends,
+    /// and read only through `heard_from` of a listener it alone
+    /// reached.
+    msg_of: Vec<u32>,
+    sender_ok: Vec<bool>,
+    reach: Bitset,
+    collided: Bitset,
+    heard_from: Vec<u32>,
+    /// The listeners a packet reached, filled by the loss draws.
+    delivered: Bitset,
 }
 
 /// Sorts the round's sender list by node and checks that every entry
@@ -359,35 +373,84 @@ fn check_senders(
         }
         previous = Some(u);
     }
-    // Sender indices are stored as `u32` below the sentinels.
-    assert!(
-        senders.len() < NOISE as usize,
-        "{} senders overflow the heard index",
-        senders.len()
-    );
     Ok(())
 }
 
-/// The delivery sweep. Visits every node in ascending order and resets
-/// its `heard` entry; each clean listener draws one keep mask from
-/// `kept` and gets a grant masked by it, so no branch depends on the
-/// draw or on whether the message was new. Returns the fresh
-/// deliveries.
-fn deliver(
+/// The delivery sweep, 64 listeners at a time. A clean listener is
+/// reached, not collided, not broadcasting and not sender-faulted; each
+/// draws one keep mask from `rng`, in ascending order, and only the
+/// delivered ones are granted their broadcaster's message. Returns the
+/// fresh deliveries and the stream.
+///
+/// The draws for every word come first, into `slot.delivered`, and the
+/// grants after: in one loop, the stream's four words left too few
+/// registers for the grants, whose run count went to the stack.
+// Out of line, like the engine's sweeps, with the stream passed in and
+// out by value, so that the loss loop holds all four of its words in
+// registers.
+#[inline(never)]
+fn resolve_listeners(
     knowledge: &mut Knowledge,
-    heard: &mut [u32],
-    senders: &[(NodeId, MsgId)],
-    mut kept: impl FnMut() -> u64,
-) -> u64 {
-    let mut fresh = 0;
-    for (v, h) in heard.iter_mut().enumerate() {
-        let j = std::mem::replace(h, SILENT);
-        if j < NOISE {
-            let m = senders[j as usize].1;
-            fresh += knowledge.grant_if(v, m.index(), kept());
+    slot: &mut Slot,
+    sender_faults: bool,
+    loss: Option<u64>,
+    mut rng: SmallRng,
+) -> (u64, SmallRng) {
+    let heard_from = &slot.heard_from[..];
+    let words = slot
+        .reach
+        .words()
+        .iter()
+        .zip(slot.collided.words())
+        .zip(slot.broadcasting.words())
+        .zip(slot.delivered.words_mut());
+    for (w, (((&rw, &cw), &bw), dw)) in words.enumerate() {
+        let single = rw & !cw & !bw;
+        let faulted = if sender_faults {
+            sender_faulted(single, w, heard_from, &slot.sender_ok)
+        } else {
+            0
+        };
+        let clean = single & !faulted;
+        let mut delivered = clean;
+        if let Some(threshold) = loss {
+            let mut m = clean;
+            while m != 0 {
+                let bit = m & m.wrapping_neg();
+                m &= m - 1;
+                delivered &= kept_mask(rng.next_u64(), threshold) | !bit;
+            }
+        }
+        *dw = delivered;
+    }
+    let Knowledge {
+        matrix, missing, ..
+    } = knowledge;
+    let msg_of = &slot.msg_of[..];
+    let mut fresh = 0u64;
+    // Fresh grants of a run of equal messages are counted in a register
+    // and subtracted from `missing` once per run: a subtract per
+    // listener would chain each store to the next load.
+    let (mut run_msg, mut run_fresh) = (0usize, 0usize);
+    for (w, &delivered) in slot.delivered.words().iter().enumerate() {
+        let mut m = delivered;
+        while m != 0 {
+            let v = w * 64 + m.trailing_zeros() as usize;
+            m &= m - 1;
+            let msg = msg_of[heard_from[v] as usize] as usize;
+            if msg != run_msg {
+                missing[run_msg] -= run_fresh;
+                fresh += run_fresh as u64;
+                (run_msg, run_fresh) = (msg, 0);
+            }
+            run_fresh += usize::from(matrix.set(v, msg));
         }
     }
-    fresh
+    if run_fresh > 0 {
+        missing[run_msg] -= run_fresh;
+        fresh += run_fresh as u64;
+    }
+    (fresh, rng)
 }
 
 #[cfg(test)]

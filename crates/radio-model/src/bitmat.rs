@@ -56,24 +56,12 @@ impl BitMatrix {
     /// # Panics
     ///
     /// Panics in debug builds if out of bounds.
-    pub fn set(&mut self, r: usize, c: usize) -> bool {
-        self.set_masked(r, c, u64::MAX) == 1
-    }
-
-    /// Sets bit `(r, c)` if `enable` is all ones and leaves it if
-    /// `enable` is 0, without branching on either or on the bit's old
-    /// value. Returns 1 if the bit changed, else 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if out of bounds.
     #[inline]
-    pub(crate) fn set_masked(&mut self, r: usize, c: usize, enable: u64) -> u64 {
-        let (w, bit) = self.index(r, c);
-        let mask = bit & enable;
+    pub fn set(&mut self, r: usize, c: usize) -> bool {
+        let (w, mask) = self.index(r, c);
         let word = self.bits[w];
         self.bits[w] = word | mask;
-        u64::from(!word & mask != 0)
+        word & mask == 0
     }
 
     /// Clears bit `(r, c)`.
@@ -136,27 +124,11 @@ mod tests {
         assert!(m.get(0, 2));
         m.clear(0, 2);
         assert!(!m.get(0, 2));
-    }
-
-    #[test]
-    fn set_masked_reports_only_real_changes() {
+        // Past a word boundary, in the second row: only that row moves.
         let mut m = BitMatrix::new(2, 70);
-        assert_eq!(
-            m.set_masked(1, 65, 0),
-            0,
-            "a masked-off set changes nothing"
-        );
-        assert!(!m.get(1, 65));
-        assert_eq!(m.set_masked(1, 65, u64::MAX), 1);
-        assert_eq!(
-            m.set_masked(1, 65, u64::MAX),
-            0,
-            "second set reports no change"
-        );
-        assert_eq!(m.set_masked(1, 65, 0), 0);
-        assert!(m.get(1, 65));
-        assert_eq!(m.row_count_ones(1), 1);
-        assert_eq!(m.row_count_ones(0), 0);
+        assert!(m.set(1, 65));
+        assert!(!m.set(1, 65), "second set reports no change");
+        assert_eq!((m.row_count_ones(0), m.row_count_ones(1)), (0, 1));
     }
 
     #[test]

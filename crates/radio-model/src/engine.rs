@@ -11,7 +11,8 @@
 //! active set when its behavior reports [`NodeBehavior::next_act`]`
 //! = u64::MAX` with no queued traffic (a quiescence promise: acting and
 //! hearing silence are no-ops for it), and re-enters it the moment a
-//! broadcast reaches it. Dense execution is therefore reproduced
+//! broadcast reaches it (for a silence-transparent behavior, the moment
+//! a packet is delivered to it). Dense execution is therefore reproduced
 //! bit-for-bit — skipped nodes are precisely those for which the
 //! dense sweeps would have drawn nothing and changed nothing —
 //! and [`Simulator::with_dense_sweeps`] forces the dense reference
@@ -34,12 +35,18 @@
 //! The reach pass that enumerates each broadcaster's neighbors also
 //! settles who every reached node heard: a node a second broadcaster
 //! reaches joins a `collided` set, and `heard_from` records the
-//! broadcaster of each node reached once. The receive sweep then
-//! resolves 64 listeners at a time from bit masks — collided,
-//! sender-faulted, lost, delivered — drawing each clean listener's loss
-//! once, counting outcomes by popcount, and only then handing out
-//! receptions in ascending node order. No listener re-scans its
-//! neighbors.
+//! broadcaster of each node reached once. A broadcaster's neighbors of
+//! one bitset word are gathered in a register and meet `reach` once per
+//! word. The adaptive-routing runner ([`crate::adaptive`]) resolves its
+//! slots with the same pass. The receive sweep then resolves 64
+//! listeners at a time from bit masks — collided, sender-faulted, lost,
+//! delivered — drawing each clean listener's loss once, counting
+//! outcomes by popcount, and only then handing out receptions in
+//! ascending node order. No listener re-scans its neighbors. For a
+//! [silence-transparent](NodeBehavior::SILENCE_TRANSPARENT) behavior
+//! only the delivered listeners are called at all: every other
+//! reception is a no-op for it, so every other node keeps its activity
+//! bit a whole word at a time.
 //!
 //! # Per-node random streams
 //!
@@ -156,7 +163,8 @@ pub trait NodeBehavior<P> {
     /// drops the node from the active set and skips it entirely —
     /// which is observationally identical to sweeping it, by the
     /// promise — until a neighbor's broadcast reaches it (any packet,
-    /// noise, or erasure re-wakes it) or the driver touches state via
+    /// noise, or erasure re-wakes it; only a packet, for a
+    /// silence-transparent behavior) or the driver touches state via
     /// [`Simulator::behaviors_mut`]. A node with
     /// [`NodeBehavior::queued`]` > 0` stays active regardless of this
     /// answer.
@@ -176,6 +184,9 @@ pub trait NodeBehavior<P> {
     /// **Reception rule:** a reception may leave the answer unchanged
     /// or bring it to the next round or earlier, never to any other
     /// round — a node reached while asleep stays filed where it was.
+    /// For a silence-transparent behavior only a packet can move it
+    /// (every other reception is a no-op), and the engine re-polls a
+    /// reached node only when a packet was delivered to it.
     fn next_act(&self) -> u64 {
         0
     }
@@ -183,26 +194,31 @@ pub trait NodeBehavior<P> {
     /// Whether this behavior is **silence-transparent**: a compile-time
     /// promise, for every node and every state, that
     ///
-    /// 1. [`NodeBehavior::receive`] of [`Reception::Silence`] is a
+    /// 1. [`NodeBehavior::receive`] of every reception that is not a
+    ///    [`Reception::Packet`] — silence, noise or an erasure — is a
     ///    no-op,
     /// 2. [`NodeBehavior::act`] never changes the answers of
     ///    [`NodeBehavior::decoded`] or [`NodeBehavior::queued`] (only
-    ///    non-silent receptions can), and
+    ///    packets can), and
     /// 3. [`NodeBehavior::queued`] is identically `0`.
     ///
-    /// Under this promise a round's silent listeners and broadcasters
-    /// are observationally inert in the delivery sweep — no silence to
-    /// deliver, no decode or queue transition to record — so the
-    /// engine resolves only the **reached** listeners per-node and
-    /// carries everyone else's activity bits forward a whole word at a
-    /// time, and it may put a node to sleep until its
-    /// [`NodeBehavior::next_act`]. Observables are bit-identical either
-    /// way; the promise merely licenses skipping work the contract
-    /// makes vacuous.
+    /// Promise 1 is what the [`Reception`] fidelity contract already
+    /// asks of noisy-model protocols, which cannot tell noise or an
+    /// erasure from silence. Under this promise every listener but a
+    /// delivered one, and every broadcaster, is observationally inert
+    /// in the delivery sweep — no reception to hand out, no decode or
+    /// queue transition to record — so the engine calls, polls and
+    /// re-decides only the **delivered** listeners and carries everyone
+    /// else's activity bits forward a whole word at a time, and it may
+    /// put a node to sleep until its [`NodeBehavior::next_act`].
+    /// Observables are bit-identical either way; the promise merely
+    /// licenses skipping work the contract makes vacuous.
     ///
-    /// The default `false` keeps every swept node's silence delivery
-    /// and end-of-round poll — always safe. Behaviors that queue
-    /// traffic or react to quiet slots must not opt in.
+    /// The default `false` hands every swept listener its reception
+    /// and polls every swept node at the end of the round — always
+    /// safe. Behaviors that queue traffic, react to quiet slots, or
+    /// branch on [`Reception::Erased`] (the erasure model) must not
+    /// opt in.
     const SILENCE_TRANSPARENT: bool = false;
 }
 
@@ -702,38 +718,17 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
         self.next_active.clear();
     }
 
-    /// Computes the reach set — every neighbor of every broadcaster,
-    /// i.e. exactly the nodes whose slot resolves to something other
-    /// than silence — and resolves who each reached node heard: the
-    /// nodes a second broadcaster reaches join `collided`, and
-    /// `heard_from` records a broadcaster of every reached node. Runs
-    /// after the act sweep.
+    /// Runs the [reach pass](reach_pass) over this round's
+    /// broadcasters, after the act sweep.
     fn compute_reach(&mut self) {
         let t0 = self.timed.then(Instant::now);
-        self.reach.clear();
-        self.collided.clear();
-        // Word-at-a-time over the broadcasters, like `act_sweep`; the
-        // equal-length slices share one bounds check per neighbor.
-        let reach = self.reach.words_mut();
-        let collided = &mut self.collided.words_mut()[..reach.len()];
-        let heard_from = &mut self.heard_from[..self.graph.node_count()];
-        for (bw_index, &bw) in self.broadcasting.words().iter().enumerate() {
-            let mut m = bw;
-            while m != 0 {
-                let sender = NodeId::from_index(bw_index * 64 + m.trailing_zeros() as usize);
-                m &= m - 1;
-                for &u in self.graph.neighbors(sender) {
-                    let i = u.index();
-                    let (w, bit) = (i / 64, 1u64 << (i % 64));
-                    // Already reached means a second broadcaster: no
-                    // branch, the old reach bit moves into `collided`.
-                    let r = reach[w];
-                    collided[w] |= r & bit;
-                    reach[w] = r | bit;
-                    heard_from[i] = sender.raw();
-                }
-            }
-        }
+        reach_pass(
+            self.graph,
+            &self.broadcasting,
+            &mut self.reach,
+            &mut self.collided,
+            &mut self.heard_from,
+        );
         if let Some(t) = t0 {
             self.telemetry.reach_ns += u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
@@ -993,6 +988,90 @@ fn act_sweep<P: Payload, B: NodeBehavior<P>>(
     part
 }
 
+/// The reach pass of slot resolution, shared by the engine and the
+/// adaptive-routing runner. Rebuilds `reach` — every neighbor of every
+/// `broadcasting` node, i.e. exactly the nodes whose slot resolves to
+/// something other than silence — and settles who each reached node
+/// heard: the nodes a second broadcaster reaches join `collided`, and
+/// `heard_from` records a broadcaster of every reached node. Only the
+/// entries of reached nodes outside `collided` are meaningful (there
+/// the one broadcaster), so `heard_from` is never cleared.
+pub(crate) fn reach_pass(
+    graph: &Graph,
+    broadcasting: &Bitset,
+    reach: &mut Bitset,
+    collided: &mut Bitset,
+    heard_from: &mut [u32],
+) {
+    reach.clear();
+    collided.clear();
+    // Word-at-a-time over the broadcasters, like `act_sweep`; re-slicing
+    // `collided` to `reach`'s length folds their bounds checks into one.
+    let reach = reach.words_mut();
+    let collided = &mut collided.words_mut()[..reach.len()];
+    let heard_from = &mut heard_from[..graph.node_count()];
+    // A bit already in `reach` means a second broadcaster: no branch,
+    // the old reach bits of the word move into `collided`.
+    let mut meet = |w: usize, bits: u64| {
+        let r = reach[w];
+        collided[w] |= r & bits;
+        reach[w] = r | bits;
+    };
+    for (bw_index, &bw) in broadcasting.words().iter().enumerate() {
+        let mut m = bw;
+        while m != 0 {
+            let sender = NodeId::from_index(bw_index * 64 + m.trailing_zeros() as usize);
+            m &= m - 1;
+            // CSR neighbor lists are sorted and free of duplicates, so
+            // the sender's bits of one word gather in a register and
+            // meet `reach` once per word; none of them can collide with
+            // another of its own.
+            let neighbors = graph.neighbors(sender);
+            let Some(first) = neighbors.first() else {
+                continue;
+            };
+            let mut w = first.index() / 64;
+            let mut bits = 0u64;
+            for &u in neighbors {
+                let i = u.index();
+                heard_from[i] = sender.raw();
+                if i / 64 != w {
+                    meet(w, bits);
+                    (w, bits) = (i / 64, 0);
+                }
+                bits |= 1 << (i % 64);
+            }
+            meet(w, bits);
+        }
+    }
+}
+
+/// The listeners of word `w` in `single` — each reached by exactly one
+/// broadcaster, `heard_from` — whose broadcaster's sender fault fired
+/// (`sender_ok` false): that broadcaster transmitted noise to every
+/// listener it reached. `sender_ok` is read only at broadcasters.
+pub(crate) fn sender_faulted(single: u64, w: usize, heard_from: &[u32], sender_ok: &[bool]) -> u64 {
+    let mut faulted = 0u64;
+    let mut m = single;
+    while m != 0 {
+        let bit = m.trailing_zeros();
+        m &= m - 1;
+        let s = heard_from[w * 64 + bit as usize] as usize;
+        faulted |= u64::from(!sender_ok[s]) << bit;
+    }
+    faulted
+}
+
+/// Appends the nodes of word `w` in `bits` to `list`, in ascending
+/// order.
+fn push_word(list: &mut Vec<NodeId>, w: usize, bits: u64) {
+    let mut m = bits;
+    while m != 0 {
+        list.push(NodeId::from_index(w * 64 + m.trailing_zeros() as usize));
+        m &= m - 1;
+    }
+}
+
 /// Phase 3 over `active ∪ reach`: resolve every listener's slot
 /// outcome and deliver it, then poll each swept node's decode and
 /// queue state and decide its next-round activity. Skipped nodes would
@@ -1004,10 +1083,13 @@ fn act_sweep<P: Payload, B: NodeBehavior<P>>(
 /// `reach`, `collided` and `heard_from` the reach pass recorded, the
 /// sweep builds the word's sender-faulted, lost and delivered masks,
 /// drawing each clean listener's loss once from its own channel
-/// stream, and tallies the round's counters by popcount. Behaviors
-/// then receive in ascending order. Every draw comes from the
-/// listener's own stream and no behavior can touch another node's, so
-/// drawing a word's losses before its behaviors run moves no draw.
+/// stream, tallies the round's counters by popcount, and fills the
+/// trace's collided and erased lists from the masks. Behaviors then
+/// receive in ascending order: every swept node, or, for a
+/// [silence-transparent](NodeBehavior::SILENCE_TRANSPARENT) behavior,
+/// only the delivered listeners. Every draw comes from the listener's
+/// own stream and no behavior can touch another node's, so drawing a
+/// word's losses before its behaviors run moves no draw.
 // Out of line like `act_sweep`, so each phase timer brackets its own
 // loop.
 #[allow(clippy::too_many_arguments)]
@@ -1045,10 +1127,10 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
     // Word-at-a-time sweep over active ∪ reach, unioned on the fly:
     // each node's classification is a register bit test, and each
     // word's next-active bits accumulate in a register with one store.
-    // For silence-transparent behaviors the silent and broadcaster bits
-    // are settled wholesale — their per-node processing is vacuous by
-    // the [`NodeBehavior::SILENCE_TRANSPARENT`] promise — and only the
-    // reached listeners enter the per-node loop.
+    // For silence-transparent behaviors every bit but the delivered
+    // listeners' is settled wholesale — their per-node processing is
+    // vacuous by the [`NodeBehavior::SILENCE_TRANSPARENT`] promise — and
+    // only the delivered listeners enter the per-node loop.
     let n = graph.node_count();
     let behaviors = &mut behaviors[..n];
     let node_rngs = &mut node_rngs[..n];
@@ -1073,18 +1155,11 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
         let heard = rw & !bw;
         let noisy = heard & cw;
         let single = heard & !cw;
-        // A lone broadcaster whose sender fault fired transmitted
-        // noise to every listener it reached.
-        let mut faulted = 0u64;
-        if sender_fault {
-            let mut m = single;
-            while m != 0 {
-                let bit = m.trailing_zeros();
-                m &= m - 1;
-                let s = heard_from[w * 64 + bit as usize] as usize;
-                faulted |= u64::from(!sender_ok[s]) << bit;
-            }
-        }
+        let faulted = if sender_fault {
+            sender_faulted(single, w, heard_from, sender_ok)
+        } else {
+            0
+        };
         let clean = single & !faulted;
         // One loss draw per clean listener, from its own stream.
         let mut lost = 0u64;
@@ -1106,18 +1181,18 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
         } else {
             part.receiver_faults += u64::from(lost.count_ones());
         }
-        let mut m;
-        let mut na_word;
-        if B::SILENCE_TRANSPARENT {
-            // Broadcasters and silent actives keep their activity bits
-            // verbatim (nothing about them can change this sweep);
-            // reached listeners are re-decided per node below.
-            na_word = aw & !heard;
-            m = heard;
-        } else {
-            m = aw | rw;
-            na_word = 0u64;
+        if let Some(t) = trace.as_deref_mut() {
+            push_word(&mut t.collided_listeners, w, noisy);
+            push_word(&mut t.erased_listeners, w, erased);
         }
+        let (mut m, mut na_word) = if B::SILENCE_TRANSPARENT {
+            // Everyone but the delivered listeners keeps its activity
+            // bit verbatim (nothing about them can change this sweep);
+            // delivered listeners are re-decided per node below.
+            (delivered, aw & !delivered)
+        } else {
+            (aw | rw, 0u64)
+        };
         while m != 0 {
             let bit = m.trailing_zeros() as usize;
             let mask = 1u64 << bit;
@@ -1161,17 +1236,9 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
                 }
                 Reception::Packet(packet)
             } else if erased & mask != 0 {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.erased_listeners.push(node);
-                }
                 Reception::Erased
             } else if heard & mask != 0 {
                 // A collision, a sender fault or a receiver fault.
-                if let Some(t) = trace.as_deref_mut() {
-                    if noisy & mask != 0 {
-                        t.collided_listeners.push(node);
-                    }
-                }
                 Reception::Noise
             } else {
                 // Active but out of every broadcaster's reach: the
@@ -1202,8 +1269,9 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
             // exactly while its (possibly just-updated) state asks for
             // sweeping. Nodes that go quiescent here are re-woken
             // through the reach set the next time a broadcast arrives;
-            // a silence-transparent sleeper reached here stays filed in
-            // the wake wheel, which the reception rule keeps on time.
+            // a silence-transparent sleeper delivered to here stays
+            // filed in the wake wheel, which the reception rule keeps
+            // on time.
             let wake = behaviors[i].next_act();
             debug_assert!(
                 !B::SILENCE_TRANSPARENT || wake == before || wake <= round + 1,

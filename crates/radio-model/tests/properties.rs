@@ -127,14 +127,15 @@ impl NodeBehavior<()> for Flood {
 /// round of its next broadcast ahead, 1 to `MAX_NAP` rounds on, and
 /// reports it through `next_act`, so the sparse engine files it in the
 /// wake wheel — past the wheel's 64 slots for most gaps — and must wake
-/// it exactly on time. It tallies its non-silent receptions, so nodes
-/// reached while asleep change state without changing `next_act`.
+/// it exactly on time. It tallies its packets, so nodes delivered to
+/// while asleep change state without changing `next_act`; noise and
+/// erasures must leave it unchanged, as silence transparency promises.
 #[derive(Debug, Clone, PartialEq)]
 struct Napper {
     /// The round of the next broadcast: `u64::MAX` while uninformed,
     /// 0 from being informed until the first act draws.
     next: u64,
-    heard: u64,
+    packets: u64,
 }
 
 /// The longest gap a [`Napper`] draws between broadcasts.
@@ -144,7 +145,7 @@ impl Napper {
     fn new(informed: bool) -> Self {
         Napper {
             next: if informed { 0 } else { u64::MAX },
-            heard: 0,
+            packets: 0,
         }
     }
 }
@@ -164,11 +165,11 @@ impl NodeBehavior<()> for Napper {
         Action::Broadcast(())
     }
     fn receive(&mut self, _ctx: &mut Ctx<'_>, rx: Reception<()>) {
-        if rx.kind() == ReceptionKind::Silence {
+        if !rx.is_packet() {
             return;
         }
-        self.heard += 1;
-        if rx.is_packet() && self.next == u64::MAX {
+        self.packets += 1;
+        if self.next == u64::MAX {
             self.next = 0;
         }
     }
@@ -177,6 +178,33 @@ impl NodeBehavior<()> for Napper {
     }
     fn next_act(&self) -> u64 {
         self.next
+    }
+}
+
+/// Hides a behavior's silence transparency: forwards every hook to the
+/// wrapped behavior but keeps `SILENCE_TRANSPARENT = false`, so the
+/// engine hands every swept listener its reception and polls every
+/// swept node. It is the oracle for the packet-only dispatch of
+/// silence-transparent behaviors, which sparse ≡ dense cannot check:
+/// both modes share that dispatch.
+#[derive(Debug, Clone, PartialEq)]
+struct Opaque<B>(B);
+
+impl<P, B: NodeBehavior<P>> NodeBehavior<P> for Opaque<B> {
+    fn act(&mut self, ctx: &mut Ctx<'_>) -> Action<P> {
+        self.0.act(ctx)
+    }
+    fn receive(&mut self, ctx: &mut Ctx<'_>, rx: Reception<P>) {
+        self.0.receive(ctx, rx)
+    }
+    fn decoded(&self) -> bool {
+        self.0.decoded()
+    }
+    fn queued(&self) -> u64 {
+        self.0.queued()
+    }
+    fn next_act(&self) -> u64 {
+        self.0.next_act()
     }
 }
 
@@ -247,8 +275,73 @@ where
     (traces, reports, stats, profile, sim.into_behaviors())
 }
 
+/// Checks a silence-transparent behavior against its [`Opaque`]
+/// oracle from one seed: equal traces and reports in every round, equal
+/// stats, latency profiles and final states. Each round's trace lists
+/// must also add up to its report, since both runs fill them with the
+/// same code.
+fn matches_opaque<P, B>(
+    g: &Graph,
+    channel: Channel,
+    behaviors: &[B],
+    seed: u64,
+    rounds: u64,
+) -> Result<(), TestCaseError>
+where
+    P: radio_model::Payload,
+    B: NodeBehavior<P> + Clone + PartialEq + std::fmt::Debug,
+{
+    let direct = modal_run(g, channel, behaviors, seed, rounds, false);
+    let wrapped: Vec<Opaque<B>> = behaviors.iter().cloned().map(Opaque).collect();
+    let (traces, reports, stats, profile, states) =
+        modal_run(g, channel, &wrapped, seed, rounds, false);
+    for (round, (t, r)) in direct.0.iter().zip(&direct.1).enumerate() {
+        prop_assert_eq!(&traces[round], t, "round {}", round);
+        prop_assert_eq!(&reports[round], r, "round {}", round);
+        prop_assert_eq!(r.deliveries as usize, t.deliveries.len());
+        prop_assert_eq!(r.collisions as usize, t.collided_listeners.len());
+        prop_assert_eq!(r.erasures as usize, t.erased_listeners.len());
+    }
+    prop_assert_eq!(stats, direct.2);
+    prop_assert_eq!(profile, direct.3);
+    let states: Vec<B> = states.into_iter().map(|o| o.0).collect();
+    prop_assert_eq!(states, direct.4);
+    Ok(())
+}
+
+/// Graphs past one 64-node bitset word — paths, stars and grids of up
+/// to 201 nodes — plus the small random ones, so that the word sweeps'
+/// carries cross word boundaries.
+fn arb_wide_graph() -> impl Strategy<Value = Graph> {
+    prop_oneof![
+        (60usize..201).prop_map(generators::path),
+        (60usize..201).prop_map(generators::star),
+        (6usize..13, 6usize..13).prop_map(|(r, c)| generators::grid(r, c)),
+        arb_graph(),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn packet_only_dispatch_matches_the_opaque_oracle(
+        g in arb_wide_graph(),
+        channel in arb_channel(),
+        seed in any::<u64>(),
+    ) {
+        // A silence-transparent behavior is called only where a packet
+        // was delivered; its opaque twin hears every reception and is
+        // polled in every swept round. Flood nodes stay active from the
+        // round they are informed; Nappers sleep in the wake wheel and
+        // are delivered to while asleep.
+        let floods: Vec<Flood> = (0..g.node_count())
+            .map(|i| Flood { informed: i == 0 })
+            .collect();
+        matches_opaque(&g, channel, &floods, seed, 60)?;
+        let nappers: Vec<Napper> = (0..g.node_count()).map(|i| Napper::new(i % 2 == 0)).collect();
+        matches_opaque(&g, channel, &nappers, seed, 200)?;
+    }
 
     #[test]
     fn sparse_is_bit_identical_to_dense(

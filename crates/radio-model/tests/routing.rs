@@ -2,13 +2,14 @@
 //! the dense runner it replaced.
 //!
 //! The runner resolves each round from the controller's sparse sender
-//! list and sweeps listeners once, with branch-free grants and integer
-//! loss draws. The reference below scans every listener's neighbours
-//! and draws with `gen_bool`, as the runner did before. Both must agree
-//! on the outcome and on the knowledge state in every round, over
-//! random graphs, channels, message counts across a word boundary, and
-//! controllers that list random nodes in random order with known and
-//! unknown messages.
+//! list with the engine's reach pass, then draws losses and grants 64
+//! listeners at a time, with integer loss draws and a grant only for
+//! each delivered listener. The reference below scans every listener's
+//! neighbours and draws with `gen_bool`, as the runner once did. Both
+//! must agree on the outcome and on the knowledge state in every round,
+//! over random graphs, some past one 64-node bitset word, channels,
+//! message counts across a word boundary, and controllers that list
+//! random nodes in random order with known and unknown messages.
 
 use netgraph::{generators, Graph, NodeId};
 use proptest::prelude::*;
@@ -179,6 +180,9 @@ fn reference_run(
     }
 }
 
+/// Small graphs of every family, and paths, stars and grids past one
+/// 64-node bitset word, so that the runner's loss draws, grants and
+/// per-message counts cross word boundaries.
 fn arb_graph() -> impl Strategy<Value = Graph> {
     prop_oneof![
         (1usize..30).prop_map(generators::path),
@@ -186,6 +190,9 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
         (1usize..6, 1usize..6).prop_map(|(r, c)| generators::grid(r, c)),
         (2usize..30, 0.05..0.5f64, any::<u64>())
             .prop_map(|(n, p, seed)| generators::gnp_connected(n, p, seed).unwrap()),
+        (60usize..201).prop_map(generators::path),
+        (60usize..301).prop_map(generators::star),
+        (6usize..13, 6usize..13).prop_map(|(r, c)| generators::grid(r, c)),
     ]
 }
 

@@ -923,6 +923,9 @@ mod tests {
             Err("gap needs --k ≥ 1".into())
         );
         assert_eq!(run(&args(&["gap", "--leaves", "1", "--k", "1"])), Ok(()));
+        // One node past `NodeId`'s range: an error, not a 2³²-edge star.
+        let err = run(&args(&["gap", "--leaves", "4294967296"])).unwrap_err();
+        assert!(err.contains("star has more than"), "{err}");
     }
 
     #[test]
