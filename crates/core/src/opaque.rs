@@ -16,7 +16,7 @@ use radio_model::{
 /// Forwards every hook to the wrapped behavior but keeps
 /// `SILENCE_TRANSPARENT = false`, so the engine hands every swept
 /// listener its reception and polls every swept node.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub(crate) struct Opaque<B>(pub(crate) B);
 
 impl<P, B: NodeBehavior<P>> NodeBehavior<P> for Opaque<B> {

@@ -187,7 +187,7 @@ impl NodeBehavior<()> for Napper {
 /// swept node. It is the oracle for the packet-only dispatch of
 /// silence-transparent behaviors, which sparse ≡ dense cannot check:
 /// both modes share that dispatch.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 struct Opaque<B>(B);
 
 impl<P, B: NodeBehavior<P>> NodeBehavior<P> for Opaque<B> {
