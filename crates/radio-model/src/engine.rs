@@ -164,7 +164,7 @@ pub trait NodeBehavior<P> {
     /// which is observationally identical to sweeping it, by the
     /// promise — until a neighbor's broadcast reaches it (any packet,
     /// noise, or erasure re-wakes it; only a packet, for a
-    /// silence-transparent behavior) or the driver touches state via
+    /// silence-transparent behavior) or its state is touched through
     /// [`Simulator::behaviors_mut`]. A node with
     /// [`NodeBehavior::queued`]` > 0` stays active regardless of this
     /// answer.
