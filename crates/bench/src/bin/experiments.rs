@@ -7,6 +7,7 @@
 //!             [--telemetry PATH] [--telemetry-summary] [IDS...]
 //! experiments --list
 //! experiments --diff OLD.json NEW.json
+//! experiments --help
 //! ```
 //!
 //! `--smoke` selects the large-`n` CI gate grids (currently E8 at
@@ -15,7 +16,8 @@
 //!
 //! `IDS` filters by experiment id (e.g. `E8 E10`); default runs all.
 //! `--list` prints the registry (one `id  description` line per
-//! experiment) and exits. `--jobs` sets the sweep worker count
+//! experiment) and exits; `--help` (or `-h`) prints the synopsis above
+//! and exits. `--jobs` sets the sweep worker count
 //! (default: available parallelism) — for a fixed `--seed`, tables and
 //! the measured content of the `--json` artifact are byte-identical for
 //! any `--jobs` value (DESIGN.md §4b). The artifact additionally
@@ -44,6 +46,16 @@ use noisy_radio_bench::{
 };
 use radio_obs::{CounterSink, JsonlSink};
 use radio_sweep::SweepConfig;
+
+/// The synopsis of the module docs, printed by `--help` and `-h`.
+const USAGE: &str = "\
+usage: experiments [--quick|--full|--smoke] [--markdown] [--jobs N]
+                   [--seed S] [--json PATH]
+                   [--telemetry PATH] [--telemetry-summary] [IDS...]
+       experiments --list
+       experiments --diff OLD.json NEW.json
+       experiments --help
+";
 
 fn main() -> ExitCode {
     match run(&std::env::args().skip(1).collect::<Vec<_>>()) {
@@ -78,6 +90,10 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             "--full" => scale = Scale::Full,
             "--smoke" => scale = Scale::Smoke,
             "--markdown" => markdown = true,
+            "--help" | "-h" => {
+                print!("{USAGE}");
+                return Ok(ExitCode::SUCCESS);
+            }
             "--list" => {
                 print!("{}", experiments::render_registry());
                 return Ok(ExitCode::SUCCESS);

@@ -15,7 +15,8 @@ use netgraph::{generators, Graph, NodeId};
 use noisy_radio_core::decay::Decay;
 use noisy_radio_core::robust_fastbc::RobustFastbcSchedule;
 use noisy_radio_core::schedules::latency::XinXiaSchedule;
-use radio_model::{fork_seed, Channel, LatencyProfile};
+use radio_model::{fork_seed, Channel};
+use radio_obs::NullSink;
 use radio_sweep::{run_cells_timed, SweepConfig};
 use radio_throughput::{linear_fit, LatencySummary, Table, LATENCY_HEADERS};
 
@@ -60,15 +61,15 @@ fn run_arm(
     seed: u64,
 ) -> TrialOut {
     let source = NodeId::new(0);
-    let (run, profile): (_, LatencyProfile) = match algo {
+    let (run, profile) = match algo {
         Algo::Decay => Decay::new()
-            .run_profiled(graph, source, channel, seed, MAX_ROUNDS)
+            .run_telemetry(graph, source, channel, seed, MAX_ROUNDS, &mut NullSink)
             .expect("valid decay run"),
         Algo::XinXia => xin
-            .run_profiled(channel, seed, MAX_ROUNDS)
+            .run_telemetry(channel, seed, MAX_ROUNDS, &mut NullSink)
             .expect("valid xin-xia run"),
         Algo::RobustFastbc => robust
-            .run_profiled(channel, seed, MAX_ROUNDS)
+            .run_telemetry(channel, seed, MAX_ROUNDS, &mut NullSink)
             .expect("valid robust-fastbc run"),
     };
     TrialOut {
@@ -234,10 +235,10 @@ pub fn e14_latency_sweep(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
     let control_graph = generators::path(64);
     let control = XinXiaSchedule::new(&control_graph, NodeId::new(0)).expect("connected graph");
     let noisy = control
-        .run_profiled(channels[0], control_seed, MAX_ROUNDS)
+        .run_telemetry(channels[0], control_seed, MAX_ROUNDS, &mut NullSink)
         .expect("valid run");
     let erased = control
-        .run_profiled(channels[1], control_seed, MAX_ROUNDS)
+        .run_telemetry(channels[1], control_seed, MAX_ROUNDS, &mut NullSink)
         .expect("valid run");
     let control_identical = noisy.0.rounds == erased.0.rounds && noisy.1 == erased.1;
 

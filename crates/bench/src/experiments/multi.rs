@@ -2,9 +2,9 @@
 //!
 //! Both tables carry per-node decode-latency columns next to the
 //! completion rounds: the decode round of a node is when its RLNC
-//! decoder first reaches full rank `k` (`LatencyProfile::decode`), so
-//! the spread between `lat p50` and `lat max` shows how long the last
-//! stragglers gate the run.
+//! decoder first reaches full rank `k` (`decode_complete` in
+//! `MultiMessageRun::profile`), so the spread between `lat p50` and
+//! `lat max` shows how long the last stragglers gate the run.
 
 use netgraph::{generators, NodeId};
 use noisy_radio_core::multi_message::{DecayRlnc, MultiMessageRun, RobustFastbcRlnc};
@@ -35,13 +35,13 @@ pub fn e6_decay_rlnc(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
     let fault = Channel::receiver(p).expect("valid p");
     let g = generators::gnp_connected(n, 4.0 / n as f64, 77).expect("valid");
     let log_n = (n as f64).log2();
-    let (outs, cell_ms): (Vec<(MultiMessageRun, LatencyProfile)>, Vec<f64>) =
+    let (outs, cell_ms): (Vec<MultiMessageRun>, Vec<f64>) =
         run_cells_timed(cfg.jobs, cfg.scope_seed("E6"), ks.len(), |ctx| {
             DecayRlnc {
                 phase_len: None,
                 payload_len: 0,
             }
-            .run_profiled(
+            .run(
                 &g,
                 NodeId::new(0),
                 ks[ctx.index as usize],
@@ -64,7 +64,7 @@ pub fn e6_decay_rlnc(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
     ]);
     let mut curve = Vec::new();
     let mut decode_bounded = true;
-    for (&k, (out, profile)) in ks.iter().zip(&outs) {
+    for (&k, out) in ks.iter().zip(&outs) {
         assert!(out.decoded_ok, "RLNC decode failure");
         let rounds = out.run.rounds_used() as f64;
         let mut cells = vec![
@@ -73,9 +73,9 @@ pub fn e6_decay_rlnc(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
             format!("{:.1}", rounds / k as f64),
             format!("{:.2}", rounds / k as f64 / log_n),
         ];
-        cells.extend(decode_cells(profile));
+        cells.extend(decode_cells(&out.profile));
         table.row_owned(cells);
-        let lat = LatencySummary::from_rounds(&profile.decode_latencies());
+        let lat = LatencySummary::from_rounds(&out.profile.decode_latencies());
         decode_bounded &= lat
             .is_some_and(|l| l.count == n && l.max <= out.run.rounds_used() as f64 && l.mean > 0.0);
         curve.push((k as f64, rounds));
@@ -120,13 +120,13 @@ pub fn e7_rfastbc_rlnc(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
     let g = generators::path(n);
     let log_n = (n as f64).log2();
     let loglog_n = log_n.log2();
-    let (outs, cell_ms): (Vec<(MultiMessageRun, LatencyProfile)>, Vec<f64>) =
+    let (outs, cell_ms): (Vec<MultiMessageRun>, Vec<f64>) =
         run_cells_timed(cfg.jobs, cfg.scope_seed("E7"), ks.len(), |ctx| {
             RobustFastbcRlnc {
                 params: Default::default(),
                 payload_len: 0,
             }
-            .run_profiled(
+            .run(
                 &g,
                 NodeId::new(0),
                 ks[ctx.index as usize],
@@ -149,7 +149,7 @@ pub fn e7_rfastbc_rlnc(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
     ]);
     let mut curve = Vec::new();
     let mut decode_bounded = true;
-    for (&k, (out, profile)) in ks.iter().zip(&outs) {
+    for (&k, out) in ks.iter().zip(&outs) {
         assert!(out.decoded_ok, "RLNC decode failure");
         let rounds = out.run.rounds_used() as f64;
         let mut cells = vec![
@@ -158,9 +158,9 @@ pub fn e7_rfastbc_rlnc(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
             format!("{:.1}", rounds / k as f64),
             format!("{:.2}", rounds / k as f64 / (log_n * loglog_n)),
         ];
-        cells.extend(decode_cells(profile));
+        cells.extend(decode_cells(&out.profile));
         table.row_owned(cells);
-        let lat = LatencySummary::from_rounds(&profile.decode_latencies());
+        let lat = LatencySummary::from_rounds(&out.profile.decode_latencies());
         decode_bounded &= lat
             .is_some_and(|l| l.count == n && l.max <= out.run.rounds_used() as f64 && l.mean > 0.0);
         curve.push((k as f64, rounds));

@@ -1,6 +1,7 @@
-//! The experiment registry contract and the `--list` flag: 20 entries
-//! in run order, unique ids, one-line descriptions, and a binary
-//! listing that prints them and exits 0 without running anything.
+//! The experiment registry contract and the `--list` and `--help`
+//! flags: 20 entries in run order, unique ids, one-line descriptions,
+//! and a binary that lists them or prints its usage and exits 0
+//! without running anything.
 
 use noisy_radio_bench::experiments::{render_registry, EXPERIMENTS};
 
@@ -53,4 +54,23 @@ fn list_flag_prints_registry_and_exits_zero() {
     assert_eq!(stdout, render_registry());
     // Listing must not run any experiment (no report separator lines).
     assert!(!stdout.contains("=="));
+}
+
+#[test]
+fn help_flags_print_usage_and_exit_zero() {
+    let bin = env!("CARGO_BIN_EXE_experiments");
+    for flag in ["--help", "-h"] {
+        let out = std::process::Command::new(bin)
+            .arg(flag)
+            .output()
+            .expect("run experiments --help");
+        assert!(out.status.success(), "{flag} must exit 0");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("usage: experiments"), "{flag}: {stdout}");
+        assert!(
+            stdout.contains("--diff OLD.json NEW.json"),
+            "{flag}: {stdout}"
+        );
+        assert!(!stdout.contains("=="), "{flag} must not run an experiment");
+    }
 }

@@ -52,7 +52,6 @@ mod gf65536;
 pub mod matrix;
 pub mod rlnc;
 pub mod rs;
-pub mod systematic;
 
 pub use error::CodingError;
 pub use field::Field;

@@ -27,9 +27,7 @@
 //! simulator once every honest node has decided.
 
 use netgraph::Graph;
-use radio_model::{
-    fork_seed, Action, Adversary, Channel, Ctx, LatencyProfile, NodeBehavior, Reception, Simulator,
-};
+use radio_model::{fork_seed, Action, Adversary, Channel, Ctx, NodeBehavior, Reception, Simulator};
 
 use super::{Bundle, ConsensusMsg, ConsensusRun, Gossip, GossipPacket, Verb, COIN_STREAM};
 use crate::decay::default_phase_len;
@@ -81,29 +79,6 @@ impl BenOr {
         seed: u64,
         max_rounds: u64,
     ) -> Result<ConsensusRun, CoreError> {
-        Ok(self
-            .run_profiled(graph, inputs, f, fault, adversary, seed, max_rounds)?
-            .0)
-    }
-
-    /// As [`BenOr::run`], additionally returning the per-node
-    /// [`LatencyProfile`] (decode-completion = decision rounds of the
-    /// honest nodes).
-    ///
-    /// # Errors
-    ///
-    /// As [`BenOr::run`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_profiled(
-        &self,
-        graph: &Graph,
-        inputs: &[bool],
-        f: usize,
-        fault: Channel,
-        adversary: &Adversary,
-        seed: u64,
-        max_rounds: u64,
-    ) -> Result<(ConsensusRun, LatencyProfile), CoreError> {
         let n = graph.node_count();
         if inputs.len() != n {
             return Err(CoreError::InvalidParameter {
@@ -138,30 +113,23 @@ impl BenOr {
         let honest = adversary.honest_mask();
         let wrapped = adversary.wrap(behaviors)?;
         let mut sim = Simulator::new(graph, fault, wrapped, seed)?;
-        let done = {
-            let honest = honest.clone();
-            move |bs: &[radio_model::ByzantineNode<BenOrNode>]| {
-                bs.iter()
-                    .zip(&honest)
-                    .all(|(b, h)| !*h || b.inner().decided_value().is_some())
-            }
-        };
-        let rounds = sim.run_until(max_rounds, done);
+        let rounds = sim.run_until(max_rounds, |bs| {
+            bs.iter()
+                .zip(&honest)
+                .all(|(b, h)| !*h || b.inner().decided_value().is_some())
+        });
         let decisions = sim
             .behaviors()
             .iter()
             .zip(&honest)
             .map(|(b, h)| if *h { b.inner().decided_value() } else { None })
             .collect();
-        Ok((
-            ConsensusRun {
-                rounds,
-                decisions,
-                honest,
-                stats: *sim.stats(),
-            },
-            sim.latency_profile(),
-        ))
+        Ok(ConsensusRun {
+            rounds,
+            decisions,
+            honest,
+            stats: *sim.stats(),
+        })
     }
 }
 

@@ -17,9 +17,7 @@
 //! messages split its vote but never double it.
 
 use netgraph::{Graph, NodeId};
-use radio_model::{
-    Action, Adversary, Channel, Ctx, LatencyProfile, NodeBehavior, Reception, Simulator,
-};
+use radio_model::{Action, Adversary, Channel, Ctx, NodeBehavior, Reception, Simulator};
 
 use super::{echo_quorum, Bundle, ConsensusMsg, ConsensusRun, Gossip, GossipPacket, Verb};
 use crate::decay::default_phase_len;
@@ -71,30 +69,6 @@ impl Brb {
         seed: u64,
         max_rounds: u64,
     ) -> Result<ConsensusRun, CoreError> {
-        Ok(self
-            .run_profiled(graph, source, value, f, fault, adversary, seed, max_rounds)?
-            .0)
-    }
-
-    /// As [`Brb::run`], additionally returning the per-node
-    /// [`LatencyProfile`] (decode-completion = delivery rounds of the
-    /// honest nodes).
-    ///
-    /// # Errors
-    ///
-    /// As [`Brb::run`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_profiled(
-        &self,
-        graph: &Graph,
-        source: NodeId,
-        value: bool,
-        f: usize,
-        fault: Channel,
-        adversary: &Adversary,
-        seed: u64,
-        max_rounds: u64,
-    ) -> Result<(ConsensusRun, LatencyProfile), CoreError> {
         let n = graph.node_count();
         if source.index() >= n {
             return Err(CoreError::InvalidParameter {
@@ -126,30 +100,23 @@ impl Brb {
         let honest = adversary.honest_mask();
         let wrapped = adversary.wrap(behaviors)?;
         let mut sim = Simulator::new(graph, fault, wrapped, seed)?;
-        let done = {
-            let honest = honest.clone();
-            move |bs: &[radio_model::ByzantineNode<BrbNode>]| {
-                bs.iter()
-                    .zip(&honest)
-                    .all(|(b, h)| !*h || b.inner().decided_value().is_some())
-            }
-        };
-        let rounds = sim.run_until(max_rounds, done);
+        let rounds = sim.run_until(max_rounds, |bs| {
+            bs.iter()
+                .zip(&honest)
+                .all(|(b, h)| !*h || b.inner().decided_value().is_some())
+        });
         let decisions = sim
             .behaviors()
             .iter()
             .zip(&honest)
             .map(|(b, h)| if *h { b.inner().decided_value() } else { None })
             .collect();
-        Ok((
-            ConsensusRun {
-                rounds,
-                decisions,
-                honest,
-                stats: *sim.stats(),
-            },
-            sim.latency_profile(),
-        ))
+        Ok(ConsensusRun {
+            rounds,
+            decisions,
+            honest,
+            stats: *sim.stats(),
+        })
     }
 }
 

@@ -16,6 +16,7 @@
 
 use netgraph::{Graph, NodeId};
 use radio_model::{Action, Channel, Ctx, LatencyProfile, NodeBehavior, Reception};
+use radio_obs::NullSink;
 
 use crate::{BroadcastRun, CoreError};
 
@@ -61,38 +62,18 @@ impl Decay {
         seed: u64,
         max_rounds: u64,
     ) -> Result<BroadcastRun, CoreError> {
-        Ok(self.run_profiled(graph, source, fault, seed, max_rounds)?.0)
+        Ok(self
+            .run_telemetry(graph, source, fault, seed, max_rounds, &mut NullSink)?
+            .0)
     }
 
     /// As [`Decay::run`], additionally returning the per-node
     /// [`LatencyProfile`] (first-delivery and decode-completion
-    /// rounds).
-    ///
-    /// # Errors
-    ///
-    /// As [`Decay::run`].
-    pub fn run_profiled(
-        &self,
-        graph: &Graph,
-        source: NodeId,
-        fault: Channel,
-        seed: u64,
-        max_rounds: u64,
-    ) -> Result<(BroadcastRun, LatencyProfile), CoreError> {
-        self.run_telemetry(
-            graph,
-            source,
-            fault,
-            seed,
-            max_rounds,
-            &mut radio_obs::NullSink,
-        )
-    }
-
-    /// As [`Decay::run_profiled`], with per-phase telemetry: emits a
-    /// `schedule/setup` span (behavior construction), a `schedule/run`
-    /// span, and the engine's `engine/*` breakdown into `sink`. The
-    /// returned results are bit-identical whatever sink is attached.
+    /// rounds) and emitting a `schedule/setup` span (behavior
+    /// construction), a `schedule/run` span, and the engine's
+    /// `engine/*` breakdown into `sink`. Pass [`radio_obs::NullSink`]
+    /// for the profile alone; the returned results are bit-identical
+    /// whatever sink is attached.
     ///
     /// # Errors
     ///
@@ -601,12 +582,13 @@ mod tests {
     fn profiled_run_orders_latencies_along_the_path() {
         let g = generators::path(24);
         let (run, profile) = Decay::new()
-            .run_profiled(
+            .run_telemetry(
                 &g,
                 NodeId::new(0),
                 Channel::receiver(0.3).unwrap(),
                 5,
                 100_000,
+                &mut NullSink,
             )
             .unwrap();
         assert!(run.completed());

@@ -28,12 +28,12 @@
 use netgraph::{Graph, NodeId};
 use radio_coding::rlnc::{CodedPacket, RlncNode};
 use radio_coding::Gf256;
-use radio_model::{Action, Channel, Ctx, NodeBehavior, Reception, Simulator};
+use radio_model::{Action, Channel, Ctx, NodeBehavior, Reception};
 
 use crate::decay::{default_phase_len, DecayNode};
-use crate::multi_message::MultiMessageRun;
+use crate::multi_message::{check_k, run_rlnc, MultiMessageRun};
 use crate::robust_fastbc::RobustFastbcSchedule;
-use crate::{BroadcastRun, CoreError};
+use crate::CoreError;
 
 /// The ungated streaming-RLNC pipeline (see the [module docs](self)).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -62,11 +62,7 @@ impl StreamingRlnc {
         seed: u64,
         max_rounds: u64,
     ) -> Result<MultiMessageRun, CoreError> {
-        if k == 0 || k > 255 {
-            return Err(CoreError::InvalidParameter {
-                reason: format!("k = {k} outside supported range 1..=255"),
-            });
-        }
+        check_k(k)?;
         // Reuse Robust FASTBC's GBST compilation (we only need the
         // fast set and levels).
         let sched = RobustFastbcSchedule::new(graph, source)?;
@@ -95,17 +91,8 @@ impl StreamingRlnc {
                 }
             })
             .collect();
-        let mut sim = Simulator::new(graph, fault, behaviors, seed)?;
-        let rounds = sim.run_until(max_rounds, |bs| bs.iter().all(|b| b.state.can_decode()));
-        let stats = *sim.stats();
-        let decoded_ok = rounds.is_some()
-            && sim
-                .behaviors()
-                .iter()
-                .all(|b| b.state.decode().map(|d| d == messages).unwrap_or(false));
-        Ok(MultiMessageRun {
-            run: BroadcastRun { rounds, stats },
-            decoded_ok,
+        run_rlnc(graph, fault, behaviors, seed, max_rounds, &messages, |b| {
+            &b.state
         })
     }
 }

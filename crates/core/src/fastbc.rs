@@ -21,7 +21,7 @@
 
 use gbst::Gbst;
 use netgraph::{Graph, NodeId};
-use radio_model::{Action, Channel, Ctx, NodeBehavior, Reception, RoundTrace, Simulator};
+use radio_model::{Action, Channel, Ctx, NodeBehavior, Reception, RoundTrace};
 
 use crate::decay::{default_phase_len, DecayNode, UNDRAWN};
 use crate::{BroadcastRun, CoreError};
@@ -176,28 +176,17 @@ impl<'g> FastbcSchedule<'g> {
         seed: u64,
         max_rounds: u64,
     ) -> Result<BroadcastRun, CoreError> {
-        Ok(self.run_profiled(fault, seed, max_rounds)?.0)
+        Ok(self
+            .run_telemetry(fault, seed, max_rounds, &mut radio_obs::NullSink)?
+            .0)
     }
 
     /// As [`FastbcSchedule::run`], additionally returning the per-node
-    /// [`radio_model::LatencyProfile`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Model`] for simulator configuration errors.
-    pub fn run_profiled(
-        &self,
-        fault: Channel,
-        seed: u64,
-        max_rounds: u64,
-    ) -> Result<(BroadcastRun, radio_model::LatencyProfile), CoreError> {
-        self.run_telemetry(fault, seed, max_rounds, &mut radio_obs::NullSink)
-    }
-
-    /// As [`FastbcSchedule::run_profiled`], with per-phase telemetry:
-    /// emits `schedule/setup` (behavior construction), `schedule/run`,
-    /// and the engine's `engine/*` breakdown into `sink`. Results are
-    /// bit-identical whatever sink is attached.
+    /// [`radio_model::LatencyProfile`] and emitting `schedule/setup`
+    /// (behavior construction), `schedule/run`, and the engine's
+    /// `engine/*` breakdown into `sink`. Pass [`radio_obs::NullSink`]
+    /// for the profile alone; results are bit-identical whatever sink
+    /// is attached.
     ///
     /// # Errors
     ///
@@ -227,27 +216,16 @@ impl<'g> FastbcSchedule<'g> {
         fault: Channel,
         seed: u64,
         max_rounds: u64,
-        mut inspect: impl FnMut(u64, &RoundTrace),
+        inspect: impl FnMut(u64, &RoundTrace),
     ) -> Result<BroadcastRun, CoreError> {
-        let mut sim = Simulator::new(self.graph, fault, self.behaviors(), seed)?;
-        let mut trace = RoundTrace::default();
-        let mut rounds = None;
-        for used in 0..=max_rounds {
-            if sim.behaviors().iter().all(|b| b.informed) {
-                rounds = Some(used);
-                break;
-            }
-            if used == max_rounds {
-                break;
-            }
-            let r = sim.round();
-            sim.step_traced(&mut trace);
-            inspect(r, &trace);
-        }
-        Ok(BroadcastRun {
-            rounds,
-            stats: *sim.stats(),
-        })
+        crate::outcome::run_traced(
+            self.graph,
+            fault,
+            self.behaviors(),
+            seed,
+            max_rounds,
+            inspect,
+        )
     }
 }
 
@@ -406,6 +384,7 @@ impl<T: FastSlots> NodeBehavior<()> for FastbcNode<T> {
 mod tests {
     use super::*;
     use netgraph::generators;
+    use radio_model::Simulator;
 
     #[test]
     fn faultless_path_is_diameter_linear() {

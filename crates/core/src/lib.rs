@@ -49,7 +49,6 @@ pub mod multi_message;
 pub mod repetition;
 pub mod robust_fastbc;
 pub mod schedules;
-pub mod tdma;
 pub mod traffic;
 pub mod transform;
 

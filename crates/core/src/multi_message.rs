@@ -27,8 +27,8 @@ use crate::decay::{default_phase_len, DecayNode};
 use crate::robust_fastbc::{BlockTiming, RobustFastbcParams, RobustFastbcSchedule};
 use crate::{BroadcastRun, CoreError};
 
-/// Outcome of a multi-message run: the broadcast result plus the
-/// decoded payload check.
+/// Outcome of a multi-message run: the broadcast result, the decoded
+/// payload check, and the per-node latency profile.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MultiMessageRun {
     /// Rounds/stats of the run.
@@ -37,6 +37,11 @@ pub struct MultiMessageRun {
     /// (always checked when the run completes; `false` only flags a
     /// coding bug, never a channel fault).
     pub decoded_ok: bool,
+    /// Per-node rounds: `first_packet` is the round a node first heard
+    /// *any* combination, `decode_complete` the round its decoder
+    /// reached full rank `k` (the `can_decode`-driven decode latency
+    /// the E6/E7 tables report).
+    pub profile: LatencyProfile,
 }
 
 fn random_messages(k: usize, payload_len: usize, seed: u64) -> Vec<Vec<Gf256>> {
@@ -46,7 +51,7 @@ fn random_messages(k: usize, payload_len: usize, seed: u64) -> Vec<Vec<Gf256>> {
         .collect()
 }
 
-fn check_k(k: usize) -> Result<(), CoreError> {
+pub(crate) fn check_k(k: usize) -> Result<(), CoreError> {
     if k == 0 || k > 255 {
         return Err(CoreError::InvalidParameter {
             reason: format!("k = {k} outside supported range 1..=255 (GF(256) coefficients)"),
@@ -59,7 +64,7 @@ fn check_k(k: usize) -> Result<(), CoreError> {
 /// decoder has full rank (the `can_decode`-driven [`NodeBehavior::decoded`]
 /// hook records per-node decode rounds in the [`LatencyProfile`]), then
 /// verify the decoded payloads against the source's.
-fn run_rlnc_profiled<B>(
+pub(crate) fn run_rlnc<B>(
     graph: &Graph,
     fault: Channel,
     behaviors: Vec<B>,
@@ -67,7 +72,7 @@ fn run_rlnc_profiled<B>(
     max_rounds: u64,
     messages: &[Vec<Gf256>],
     state: impl Fn(&B) -> &RlncNode<Gf256>,
-) -> Result<(MultiMessageRun, LatencyProfile), CoreError>
+) -> Result<MultiMessageRun, CoreError>
 where
     B: NodeBehavior<CodedPacket<Gf256>>,
 {
@@ -79,13 +84,11 @@ where
             .behaviors()
             .iter()
             .all(|b| state(b).decode().map(|d| d == messages).unwrap_or(false));
-    Ok((
-        MultiMessageRun {
-            run: BroadcastRun { rounds, stats },
-            decoded_ok,
-        },
-        sim.latency_profile(),
-    ))
+    Ok(MultiMessageRun {
+        run: BroadcastRun { rounds, stats },
+        decoded_ok,
+        profile: sim.latency_profile(),
+    })
 }
 
 /// Decay-slotted RLNC multi-message broadcast (Lemma 12).
@@ -130,29 +133,6 @@ impl DecayRlnc {
         seed: u64,
         max_rounds: u64,
     ) -> Result<MultiMessageRun, CoreError> {
-        Ok(self
-            .run_profiled(graph, source, k, fault, seed, max_rounds)?
-            .0)
-    }
-
-    /// As [`DecayRlnc::run`], additionally returning the per-node
-    /// [`LatencyProfile`]: `first_packet` is the round a node first
-    /// heard *any* combination, `decode` the round its decoder reached
-    /// full rank `k` (the `can_decode`-driven decode latency the E6/E7
-    /// tables report).
-    ///
-    /// # Errors
-    ///
-    /// As [`DecayRlnc::run`].
-    pub fn run_profiled(
-        &self,
-        graph: &Graph,
-        source: NodeId,
-        k: usize,
-        fault: Channel,
-        seed: u64,
-        max_rounds: u64,
-    ) -> Result<(MultiMessageRun, LatencyProfile), CoreError> {
         check_k(k)?;
         let n = graph.node_count();
         if source.index() >= n {
@@ -172,7 +152,7 @@ impl DecayRlnc {
                 phase_len,
             })
             .collect();
-        run_rlnc_profiled(graph, fault, behaviors, seed, max_rounds, &messages, |b| {
+        run_rlnc(graph, fault, behaviors, seed, max_rounds, &messages, |b| {
             &b.state
         })
     }
@@ -226,12 +206,9 @@ impl DecayRlnc {
                     messages[i].clone(),
                 ));
         }
-        Ok(
-            run_rlnc_profiled(graph, fault, behaviors, seed, max_rounds, &messages, |b| {
-                &b.state
-            })?
-            .0,
-        )
+        run_rlnc(graph, fault, behaviors, seed, max_rounds, &messages, |b| {
+            &b.state
+        })
     }
 }
 
@@ -291,26 +268,6 @@ impl RobustFastbcRlnc {
         seed: u64,
         max_rounds: u64,
     ) -> Result<MultiMessageRun, CoreError> {
-        Ok(self
-            .run_profiled(graph, source, k, fault, seed, max_rounds)?
-            .0)
-    }
-
-    /// As [`RobustFastbcRlnc::run`], additionally returning the
-    /// per-node [`LatencyProfile`] (see [`DecayRlnc::run_profiled`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`RobustFastbcRlnc::run`].
-    pub fn run_profiled(
-        &self,
-        graph: &Graph,
-        source: NodeId,
-        k: usize,
-        fault: Channel,
-        seed: u64,
-        max_rounds: u64,
-    ) -> Result<(MultiMessageRun, LatencyProfile), CoreError> {
         check_k(k)?;
         let sched = RobustFastbcSchedule::with_params(graph, source, self.params)?;
         let gbst = sched.gbst();
@@ -331,7 +288,7 @@ impl RobustFastbcRlnc {
                 }
             })
             .collect();
-        run_rlnc_profiled(graph, fault, behaviors, seed, max_rounds, &messages, |b| {
+        run_rlnc(graph, fault, behaviors, seed, max_rounds, &messages, |b| {
             &b.state
         })
     }
@@ -545,11 +502,11 @@ mod tests {
         // hears a packet (random_combination never emits the zero
         // vector), and the source decodes at construction.
         let g = generators::path(8);
-        let (out, profile) = DecayRlnc {
+        let out = DecayRlnc {
             phase_len: None,
             payload_len: 1,
         }
-        .run_profiled(
+        .run(
             &g,
             NodeId::new(0),
             1,
@@ -558,6 +515,7 @@ mod tests {
             1_000_000,
         )
         .unwrap();
+        let profile = &out.profile;
         assert!(out.run.completed() && out.decoded_ok);
         assert_eq!(profile.decode_complete(NodeId::new(0)), Some(0));
         for i in 1..8u32 {
@@ -576,12 +534,13 @@ mod tests {
         // reach k everywhere and every decode round is recorded no
         // earlier than the node's first packet.
         let g = generators::path(4);
-        let (out, profile) = DecayRlnc {
+        let out = DecayRlnc {
             phase_len: None,
             payload_len: 0,
         }
-        .run_profiled(&g, NodeId::new(0), 8, Channel::faultless(), 5, 1_000_000)
+        .run(&g, NodeId::new(0), 8, Channel::faultless(), 5, 1_000_000)
         .unwrap();
+        let profile = &out.profile;
         assert!(out.run.completed() && out.decoded_ok);
         assert_eq!(profile.decoded_count(), 4);
         for i in 1..4u32 {
@@ -602,11 +561,11 @@ mod tests {
         let mean_decode = |k: usize| {
             let (mut total, mut count) = (0u64, 0u64);
             for seed in 0..4 {
-                let (out, profile) = DecayRlnc {
+                let out = DecayRlnc {
                     phase_len: None,
                     payload_len: 0,
                 }
-                .run_profiled(
+                .run(
                     &g,
                     NodeId::new(0),
                     k,
@@ -615,6 +574,7 @@ mod tests {
                     1_000_000,
                 )
                 .unwrap();
+                let profile = &out.profile;
                 assert!(out.run.completed(), "k = {k} seed {seed}");
                 let lats = profile.decode_latencies();
                 total += lats.iter().sum::<u64>();
@@ -633,11 +593,11 @@ mod tests {
     #[test]
     fn robust_fastbc_rlnc_profiled_populates_decode_rounds() {
         let g = generators::path(24);
-        let (out, profile) = RobustFastbcRlnc {
+        let out = RobustFastbcRlnc {
             params: Default::default(),
             payload_len: 0,
         }
-        .run_profiled(
+        .run(
             &g,
             NodeId::new(0),
             4,
@@ -646,6 +606,7 @@ mod tests {
             2_000_000,
         )
         .unwrap();
+        let profile = &out.profile;
         assert!(out.run.completed());
         assert_eq!(profile.decoded_count(), 24);
         assert!(profile

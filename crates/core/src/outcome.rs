@@ -1,7 +1,9 @@
 //! Outcome summary of a single broadcast execution.
 
 use netgraph::Graph;
-use radio_model::{Channel, LatencyProfile, NodeBehavior, Payload, SimStats, Simulator};
+use radio_model::{
+    Channel, LatencyProfile, NodeBehavior, Payload, RoundTrace, SimStats, Simulator,
+};
 use radio_obs::{SpanTimer, TelemetrySink};
 
 use crate::CoreError;
@@ -33,11 +35,10 @@ impl BroadcastRun {
     }
 }
 
-/// The shared profiled-run body of every single-message schedule
-/// (`Decay`, `FastbcSchedule`, `RobustFastbcSchedule`,
-/// `XinXiaSchedule`): build the simulator, run until every
-/// node's decode is complete or `max_rounds`, and return the outcome
-/// with its latency profile.
+/// The shared run body of every single-message schedule (`Decay`,
+/// `FastbcSchedule`, `RobustFastbcSchedule`, `XinXiaSchedule`): build
+/// the simulator, run until every node's decode is complete or
+/// `max_rounds`, and return the outcome with its latency profile.
 ///
 /// The completion check is the engine's O(1)
 /// [`Simulator::run_until_decoded`] tally — equivalent to an
@@ -49,7 +50,7 @@ impl BroadcastRun {
 /// The simulator runs with per-phase timing enabled iff `sink` is
 /// enabled, and on completion the engine's `engine/*` spans and
 /// counters plus a `schedule/run` wall-clock span are emitted into
-/// it. The profile-only callers pass [`radio_obs::NullSink`].
+/// it. Each schedule's `run` passes [`radio_obs::NullSink`].
 ///
 /// Telemetry is observational only: the returned run and profile are
 /// bit-identical under the same arguments whatever sink is attached.
@@ -78,6 +79,42 @@ where
         },
         sim.latency_profile(),
     ))
+}
+
+/// The shared body of `FastbcSchedule::run_traced` and
+/// `RobustFastbcSchedule::run_traced`: steps the simulator round by
+/// round, hands every round's [`RoundTrace`] to `inspect`, and stops
+/// on the same decode tally as [`run_profiled_telemetry`].
+pub(crate) fn run_traced<P, B>(
+    graph: &Graph,
+    fault: Channel,
+    behaviors: Vec<B>,
+    seed: u64,
+    max_rounds: u64,
+    mut inspect: impl FnMut(u64, &RoundTrace),
+) -> Result<BroadcastRun, CoreError>
+where
+    P: Payload,
+    B: NodeBehavior<P>,
+{
+    let n = graph.node_count() as u64;
+    let mut sim = Simulator::new(graph, fault, behaviors, seed)?;
+    let mut trace = RoundTrace::default();
+    let rounds = loop {
+        let round = sim.round();
+        if sim.stats().decoded_nodes >= n {
+            break Some(round);
+        }
+        if round == max_rounds {
+            break None;
+        }
+        sim.step_traced(&mut trace);
+        inspect(round, &trace);
+    };
+    Ok(BroadcastRun {
+        rounds,
+        stats: *sim.stats(),
+    })
 }
 
 #[cfg(test)]

@@ -57,11 +57,12 @@ use crate::{BroadcastRun, CoreError};
 /// use netgraph::{generators, NodeId};
 /// use noisy_radio_core::schedules::latency::XinXiaSchedule;
 /// use radio_model::Channel;
+/// use radio_obs::NullSink;
 ///
 /// let g = generators::path(64);
 /// let sched = XinXiaSchedule::new(&g, NodeId::new(0)).unwrap();
 /// let (run, profile) = sched
-///     .run_profiled(Channel::receiver(0.3).unwrap(), 1, 100_000)
+///     .run_telemetry(Channel::receiver(0.3).unwrap(), 1, 100_000, &mut NullSink)
 ///     .unwrap();
 /// assert!(run.completed());
 /// // Per-node latency is linear in the node's own distance.
@@ -151,28 +152,17 @@ impl<'g> XinXiaSchedule<'g> {
         seed: u64,
         max_rounds: u64,
     ) -> Result<BroadcastRun, CoreError> {
-        Ok(self.run_profiled(fault, seed, max_rounds)?.0)
+        Ok(self
+            .run_telemetry(fault, seed, max_rounds, &mut radio_obs::NullSink)?
+            .0)
     }
 
     /// As [`XinXiaSchedule::run`], additionally returning the per-node
-    /// [`LatencyProfile`] — the quantity this schedule optimizes.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Model`] for simulator configuration errors.
-    pub fn run_profiled(
-        &self,
-        fault: Channel,
-        seed: u64,
-        max_rounds: u64,
-    ) -> Result<(BroadcastRun, LatencyProfile), CoreError> {
-        self.run_telemetry(fault, seed, max_rounds, &mut radio_obs::NullSink)
-    }
-
-    /// As [`XinXiaSchedule::run_profiled`], with per-phase telemetry:
-    /// emits `schedule/setup` (behavior construction), `schedule/run`,
-    /// and the engine's `engine/*` breakdown into `sink`. Results are
-    /// bit-identical whatever sink is attached.
+    /// [`LatencyProfile`] — the quantity this schedule optimizes — and
+    /// emitting `schedule/setup` (behavior construction),
+    /// `schedule/run`, and the engine's `engine/*` breakdown into
+    /// `sink`. Pass [`radio_obs::NullSink`] for the profile alone;
+    /// results are bit-identical whatever sink is attached.
     ///
     /// # Errors
     ///
@@ -330,6 +320,7 @@ mod tests {
     use crate::decay::Decay;
     use crate::transform::{CodingFaultTransform, SenderFaultRoutingTransform};
     use netgraph::generators;
+    use radio_obs::NullSink;
 
     #[test]
     fn faultless_path_has_unit_per_hop_latency() {
@@ -339,7 +330,9 @@ mod tests {
         let g = generators::path(32);
         let sched = XinXiaSchedule::new(&g, NodeId::new(0)).unwrap();
         assert!((0..32).all(|l| sched.contention(l) == 1));
-        let (run, profile) = sched.run_profiled(Channel::faultless(), 3, 10_000).unwrap();
+        let (run, profile) = sched
+            .run_telemetry(Channel::faultless(), 3, 10_000, &mut NullSink)
+            .unwrap();
         assert_eq!(run.rounds, Some(31));
         for d in 1..32u32 {
             assert_eq!(profile.first_packet(NodeId::new(d)), Some(u64::from(d) - 1));
@@ -356,7 +349,12 @@ mod tests {
         let mut total = 0u64;
         for seed in 0..5 {
             let (run, profile) = sched
-                .run_profiled(Channel::receiver(0.5).unwrap(), seed, 100_000)
+                .run_telemetry(
+                    Channel::receiver(0.5).unwrap(),
+                    seed,
+                    100_000,
+                    &mut NullSink,
+                )
                 .unwrap();
             assert!(run.completed());
             total += profile.first_packet(NodeId::new(63)).unwrap() + 1;
@@ -430,10 +428,15 @@ mod tests {
         let g = generators::gnp_connected(48, 0.1, 9).unwrap();
         let sched = XinXiaSchedule::new(&g, NodeId::new(0)).unwrap();
         let (noisy, noisy_profile) = sched
-            .run_profiled(Channel::receiver(0.5).unwrap(), 11, 1_000_000)
+            .run_telemetry(
+                Channel::receiver(0.5).unwrap(),
+                11,
+                1_000_000,
+                &mut NullSink,
+            )
             .unwrap();
         let (erased, erased_profile) = sched
-            .run_profiled(Channel::erasure(0.5).unwrap(), 11, 1_000_000)
+            .run_telemetry(Channel::erasure(0.5).unwrap(), 11, 1_000_000, &mut NullSink)
             .unwrap();
         assert_eq!(noisy.rounds, erased.rounds);
         assert_eq!(noisy_profile, erased_profile);

@@ -303,11 +303,6 @@ pub fn star_coding_end_to_end(
     Ok(rounds)
 }
 
-/// Convenience: build the star graph used by these schedules.
-pub fn star_graph(leaves: usize) -> Graph {
-    generators::star(leaves)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -75,8 +75,9 @@ fn check_source(graph: &Graph, source: NodeId) -> Result<(), CoreError> {
 /// [`crate::decay::DecayNode`]).
 ///
 /// With a single injected message this degenerates bit-for-bit to
-/// [`crate::decay::Decay::run_profiled`] on the same seed — the
-/// regression test in `tests/traffic_invariants.rs` pins that.
+/// one-shot [`crate::decay::Decay`] on the same seed — the regression
+/// test in `tests/traffic_invariants.rs` pins that against
+/// [`crate::decay::DecayNode`]s stepped by hand.
 #[derive(Debug)]
 pub struct DecayTraffic {
     n: usize,

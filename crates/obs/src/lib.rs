@@ -88,21 +88,13 @@ impl TelemetrySink for NullSink {
     fn counter(&mut self, _name: &str, _value: u64) {}
 }
 
-/// Accumulated statistics of one span name in a [`CounterSink`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpanStat {
-    /// Total wall-clock nanoseconds across all records of this name.
-    pub nanos: u64,
-    /// Number of records.
-    pub count: u64,
-}
-
-/// An in-memory aggregating sink: spans accumulate `(nanos, count)`
-/// per name, counters accumulate totals, both in first-seen order so
-/// rendering and replay are deterministic for a fixed event sequence.
+/// An in-memory aggregating sink: spans accumulate in a [`PhaseSet`]
+/// (`(nanos, count)` per name), counters accumulate totals, both in
+/// first-seen order so rendering and replay are deterministic for a
+/// fixed event sequence.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CounterSink {
-    spans: Vec<(String, SpanStat)>,
+    spans: PhaseSet,
     counters: Vec<(String, u64)>,
 }
 
@@ -113,8 +105,8 @@ impl CounterSink {
     }
 
     /// The accumulated spans, in first-seen order.
-    pub fn spans(&self) -> &[(String, SpanStat)] {
-        &self.spans
+    pub fn spans(&self) -> &[(String, PhaseStat)] {
+        self.spans.entries()
     }
 
     /// The accumulated counters, in first-seen order.
@@ -124,7 +116,7 @@ impl CounterSink {
 
     /// Total nanoseconds recorded under span `name`, if any.
     pub fn span_nanos(&self, name: &str) -> Option<u64> {
-        self.spans
+        self.spans()
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, s)| s.nanos)
@@ -146,11 +138,7 @@ impl CounterSink {
     /// Folds another sink's accumulations into this one (used to merge
     /// per-trial sinks back on the main thread, in trial order).
     pub fn merge(&mut self, other: &CounterSink) {
-        for (name, stat) in &other.spans {
-            let slot = self.span_slot(name);
-            slot.nanos += stat.nanos;
-            slot.count += stat.count;
-        }
+        self.spans.merge(&other.spans);
         for (name, value) in &other.counters {
             self.counter(name, *value);
         }
@@ -160,9 +148,7 @@ impl CounterSink {
     /// event per name), e.g. to dump a merged summary into a
     /// [`JsonlSink`].
     pub fn emit_into<S: TelemetrySink>(&self, sink: &mut S) {
-        for (name, stat) in &self.spans {
-            sink.span(name, stat.nanos);
-        }
+        self.spans.emit(sink);
         for (name, value) in &self.counters {
             sink.counter(name, *value);
         }
@@ -174,22 +160,7 @@ impl CounterSink {
     pub fn render_summary(&self) -> String {
         let mut out = String::new();
         if !self.spans.is_empty() {
-            let phases = PhaseSet {
-                entries: self
-                    .spans
-                    .iter()
-                    .map(|(n, s)| {
-                        (
-                            n.clone(),
-                            PhaseStat {
-                                nanos: s.nanos,
-                                count: s.count,
-                            },
-                        )
-                    })
-                    .collect(),
-            };
-            out.push_str(&phases.render_table("telemetry spans"));
+            out.push_str(&self.spans.render_table("telemetry spans"));
         }
         if !self.counters.is_empty() {
             let width = self
@@ -206,21 +177,11 @@ impl CounterSink {
         }
         out
     }
-
-    fn span_slot(&mut self, name: &str) -> &mut SpanStat {
-        if let Some(i) = self.spans.iter().position(|(n, _)| n == name) {
-            return &mut self.spans[i].1;
-        }
-        self.spans.push((name.to_string(), SpanStat::default()));
-        &mut self.spans.last_mut().expect("just pushed").1
-    }
 }
 
 impl TelemetrySink for CounterSink {
     fn span(&mut self, name: &str, nanos: u64) {
-        let slot = self.span_slot(name);
-        slot.nanos += nanos;
-        slot.count += 1;
+        self.spans.add(name, nanos);
     }
 
     fn counter(&mut self, name: &str, value: u64) {
@@ -451,15 +412,10 @@ impl PhaseSet {
         self.entries.is_empty()
     }
 
-    /// Emits one span per phase into `sink`, names prefixed with
-    /// `prefix` (pass `""` for bare names).
-    pub fn emit<S: TelemetrySink>(&self, sink: &mut S, prefix: &str) {
+    /// Emits one span per phase into `sink`.
+    pub fn emit<S: TelemetrySink>(&self, sink: &mut S) {
         for (name, stat) in &self.entries {
-            if prefix.is_empty() {
-                sink.span(name, stat.nanos);
-            } else {
-                sink.span(&format!("{prefix}{name}"), stat.nanos);
-            }
+            sink.span(name, stat.nanos);
         }
     }
 
@@ -625,8 +581,8 @@ mod tests {
         assert!(table.contains("act"));
         assert!(table.contains("total"));
         let mut sink = CounterSink::new();
-        p.emit(&mut sink, "engine/");
-        assert_eq!(sink.span_nanos("engine/act"), Some(4_000_000));
+        p.emit(&mut sink);
+        assert_eq!(sink.span_nanos("act"), Some(4_000_000));
     }
 
     #[test]

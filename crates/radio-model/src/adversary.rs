@@ -80,8 +80,8 @@ impl Adversary {
     ///
     /// # Errors
     ///
-    /// [`ModelError::NodeCountMismatch`] when fewer than `f`
-    /// corruptible nodes exist.
+    /// [`ModelError::TooManyFaulty`] when fewer than `f` corruptible
+    /// nodes exist.
     pub fn seeded(
         n: usize,
         f: usize,
@@ -93,9 +93,9 @@ impl Adversary {
             .filter(|i| !spare.iter().any(|s| s.index() == *i))
             .collect();
         if pool.len() < f {
-            return Err(ModelError::NodeCountMismatch {
-                supplied: f,
-                expected: pool.len(),
+            return Err(ModelError::TooManyFaulty {
+                faulty: f,
+                unspared: pool.len(),
             });
         }
         let mut rng = fork_rng(seed, ADVERSARY_STREAM);
@@ -407,7 +407,13 @@ mod tests {
         let c = Adversary::seeded(10, 3, Misbehavior::Jam, 43, &spare).unwrap();
         assert_ne!(a, c, "different seeds pick different nodes (w.h.p.)");
         // Over-corruption is rejected.
-        assert!(Adversary::seeded(4, 4, Misbehavior::Jam, 1, &spare).is_err());
+        assert_eq!(
+            Adversary::seeded(4, 4, Misbehavior::Jam, 1, &spare),
+            Err(ModelError::TooManyFaulty {
+                faulty: 4,
+                unspared: 3
+            })
+        );
         assert_eq!(
             Adversary::seeded(4, 4, Misbehavior::Jam, 1, &[])
                 .unwrap()

@@ -20,6 +20,14 @@ pub enum ModelError {
         /// Nodes in the graph.
         expected: usize,
     },
+    /// An adversary was asked to corrupt more nodes than remain once
+    /// the spared ones are set aside.
+    TooManyFaulty {
+        /// Nodes asked to be corrupted.
+        faulty: usize,
+        /// Nodes not spared, the most that can be corrupted.
+        unspared: usize,
+    },
     /// A routing controller listed a sender the runner cannot accept:
     /// a node outside the graph, a message outside `0..k`, or a node
     /// listed twice in one round.
@@ -60,6 +68,12 @@ impl fmt::Display for ModelError {
                 write!(
                     f,
                     "supplied {supplied} per-node values for a graph of {expected} nodes"
+                )
+            }
+            ModelError::TooManyFaulty { faulty, unspared } => {
+                write!(
+                    f,
+                    "cannot corrupt {faulty} faulty nodes: only {unspared} nodes are unspared"
                 )
             }
             ModelError::InvalidSender {
@@ -114,6 +128,14 @@ mod tests {
             }
             .to_string(),
             "supplied 2 per-node values for a graph of 3 nodes"
+        );
+        assert_eq!(
+            ModelError::TooManyFaulty {
+                faulty: 4,
+                unspared: 3
+            }
+            .to_string(),
+            "cannot corrupt 4 faulty nodes: only 3 nodes are unspared"
         );
         let sender = |node, message| ModelError::InvalidSender {
             round: 3,

@@ -107,7 +107,6 @@ mod rng;
 
 pub mod adaptive;
 pub mod adversary;
-pub mod recorder;
 
 pub use action::Action;
 pub use adversary::{Adversary, ByzantineNode, Misbehavior};

@@ -87,7 +87,8 @@ consensus:
   --algo NAME       brb | ben-or (default brb); BRB broadcasts `true`
                     from node 0, Ben-Or proposes by node parity
   --faulty F        Byzantine nodes (default 0 = all honest); also the
-                    assumed tolerance sizing the quorums (needs F < n/3)
+                    assumed tolerance sizing the quorums (the protocols
+                    assume F < n/3 for liveness)
   --adversary KIND  crash[:ROUND] | equivocate | jam (default crash,
                     crashing at round 10); node 0 is always spared
   --max-rounds N    round cap per trial (default 100000)
@@ -590,12 +591,13 @@ fn cmd_gap(opts: &Options) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         (out, None)
     };
-    let routing = routing_out.rounds.ok_or("routing did not finish")?;
+    let routing = completed_rounds(routing_out.rounds).map_err(|e| format!("routing {e}"))?;
     let coding = completed_rounds(
         star_coding(opts.leaves, opts.k, opts.fault, opts.seed, MAX_ROUNDS)
             .map_err(|e| e.to_string())?
             .rounds,
-    )?;
+    )
+    .map_err(|e| format!("coding {e}"))?;
     println!(
         "  adaptive routing: {routing} rounds (τ = {:.4})",
         opts.k as f64 / routing as f64
@@ -608,7 +610,7 @@ fn cmd_gap(opts: &Options) -> Result<(), String> {
     if let Some(phases) = phases {
         eprint!("{}", phases.render_table("routing phase breakdown"));
         let mut counters = CounterSink::new();
-        phases.emit(&mut counters, "");
+        phases.emit(&mut counters);
         opts.finish_telemetry(&counters)?;
     }
     Ok(())
@@ -808,6 +810,18 @@ mod tests {
         let d = Options::parse(&[]).unwrap();
         assert_eq!(d.faulty, 0);
         assert_eq!(d.adversary, "crash");
+    }
+
+    #[test]
+    fn consensus_rejects_more_faulty_nodes_than_it_can_corrupt() {
+        let args: Vec<String> = ["consensus", "--topology", "path:4", "--faulty", "4"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(
+            run(&args),
+            Err("cannot corrupt 4 faulty nodes: only 3 nodes are unspared".into())
+        );
     }
 
     #[test]

@@ -1,53 +1,11 @@
-//! Cross-crate integration for the tooling layer: execution
-//! recording, DOT export, and percentile reporting over real
-//! algorithm runs.
+//! Cross-crate integration for the tooling layer: DOT export and
+//! percentile reporting over real algorithm runs.
 
 use noisy_radio::core::decay::Decay;
 use noisy_radio::gbst::Gbst;
-use noisy_radio::model::recorder::History;
 use noisy_radio::model::Channel;
 use noisy_radio::netgraph::{dot, generators, NodeId};
 use noisy_radio::throughput::Percentiles;
-
-#[test]
-fn recorded_history_matches_broadcast_progress() {
-    use noisy_radio::model::{Action, Ctx, NodeBehavior, Reception, Simulator};
-
-    struct Flood {
-        informed: bool,
-    }
-    impl NodeBehavior<()> for Flood {
-        fn act(&mut self, _ctx: &mut Ctx<'_>) -> Action<()> {
-            if self.informed {
-                Action::Broadcast(())
-            } else {
-                Action::Listen
-            }
-        }
-        fn receive(&mut self, _ctx: &mut Ctx<'_>, rx: Reception<()>) {
-            if rx.is_packet() {
-                self.informed = true;
-            }
-        }
-    }
-
-    let g = generators::path(16);
-    let behaviors: Vec<Flood> = (0..16).map(|i| Flood { informed: i == 0 }).collect();
-    let mut sim = Simulator::new(&g, Channel::faultless(), behaviors, 9).unwrap();
-    let (history, rounds) =
-        History::record_until(&mut sim, 1_000, |bs| bs.iter().all(|b| b.informed));
-    let rounds = rounds.expect("flood completes");
-    assert_eq!(history.rounds.len() as u64, rounds);
-    // On a faultless path, node i first hears in round i-1, and the
-    // recorded history should say exactly that.
-    for i in 1..16u32 {
-        assert_eq!(
-            history.first_reception(NodeId::new(i)),
-            Some(u64::from(i) - 1)
-        );
-    }
-    assert_eq!(history.total_deliveries(), 15);
-}
 
 #[test]
 fn gbst_dot_renders_every_stretch_on_generated_graphs() {
