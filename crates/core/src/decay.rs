@@ -414,6 +414,48 @@ mod tests {
         }
     }
 
+    /// Decay's law: the coin at phase position `i` (1-based) fires with
+    /// probability `2^-i`. Broadcasts found by chaining `next_broadcast`
+    /// over 2¹⁸ steps per phase length (eight seeds of 2¹⁵) are counted
+    /// per position and checked against `2^-i` with a 99.9% Wilson
+    /// interval. L ∈ {1, 13, 53} runs the threshold carry, L ∈ {54, 64}
+    /// the `draw_broadcast` fallback.
+    #[test]
+    fn next_broadcast_fires_at_position_i_with_probability_2_pow_minus_i() {
+        use rand::SeedableRng;
+        const STEPS: u64 = 1 << 15;
+        const Z: f64 = 3.2905; // two-sided 99.9%
+        for phase_len in [1u32, 13, 53, 54, 64] {
+            let l = u64::from(phase_len);
+            let mut fires = vec![0u64; phase_len as usize];
+            for seed in 0..8 {
+                let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+                let mut step = DecayNode::next_broadcast(phase_len, 0, &mut rng);
+                while step < STEPS {
+                    fires[(step % l) as usize] += 1;
+                    step = DecayNode::next_broadcast(phase_len, step + 1, &mut rng);
+                }
+            }
+            for (i, &x) in fires.iter().enumerate() {
+                // Every step of every seed visits position `i` once per
+                // phase it covers.
+                let n = (8 * ((STEPS - i as u64).div_ceil(l))) as f64;
+                let p = DecayNode::broadcast_probability(phase_len, i as u64);
+                assert_eq!(p, 0.5f64.powi(i as i32 + 1));
+                let hat = x as f64 / n;
+                let centre = (hat + Z * Z / (2.0 * n)) / (1.0 + Z * Z / n);
+                let half =
+                    Z / (1.0 + Z * Z / n) * (hat * (1.0 - hat) / n + Z * Z / (4.0 * n * n)).sqrt();
+                assert!(
+                    (centre - half..=centre + half).contains(&p),
+                    "L {phase_len}, position {}: {x} of {n} fired, want 2^-{}",
+                    i + 1,
+                    i + 1
+                );
+            }
+        }
+    }
+
     #[test]
     fn broadcast_probability_matches_powi() {
         for phase_len in [2u32, 5, 11, 21, 64] {

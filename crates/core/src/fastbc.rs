@@ -388,18 +388,25 @@ mod tests {
 
     #[test]
     fn faultless_path_is_diameter_linear() {
-        let g = generators::path(200);
-        let sched = FastbcSchedule::new(&g, NodeId::new(0)).unwrap();
-        let run = sched.run(Channel::faultless(), 1, 100_000).unwrap();
-        let rounds = run.rounds_used();
-        // The wave advances one level per fast round (2 real rounds)
-        // once started; budget 2D + startup + slack. (The final hop's
-        // reception lands inside round 2(D-1), hence the -1.)
-        assert!(rounds >= 2 * 198, "wave cannot beat 2 rounds/hop: {rounds}");
-        assert!(
-            rounds <= 2 * 199 + 200,
-            "rounds {rounds} not diameter-linear"
-        );
+        // Without faults the fast wave never collides on a path: it
+        // advances one hop per fast round (two real rounds), and the
+        // last hop's reception lands in round 2D − 1. Slow Decay
+        // rounds can only bring a short path's far end in earlier.
+        for n in [2, 3, 5, 17, 63, 64, 65, 200, 1024] {
+            let g = generators::path(n);
+            let wave = 2 * (n as u64 - 1) - 1;
+            let sched = FastbcSchedule::new(&g, NodeId::new(0)).unwrap();
+            for seed in 0..4 {
+                let rounds = sched
+                    .run(Channel::faultless(), seed, 100_000)
+                    .unwrap()
+                    .rounds_used();
+                assert!(rounds <= wave, "path:{n}, seed {seed}: {rounds} rounds");
+                if [64, 200, 1024].contains(&n) {
+                    assert_eq!(rounds, wave, "path:{n}, seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //! whom, and one sweep over 64 listeners at a time draws a loss for
 //! each clean listener — reached by exactly one sender, not sending,
 //! and not sender-faulted — and grants only the delivered ones their
-//! sender's message. A listener whose slot changes nothing costs only
-//! its loss draw.
+//! sender's message. When every sender carries the same message, the
+//! sweep checks a whole word of listeners against that message's
+//! column of the [`Knowledge`] state: a listener that already holds it
+//! still steps the fault stream, but costs nothing else.
 
 use netgraph::{Bitset, Graph, NodeId};
 use radio_obs::{PhaseSet, SpanTimer};
@@ -45,7 +47,14 @@ impl MsgId {
 /// `i`. This is exactly the information an adaptive routing schedule
 /// is allowed to consult (Definition 14).
 ///
-/// Beside the matrix it keeps, per message, the number of nodes still
+/// Every bit is kept twice: in a row per node (a [`BitMatrix`], which
+/// answers [`Knowledge::first_missing`] and [`Knowledge::node_complete`]
+/// a word at a time) and in a column per message (a [`Bitset`] over the
+/// nodes, which answers [`Knowledge::knows`] and lets the runner tell 64
+/// listeners at once which of them already hold a message). A grant
+/// writes both, so the two always agree.
+///
+/// Beside them it keeps, per message, the number of nodes still
 /// lacking it, and a cursor at the lowest message some node lacks.
 /// Counts only fall, so the cursor only moves forward, and
 /// [`Knowledge::all_complete`] and [`Knowledge::lowest_missing`] are
@@ -53,6 +62,8 @@ impl MsgId {
 #[derive(Debug, Clone)]
 pub struct Knowledge {
     matrix: BitMatrix,
+    /// `columns[m]`: the nodes that know message `m`.
+    columns: Vec<Bitset>,
     /// `missing[m]`: how many nodes still lack message `m`.
     missing: Vec<usize>,
     /// The lowest `m` with `missing[m] > 0`; `k` once all is known.
@@ -64,6 +75,7 @@ impl Knowledge {
     pub fn new(n: usize, k: usize) -> Self {
         let mut knowledge = Knowledge {
             matrix: BitMatrix::new(n, k),
+            columns: vec![Bitset::new(n); k],
             missing: vec![n; k],
             lowest: 0,
         };
@@ -84,6 +96,7 @@ impl Knowledge {
     /// Grants message `m` to node `v`. Returns whether this was new.
     pub fn grant(&mut self, v: NodeId, m: MsgId) -> bool {
         let fresh = self.matrix.set(v.index(), m.index());
+        self.columns[m.index()].insert(v.index());
         self.missing[m.index()] -= usize::from(fresh);
         self.advance();
         fresh
@@ -93,18 +106,14 @@ impl Knowledge {
     pub fn grant_all(&mut self, v: NodeId) {
         for m in 0..self.message_count() {
             self.missing[m] -= usize::from(self.matrix.set(v.index(), m));
+            self.columns[m].insert(v.index());
         }
         self.advance();
     }
 
     /// Whether node `v` knows message `m`.
     pub fn knows(&self, v: NodeId, m: MsgId) -> bool {
-        self.matrix.get(v.index(), m.index())
-    }
-
-    /// Number of messages `v` knows.
-    pub fn known_count(&self, v: NodeId) -> usize {
-        self.matrix.row_count_ones(v.index())
+        self.columns[m.index()].contains(v.index())
     }
 
     /// Whether `v` knows all messages.
@@ -199,9 +208,10 @@ pub struct RoutingOutcome {
 ///
 /// # Errors
 ///
-/// [`ModelError::InvalidSender`] if the controller lists a node twice
-/// in one round, a node outside the graph, or a message outside
-/// `0..k`.
+/// [`ModelError::TooManyMessages`] if `k` exceeds 2³², the number of
+/// messages a [`MsgId`] can name; [`ModelError::InvalidSender`] if the
+/// controller lists a node twice in one round, a node outside the
+/// graph, or a message outside `0..k`.
 pub fn run_routing(
     graph: &Graph,
     channel: Channel,
@@ -254,6 +264,11 @@ fn run_routing_inner(
     max_rounds: u64,
     timed: bool,
 ) -> Result<(RoutingOutcome, PhaseSet), ModelError> {
+    // Messages are named by a `u32`; reject a `k` past that before
+    // the knowledge state is allocated for it.
+    if k as u64 > 1 << 32 {
+        return Err(ModelError::TooManyMessages { messages: k });
+    }
     let n = graph.node_count();
     let mut knowledge = Knowledge::new(n, k);
     knowledge.grant_all(source);
@@ -303,11 +318,15 @@ fn run_routing_inner(
         // order (composed channels contribute their sender-side
         // component). A faulted broadcast still occupies the channel.
         slot.broadcasting.clear();
+        let mut one_message = senders.first().map(|&(_, m)| m);
         for &(u, m) in &senders {
             let i = u.index();
             slot.broadcasting.insert(i);
             slot.msg_of[i] = m.0;
             slot.sender_ok[i] = !sender_fault.is_some_and(|p| fault_rng.gen_bool(p));
+            if one_message != Some(m) {
+                one_message = None;
+            }
         }
         reach_pass(
             graph,
@@ -317,13 +336,23 @@ fn run_routing_inner(
             &mut slot.heard_from,
         );
         let delivered;
-        (delivered, fault_rng) = resolve_listeners(
-            &mut knowledge,
-            &mut slot,
-            sender_fault.is_some(),
-            loss,
-            fault_rng,
-        );
+        (delivered, fault_rng) = match one_message {
+            Some(m) => resolve_one_message(
+                &mut knowledge,
+                &slot,
+                m.index(),
+                sender_fault.is_some(),
+                loss,
+                fault_rng,
+            ),
+            None => resolve_listeners(
+                &mut knowledge,
+                &mut slot,
+                sender_fault.is_some(),
+                loss,
+                fault_rng,
+            ),
+        };
         fresh += delivered;
         knowledge.advance();
         if resolve_timer.enabled() {
@@ -376,11 +405,103 @@ fn check_senders(
     Ok(())
 }
 
-/// The delivery sweep, 64 listeners at a time. A clean listener is
-/// reached, not collided, not broadcasting and not sender-faulted; each
-/// draws one keep mask from `rng`, in ascending order, and only the
-/// delivered ones are granted their broadcaster's message. Returns the
+/// The listeners of word `w` whose slot carries a packet: those in
+/// `single` (reached by exactly one broadcaster, and not broadcasting)
+/// less, under a channel with sender faults (`sender_ok` given), those
+/// whose broadcaster's fault fired.
+#[inline]
+fn clean_word(single: u64, w: usize, heard_from: &[u32], sender_ok: Option<&[bool]>) -> u64 {
+    match sender_ok {
+        Some(ok) => single & !sender_faulted(single, w, heard_from, ok),
+        None => single,
+    }
+}
+
+/// The delivery sweep of a round whose broadcasters all carry message
+/// `m`, a word of 64 listeners at a time. Each clean listener still
+/// steps `rng` once, in ascending order, exactly as in
+/// [`resolve_listeners`]; but only a listener that lacks `m` turns its
+/// draw into a keep mask, and only those listeners can be granted, so
+/// a word's fresh grants are one OR into `m`'s column, one popcount
+/// into `missing[m]`, and a row bit per granted listener. Returns the
 /// fresh deliveries and the stream.
+///
+/// A listener that already holds `m` cannot be changed by its slot,
+/// whatever its draw, so dropping the draw's value (never the draw)
+/// leaves every stream and every grant as the per-listener sweep makes
+/// them.
+// Out of line, with the stream passed in and out by value, like
+// `resolve_listeners`.
+#[inline(never)]
+fn resolve_one_message(
+    knowledge: &mut Knowledge,
+    slot: &Slot,
+    m: usize,
+    sender_faults: bool,
+    loss: Option<u64>,
+    mut rng: SmallRng,
+) -> (u64, SmallRng) {
+    let Knowledge {
+        matrix,
+        columns,
+        missing,
+        ..
+    } = knowledge;
+    let sender_ok = sender_faults.then_some(&slot.sender_ok[..]);
+    let mut fresh = 0u64;
+    let words = slot
+        .reach
+        .words()
+        .iter()
+        .zip(slot.collided.words())
+        .zip(slot.broadcasting.words())
+        .zip(columns[m].words_mut());
+    for (w, (((&rw, &cw), &bw), known)) in words.enumerate() {
+        let clean = clean_word(rw & !cw & !bw, w, &slot.heard_from, sender_ok);
+        let useful = clean & !*known;
+        let mut delivered = useful;
+        if let Some(threshold) = loss {
+            // Every clean listener steps the stream; the keep mask is
+            // only worked out for one that lacks the message. A word
+            // with none (most words, once a message is old) runs the
+            // bare steps: 4–5% less `routing/resolve` on the benchmark
+            // star than one branch per listener.
+            let mut c = clean;
+            if useful == 0 {
+                while c != 0 {
+                    c &= c - 1;
+                    rng.next_u64();
+                }
+            } else {
+                while c != 0 {
+                    let bit = c & c.wrapping_neg();
+                    c &= c - 1;
+                    let draw = rng.next_u64();
+                    if useful & bit != 0 {
+                        delivered &= kept_mask(draw, threshold) | !bit;
+                    }
+                }
+            }
+        }
+        if delivered != 0 {
+            *known |= delivered;
+            fresh += u64::from(delivered.count_ones());
+            let mut d = delivered;
+            while d != 0 {
+                matrix.set(w * 64 + d.trailing_zeros() as usize, m);
+                d &= d - 1;
+            }
+        }
+    }
+    missing[m] -= fresh as usize;
+    (fresh, rng)
+}
+
+/// The delivery sweep of a round with several messages on air, 64
+/// listeners at a time. Each clean listener ([`clean_word`]) draws
+/// one keep mask from `rng`, in ascending order, and only the delivered
+/// ones are granted their broadcaster's message. Returns the fresh
+/// deliveries and the stream.
 ///
 /// The draws for every word come first, into `slot.delivered`, and the
 /// grants after: in one loop, the stream's four words left too few
@@ -397,6 +518,7 @@ fn resolve_listeners(
     mut rng: SmallRng,
 ) -> (u64, SmallRng) {
     let heard_from = &slot.heard_from[..];
+    let sender_ok = sender_faults.then_some(&slot.sender_ok[..]);
     let words = slot
         .reach
         .words()
@@ -405,13 +527,7 @@ fn resolve_listeners(
         .zip(slot.broadcasting.words())
         .zip(slot.delivered.words_mut());
     for (w, (((&rw, &cw), &bw), dw)) in words.enumerate() {
-        let single = rw & !cw & !bw;
-        let faulted = if sender_faults {
-            sender_faulted(single, w, heard_from, &slot.sender_ok)
-        } else {
-            0
-        };
-        let clean = single & !faulted;
+        let clean = clean_word(rw & !cw & !bw, w, heard_from, sender_ok);
         let mut delivered = clean;
         if let Some(threshold) = loss {
             let mut m = clean;
@@ -424,7 +540,10 @@ fn resolve_listeners(
         *dw = delivered;
     }
     let Knowledge {
-        matrix, missing, ..
+        matrix,
+        columns,
+        missing,
+        ..
     } = knowledge;
     let msg_of = &slot.msg_of[..];
     let mut fresh = 0u64;
@@ -444,6 +563,7 @@ fn resolve_listeners(
                 (run_msg, run_fresh) = (msg, 0);
             }
             run_fresh += usize::from(matrix.set(v, msg));
+            columns[msg].insert(v);
         }
     }
     if run_fresh > 0 {
@@ -653,7 +773,6 @@ mod tests {
         assert_eq!(k.lowest_missing(), Some(MsgId(0)));
         assert!(k.grant(NodeId::new(1), MsgId(2)));
         assert!(!k.grant(NodeId::new(1), MsgId(2)), "regrant is not fresh");
-        assert_eq!(k.known_count(NodeId::new(1)), 1);
         assert_eq!(k.first_missing(NodeId::new(1)), Some(MsgId(0)));
         assert_eq!(k.first_missing(NodeId::new(0)), None);
         for v in 1..3 {
@@ -705,6 +824,56 @@ mod tests {
             }
             prop_assert_eq!(knowledge.lowest_missing(), brute_lowest_missing(&knowledge));
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The rows (`first_missing`, `node_complete`) and the columns
+        /// (`knows`) agree with a set of granted pairs, and with each
+        /// other, after any grants, on node counts past one column word.
+        #[test]
+        fn rows_and_columns_agree_after_grants(
+            n in 1usize..140,
+            k in 1usize..71,
+            grants in proptest::collection::vec((any::<usize>(), any::<usize>(), 0u8..8), 0..300),
+        ) {
+            let mut knowledge = Knowledge::new(n, k);
+            let mut granted = std::collections::HashSet::new();
+            for (v, m, all) in grants {
+                let (v, m) = (v % n, m % k);
+                if all == 0 {
+                    knowledge.grant_all(NodeId::from_index(v));
+                    granted.extend((0..k).map(|m| (v, m)));
+                } else {
+                    let fresh = knowledge.grant(NodeId::from_index(v), MsgId(m as u32));
+                    prop_assert_eq!(fresh, granted.insert((v, m)));
+                }
+            }
+            for v in 0..n {
+                let node = NodeId::from_index(v);
+                let knows = |m: usize| knowledge.knows(node, MsgId(m as u32));
+                for m in 0..k {
+                    prop_assert_eq!(knows(m), granted.contains(&(v, m)), "({}, {})", v, m);
+                }
+                let first = (0..k).find(|&m| !knows(m)).map(|m| MsgId(m as u32));
+                prop_assert_eq!(knowledge.first_missing(node), first);
+                prop_assert_eq!(knowledge.node_complete(node), first.is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn too_many_messages_are_rejected_before_allocating() {
+        let g = generators::star(4);
+        let mut c = SourceSweep {
+            source: NodeId::new(0),
+        };
+        let k = (1usize << 32) + 1;
+        assert_eq!(
+            run_routing(&g, Channel::faultless(), NodeId::new(0), k, &mut c, 0, 10),
+            Err(ModelError::TooManyMessages { messages: k })
+        );
     }
 
     #[test]

@@ -43,6 +43,12 @@ pub enum ModelError {
         /// Messages `k` of the run.
         messages: usize,
     },
+    /// An adaptive-routing run was asked for more messages than a
+    /// [`MsgId`](crate::adaptive::MsgId) can name (2³²).
+    TooManyMessages {
+        /// The requested message count `k`.
+        messages: usize,
+    },
     /// Two channels whose delivery-side presentations differ
     /// (`receiver` noise vs `erasure` detection) cannot be composed.
     IncompatibleChannels {
@@ -91,6 +97,12 @@ impl fmt::Display for ModelError {
                 } else {
                     write!(f, "node {node} twice")
                 }
+            }
+            ModelError::TooManyMessages { messages } => {
+                write!(
+                    f,
+                    "cannot route k = {messages} messages: a message index names at most 2^32"
+                )
             }
             ModelError::IncompatibleChannels { left, right } => {
                 write!(
@@ -164,6 +176,10 @@ mod tests {
             .to_string(),
             "cannot compose receiver(p=0.1) with erasure(p=0.2): \
              their delivery presentations differ"
+        );
+        assert_eq!(
+            ModelError::TooManyMessages { messages: 1 << 33 }.to_string(),
+            "cannot route k = 8589934592 messages: a message index names at most 2^32"
         );
         assert!(ModelError::InvalidChannelSpec {
             spec: "bogus".into()

@@ -9,7 +9,9 @@
 //! must agree on the outcome and on the knowledge state in every round,
 //! over random graphs, some past one 64-node bitset word, channels,
 //! message counts across a word boundary, and controllers that list
-//! random nodes in random order with known and unknown messages.
+//! random nodes in random order with known and unknown messages, or
+//! all with the one lowest missing message (the runner's word-at-a-time
+//! single-message path).
 
 use netgraph::{generators, Graph, NodeId};
 use proptest::prelude::*;
@@ -19,19 +21,23 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// FNV-1a over every `knows(v, m)` bit, plus the O(1) summaries.
+/// FNV-1a over every `knows(v, m)` bit (the per-message columns), every
+/// node's `first_missing` and `node_complete` (its row), plus the O(1)
+/// summaries.
 fn digest(knowledge: &Knowledge) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |x: u64| {
         h ^= x;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     };
-    for v in 0..knowledge.node_count() {
+    for v in (0..knowledge.node_count()).map(NodeId::from_index) {
         for m in 0..knowledge.message_count() {
-            mix(u64::from(
-                knowledge.knows(NodeId::from_index(v), MsgId(m as u32)),
-            ));
+            mix(u64::from(knowledge.knows(v, MsgId(m as u32))));
         }
+        mix(knowledge
+            .first_missing(v)
+            .map_or(u64::MAX, |m| u64::from(m.0)));
+        mix(u64::from(knowledge.node_complete(v)));
     }
     mix(knowledge
         .lowest_missing()
@@ -80,6 +86,36 @@ impl RoutingController for RandomLister {
             };
             senders.push((u, m));
         }
+    }
+}
+
+/// Lists each node with probability `rate`, shuffled, every one with
+/// the lowest message someone still lacks, so that every round has a
+/// single message on air (and listed nodes that lack it stay silent).
+/// Records the knowledge digest of every round it is asked about.
+struct LowestLister {
+    rate: f64,
+    digests: Vec<u64>,
+}
+
+impl RoutingController for LowestLister {
+    fn decide(
+        &mut self,
+        _round: u64,
+        knowledge: &Knowledge,
+        rng: &mut SmallRng,
+        senders: &mut Vec<(NodeId, MsgId)>,
+    ) {
+        self.digests.push(digest(knowledge));
+        let Some(m) = knowledge.lowest_missing() else {
+            return;
+        };
+        let mut nodes: Vec<NodeId> = (0..knowledge.node_count())
+            .map(NodeId::from_index)
+            .filter(|_| rng.gen_bool(self.rate))
+            .collect();
+        nodes.shuffle(rng);
+        senders.extend(nodes.into_iter().map(|u| (u, m)));
     }
 }
 
@@ -232,6 +268,34 @@ proptest! {
         let out = run_routing(&graph, channel, source, k, &mut sparse, seed, max_rounds)
             .expect("the lister only names valid senders");
         let mut dense = RandomLister { rate, digests: Vec::new() };
+        let want = reference_run(&graph, channel, source, k, &mut dense, seed, max_rounds);
+        prop_assert_eq!(out, want);
+        prop_assert_eq!(sparse.digests, dense.digests);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Single-message rounds on stars past one 64-node word: the centre
+    /// and random leaves all send the lowest missing message, so the
+    /// centre hears collisions and the leaves the centre's packet, its
+    /// sender faults and their own losses.
+    #[test]
+    fn single_message_rounds_match_the_dense_reference(
+        graph in prop_oneof![(65usize..301).prop_map(generators::star), arb_graph()],
+        channel in arb_channel(),
+        k in prop_oneof![1usize..4, 1usize..71],
+        rate in 0.01..0.5f64,
+        source_pick in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let source = NodeId::from_index(source_pick as usize % graph.node_count());
+        let max_rounds = 200;
+        let mut sparse = LowestLister { rate, digests: Vec::new() };
+        let out = run_routing(&graph, channel, source, k, &mut sparse, seed, max_rounds)
+            .expect("the lister only names valid senders");
+        let mut dense = LowestLister { rate, digests: Vec::new() };
         let want = reference_run(&graph, channel, source, k, &mut dense, seed, max_rounds);
         prop_assert_eq!(out, want);
         prop_assert_eq!(sparse.digests, dense.digests);

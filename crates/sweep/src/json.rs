@@ -367,15 +367,19 @@ impl Parser<'_> {
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
                         b'u' => {
-                            let hex = self
+                            // Exactly four hex digits (`from_str_radix`
+                            // would also take a leading `+`).
+                            let code = self
                                 .bytes
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| {
                                     format!("truncated \\u escape at byte {}", self.pos)
-                                })?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
+                                })?
+                                .iter()
+                                .try_fold(0, |code, &b| {
+                                    Some(code * 16 + char::from(b).to_digit(16)?)
+                                })
+                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
                             self.pos += 4;
                             // Surrogate pairs are not needed for our
                             // artifacts (the writer only \u-escapes
@@ -400,27 +404,59 @@ impl Parser<'_> {
         }
     }
 
+    /// Skips ASCII digits; returns how many.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// A number by JSON's grammar, `-?(0|[1-9]\d*)(\.\d+)?([eE][+-]?\d+)?`,
+    /// and finite: a `U64` if it is a non-negative integer that fits,
+    /// an `F64` otherwise.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
+        let bad = |what: &str, at: usize| format!("{what} in number at byte {at}");
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
+        match self.peek() {
+            // A digit after a leading `0` is left for the caller, which
+            // rejects it as trailing text.
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(bad("missing integer part", self.pos)),
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("invalid number at byte {start}"))?;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            if self.digits() == 0 {
+                return Err(bad("missing fraction digits", self.pos));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.digits() == 0 {
+                return Err(bad("missing exponent digits", self.pos));
+            }
+        }
+        // Only ASCII was consumed above.
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
         if !text.contains(['.', 'e', 'E', '-']) {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Json::U64(n));
             }
         }
-        text.parse::<f64>()
-            .map(Json::F64)
-            .map_err(|_| format!("invalid number `{text}` at byte {start}"))
+        match text.parse::<f64>() {
+            Ok(x) if x.is_finite() => Ok(Json::F64(x)),
+            _ => Err(format!("number `{text}` out of range at byte {start}")),
+        }
     }
 }
 

@@ -120,3 +120,60 @@ proptest! {
         prop_assert_eq!(back.render_pretty(), pretty);
     }
 }
+
+/// Text that is not JSON, alone and inside an array: an escape with a
+/// sign among its four hex digits, numbers with a leading zero, an empty
+/// fraction or integer part, and numbers beyond `f64`'s range.
+#[test]
+fn text_that_is_not_json_is_rejected() {
+    let cases = [
+        r#""\u+041""#,
+        r#""\u-041""#,
+        r#""\u 041""#,
+        "01",
+        "-01",
+        "00",
+        "1.",
+        "-.5",
+        ".5",
+        "-",
+        "1e",
+        "1e+",
+        "1.e3",
+        "1e999",
+        "-1e999",
+        "+1",
+    ];
+    for text in cases {
+        assert!(Json::parse(text).is_err(), "{text} parsed");
+        let wrapped = format!("[{text}]");
+        assert!(Json::parse(&wrapped).is_err(), "{wrapped} parsed");
+    }
+}
+
+/// The grammar's edges that are JSON still parse, to the same value.
+#[test]
+fn numbers_and_escapes_at_the_grammar_edges_parse() {
+    let cases = [
+        ("0", Json::U64(0)),
+        ("-0", Json::F64(-0.0)),
+        ("10", Json::U64(10)),
+        ("18446744073709551615", Json::U64(u64::MAX)),
+        ("18446744073709551616", Json::F64(18446744073709551616.0)),
+        ("-12", Json::F64(-12.0)),
+        ("0.5", Json::F64(0.5)),
+        ("-1.5e+3", Json::F64(-1500.0)),
+        ("1E-2", Json::F64(0.01)),
+        ("2e0", Json::F64(2.0)),
+        ("1e308", Json::F64(1e308)),
+        (r#""\u0041\u00E9\u00e9é""#, Json::str("Aééé")),
+    ];
+    for (text, want) in cases {
+        assert_eq!(Json::parse(text), Ok(want.clone()), "{text}");
+        assert_eq!(
+            Json::parse(&format!("[{text}]")),
+            Ok(Json::Arr(vec![want])),
+            "[{text}]"
+        );
+    }
+}

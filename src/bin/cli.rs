@@ -940,6 +940,10 @@ mod tests {
         // One node past `NodeId`'s range: an error, not a 2³²-edge star.
         let err = run(&args(&["gap", "--leaves", "4294967296"])).unwrap_err();
         assert!(err.contains("star has more than"), "{err}");
+        // One message past what a `u32` index names: an error before the
+        // knowledge state is allocated for it.
+        let err = run(&args(&["gap", "--leaves", "4", "--k", "4294967297"])).unwrap_err();
+        assert!(err.contains("a message index names at most 2^32"), "{err}");
     }
 
     #[test]
