@@ -1,5 +1,5 @@
 //! Runs the experiment suite and prints the reports (text by default,
-//! `--markdown` for EXPERIMENTS.md fragments).
+//! `--markdown` for Markdown fragments).
 //!
 //! ```text
 //! experiments [--quick|--full|--smoke] [--markdown] [--jobs N]
@@ -21,9 +21,9 @@
 //! (default: available parallelism) — for a fixed `--seed`, tables and
 //! the measured content of the `--json` artifact are byte-identical for
 //! any `--jobs` value (DESIGN.md §4b). The artifact additionally
-//! records per-cell wall-clock milliseconds (`cell_ms`) for drivers
-//! that collect them; that one field is observability data and is
-//! ignored by `--diff`.
+//! records every experiment's per-cell wall-clock milliseconds
+//! (`cell_ms`); that one field is observability data and is ignored
+//! by `--diff`.
 //!
 //! `--diff` compares two `--json` artifacts instead of running
 //! anything: it prints which findings and table cells moved and exits

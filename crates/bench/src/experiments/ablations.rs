@@ -95,7 +95,7 @@ pub fn a1_block_size(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
         claim: "Ablation: Robust FASTBC block size S = Θ(log log n) (§4.1 design choice)",
         table,
         findings: Vec::new(),
-        cell_ms: Vec::new(),
+        cell_ms: res.cell_ms().to_vec(),
     };
     report.check(
         canonical_mean <= 1.8 * best,
@@ -190,7 +190,7 @@ pub fn a3_streaming_rlnc(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
         claim: "Open problem (§4.2): streaming RLNC toward O(D + k log n + polylog) on low-rank topologies",
         table,
         findings: Vec::new(),
-        cell_ms: Vec::new(),
+        cell_ms: res.cell_ms().to_vec(),
     };
     report.check(
         stream_wins_large_k,
@@ -234,7 +234,8 @@ pub fn a2_failure_probability(scale: Scale, cfg: &SweepConfig) -> ExperimentRepo
                 .rounds_used()
         })
     };
-    let mean_rounds = ref_plan.run(cfg, "A2/ref").mean(ref_h) as u64;
+    let ref_res = ref_plan.run(cfg, "A2/ref");
+    let mean_rounds = ref_res.mean(ref_h) as u64;
 
     // Phase 2 — failure rates at budgets scaled off that reference.
     // Every budget reuses the SAME trial seed, so failure events are
@@ -276,7 +277,8 @@ pub fn a2_failure_probability(scale: Scale, cfg: &SweepConfig) -> ExperimentRepo
         claim: "Lemmas 6/9: fixed-budget failure probability δ decays geometrically in the budget",
         table,
         findings: Vec::new(),
-        cell_ms: Vec::new(),
+        // The reference trials ran first, then the rate cells.
+        cell_ms: [ref_res.cell_ms(), res.cell_ms()].concat(),
     };
     report.check(
         rates.windows(2).all(|w| w[1] <= w[0] + 1e-9),

@@ -5,7 +5,7 @@ use netgraph::wct::{Wct, WctParams};
 use noisy_radio_core::schedules::star::{star_coding, star_routing};
 use noisy_radio_core::schedules::wct::{max_fraction_receiving_probe, wct_coding, wct_routing};
 use radio_model::Channel;
-use radio_sweep::{run_cells, Plan, SweepConfig};
+use radio_sweep::{run_cells_timed, Plan, SweepConfig};
 use radio_throughput::{gap_ratio, linear_fit, Table};
 
 use crate::{ExperimentReport, Scale};
@@ -123,19 +123,20 @@ pub fn e9_wct_collision(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
     let trials = scale.pick(5, 20);
     // Each cell builds its WCT and probes it; the grid is tiny but the
     // probes are not, so cells parallelize per sender count.
-    let measured = run_cells(cfg.jobs, cfg.scope_seed("E9"), sender_counts.len(), |ctx| {
-        let m = sender_counts[ctx.index as usize];
-        let wct = Wct::generate(WctParams {
-            senders: m,
-            clusters_per_class: 8,
-            cluster_size: 8,
-            seed: 42,
-        })
-        .expect("valid WCT");
-        let n = wct.graph().node_count() as f64;
-        let frac = max_fraction_receiving_probe(&wct, trials, ctx.seed);
-        (n, frac)
-    });
+    let (measured, cell_ms) =
+        run_cells_timed(cfg.jobs, cfg.scope_seed("E9"), sender_counts.len(), |ctx| {
+            let m = sender_counts[ctx.index as usize];
+            let wct = Wct::generate(WctParams {
+                senders: m,
+                clusters_per_class: 8,
+                cluster_size: 8,
+                seed: 42,
+            })
+            .expect("valid WCT");
+            let n = wct.graph().node_count() as f64;
+            let frac = max_fraction_receiving_probe(&wct, trials, ctx.seed);
+            (n, frac)
+        });
 
     let mut table = Table::new(&[
         "senders m",
@@ -163,7 +164,7 @@ pub fn e9_wct_collision(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
         claim: "Lemma 18: ≤ O(1/log n) of WCT clusters receive per round",
         table,
         findings: Vec::new(),
-        cell_ms: Vec::new(),
+        cell_ms,
     };
     report.check(
         spread < 4.0,

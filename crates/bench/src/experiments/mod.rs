@@ -164,11 +164,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ),
 ];
 
-/// Runs every experiment at the given scale, in index order.
-pub fn run_all(scale: Scale, cfg: &SweepConfig) -> Vec<ExperimentReport> {
-    run_selected(scale, cfg, &[]).expect("empty filter never names an unknown id")
-}
-
 /// Runs the experiments whose ids appear in `ids`
 /// (case-insensitively), in registry order; an empty filter runs all.
 ///

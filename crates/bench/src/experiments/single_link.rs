@@ -96,7 +96,7 @@ pub fn e12_single_link(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
         claim: "Lemmas 29–33: single link — Θ(log k) non-adaptive gap, Θ(1) adaptive gap",
         table,
         findings: Vec::new(),
-        cell_ms: Vec::new(),
+        cell_ms: res.cell_ms().to_vec(),
     };
     report.check(
         fit.slope > 0.3 && fit.r2 > 0.8,

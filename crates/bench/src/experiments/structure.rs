@@ -2,7 +2,7 @@
 
 use gbst::Gbst;
 use netgraph::{generators, NodeId};
-use radio_sweep::{run_cells, SweepConfig};
+use radio_sweep::{run_cells_timed, SweepConfig};
 use radio_throughput::Table;
 
 use crate::{ExperimentReport, Scale};
@@ -50,7 +50,7 @@ pub fn f1_gbst_structure(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
     ];
     // One cell per topology: GBST construction, validation, and the
     // all-nodes path decompositions are the expensive part.
-    let rows = run_cells(cfg.jobs, cfg.scope_seed("F1"), graphs.len(), |ctx| {
+    let (rows, cell_ms) = run_cells_timed(cfg.jobs, cfg.scope_seed("F1"), graphs.len(), |ctx| {
         let (_, g) = &graphs[ctx.index as usize];
         let t = Gbst::build(g, NodeId::new(0)).expect("connected");
         let nn = g.node_count();
@@ -100,7 +100,7 @@ pub fn f1_gbst_structure(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
         claim: "Figure 1 / Lemma 7: GBSTs with r_max ≤ ⌈log₂ n⌉ and non-interfering fast edges",
         table,
         findings: Vec::new(),
-        cell_ms: Vec::new(),
+        cell_ms,
     };
     report.check(
         all_ok,

@@ -111,7 +111,7 @@ pub fn e11_transformations(scale: Scale, cfg: &SweepConfig) -> ExperimentReport 
                 (coding also under receiver faults) — hence Theorems 27–28",
         table,
         findings: Vec::new(),
-        cell_ms: Vec::new(),
+        cell_ms: res.cell_ms().to_vec(),
     };
     report.check(
         all_success,

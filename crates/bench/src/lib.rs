@@ -1,16 +1,15 @@
 //! Experiment drivers regenerating every quantitative claim of
 //! *Broadcasting in Noisy Radio Networks* (see `DESIGN.md` §4 for the
-//! experiment index E1–E14/F1/A1–A3 and `EXPERIMENTS.md` for recorded
-//! results).
+//! experiment index E1–E16/F1/A1–A3; the committed `BENCH_*.json`
+//! artifacts record their results).
 //!
 //! Each driver runs a parameter sweep on the simulator and returns an
-//! [`ExperimentReport`] with the measured table and the shape checks
-//! the paper's theorems predict. Sweeps fan out over the
-//! `radio_sweep` worker pool (`--jobs`), deterministically: for a
-//! fixed master seed, every table and JSON artifact is byte-identical
-//! for any worker count. The `experiments` binary prints all reports
-//! (`--json` writes the structured artifact); the Criterion benches
-//! in `benches/` time miniaturized versions of the same code paths.
+//! [`ExperimentReport`] with the measured table, the shape checks the
+//! paper's theorems predict, and the wall-clock time of every sweep
+//! cell. Sweeps fan out over the `radio_sweep` worker pool (`--jobs`),
+//! deterministically: for a fixed master seed, every table and JSON
+//! artifact is byte-identical for any worker count. The `experiments`
+//! binary prints all reports (`--json` writes the structured artifact).
 
 #![forbid(unsafe_code)]
 
@@ -24,7 +23,8 @@ pub use report::{suite_json, suite_json_timed, ExperimentReport};
 pub use telemetry::{emit_suite_telemetry, render_suite_summary};
 
 /// Scale knob for experiment drivers: `Quick` keeps every sweep small
-/// enough for CI; `Full` uses the sizes recorded in `EXPERIMENTS.md`.
+/// enough for CI; `Full` uses the report-scale sizes of the committed
+/// full-scale `BENCH_*.json` artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// CI-sized sweeps (seconds).

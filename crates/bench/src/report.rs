@@ -17,7 +17,8 @@ pub struct ExperimentReport {
     /// `[!!]`.
     pub findings: Vec<String>,
     /// Per-cell wall-clock milliseconds of the driver's sweep, in grid
-    /// order (empty when the driver does not record timing).
+    /// order; a driver that runs several sweeps lists them in the order
+    /// they ran.
     /// Observability data only: it rides on the binary's `--json`
     /// artifact as `cell_ms` but is excluded from [`suite_json`] and
     /// ignored by `experiments --diff`, so the determinism gates stay
@@ -39,10 +40,9 @@ pub fn suite_json(reports: &[ExperimentReport], scale_name: &str, master_seed: u
 }
 
 /// As [`suite_json`], additionally recording each experiment's
-/// per-cell wall-clock milliseconds (`cell_ms`, rounded to 0.01 ms)
-/// for drivers that collected them — observability data for per-cell
-/// wall-clock comparisons. Everything except
-/// `cell_ms` is byte-identical to [`suite_json`]'s output.
+/// per-cell wall-clock milliseconds (`cell_ms`, rounded to 0.01 ms) —
+/// observability data for per-cell wall-clock comparisons. Everything
+/// except `cell_ms` is byte-identical to [`suite_json`]'s output.
 pub fn suite_json_timed(
     reports: &[ExperimentReport],
     scale_name: &str,
@@ -141,7 +141,7 @@ impl ExperimentReport {
         ])
     }
 
-    /// Renders the report as Markdown (for `EXPERIMENTS.md`).
+    /// Renders the report as a Markdown fragment (`--markdown`).
     pub fn render_markdown(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("### {} — {}\n\n", self.id, self.claim));

@@ -1,8 +1,10 @@
 //! The telemetry determinism contract, end to end on the real binary:
 //! `--telemetry` writes a schema-valid JSONL event log **without
-//! changing a single artifact byte** — the `--json` artifact of a
-//! telemetry-enabled run is byte-identical to the telemetry-off run,
-//! so the CI `--diff` gates never see telemetry (DESIGN.md §12).
+//! changing a single measured artifact byte** — the `--json` artifact
+//! of a telemetry-enabled run is byte-identical to the telemetry-off
+//! run but for the wall-clock values in `cell_ms`, which differ between
+//! any two runs, so the CI `--diff` gates never see telemetry
+//! (DESIGN.md §12).
 
 use std::process::Command;
 
@@ -36,6 +38,27 @@ fn run_binary(dir: &std::path::Path, telemetry: bool) -> (Vec<u8>, Option<Vec<u8
     (artifact, events)
 }
 
+/// The artifact's text without its `cell_ms` arrays, and how many cells
+/// each array timed. Everything else is compared byte for byte.
+fn without_cell_ms(artifact: &[u8]) -> (String, Vec<usize>) {
+    let text = std::str::from_utf8(artifact).expect("artifact is UTF-8");
+    let (mut kept, mut cells) = (String::new(), Vec::new());
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        if line.trim_start().starts_with("\"cell_ms\": [") {
+            // The cell lines up to and including the closing bracket.
+            let timed = lines
+                .by_ref()
+                .take_while(|l| !l.trim_start().starts_with(']'));
+            cells.push(timed.count());
+        } else {
+            kept.push_str(line);
+            kept.push('\n');
+        }
+    }
+    (kept, cells)
+}
+
 #[test]
 fn telemetry_leaves_the_artifact_byte_identical() {
     let dir = std::env::temp_dir().join(format!("radio-telemetry-{}", std::process::id()));
@@ -43,10 +66,14 @@ fn telemetry_leaves_the_artifact_byte_identical() {
 
     let (plain, _) = run_binary(&dir, false);
     let (with_telemetry, events) = run_binary(&dir, true);
+    let (plain, plain_cells) = without_cell_ms(&plain);
+    let (with_telemetry, telemetry_cells) = without_cell_ms(&with_telemetry);
     assert_eq!(
         plain, with_telemetry,
         "--telemetry changed the --json artifact"
     );
+    assert!(!plain_cells.is_empty(), "E12 records its cell timings");
+    assert_eq!(plain_cells, telemetry_cells, "both runs time every cell");
 
     // The event log is non-empty and every line parses as exactly one
     // span-or-counter object with a numeric value.

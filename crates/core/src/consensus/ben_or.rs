@@ -203,12 +203,6 @@ impl BenOrNode {
         self.decided
     }
 
-    /// The current protocol round (1-based; still advancing after a
-    /// decision so stragglers can finish).
-    pub fn protocol_round(&self) -> u32 {
-        self.round
-    }
-
     /// The round-`r` common coin: one seeded fork per round, identical
     /// at every node.
     fn coin(&self, r: u32) -> bool {

@@ -350,6 +350,18 @@ impl NodeBehavior<()> for DecayNode {
     const SILENCE_TRANSPARENT: bool = true;
 }
 
+/// The two-sided 99.9% Wilson score interval for a success rate, given
+/// `hits` successes in `n` trials: the check of the coin laws here and
+/// in `repetition.rs`.
+#[cfg(test)]
+pub(crate) fn wilson_999(hits: u64, n: f64) -> std::ops::RangeInclusive<f64> {
+    const Z: f64 = 3.2905;
+    let hat = hits as f64 / n;
+    let centre = (hat + Z * Z / (2.0 * n)) / (1.0 + Z * Z / n);
+    let half = Z / (1.0 + Z * Z / n) * (hat * (1.0 - hat) / n + Z * Z / (4.0 * n * n)).sqrt();
+    centre - half..=centre + half
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,7 +436,6 @@ mod tests {
     fn next_broadcast_fires_at_position_i_with_probability_2_pow_minus_i() {
         use rand::SeedableRng;
         const STEPS: u64 = 1 << 15;
-        const Z: f64 = 3.2905; // two-sided 99.9%
         for phase_len in [1u32, 13, 53, 54, 64] {
             let l = u64::from(phase_len);
             let mut fires = vec![0u64; phase_len as usize];
@@ -442,12 +453,8 @@ mod tests {
                 let n = (8 * ((STEPS - i as u64).div_ceil(l))) as f64;
                 let p = DecayNode::broadcast_probability(phase_len, i as u64);
                 assert_eq!(p, 0.5f64.powi(i as i32 + 1));
-                let hat = x as f64 / n;
-                let centre = (hat + Z * Z / (2.0 * n)) / (1.0 + Z * Z / n);
-                let half =
-                    Z / (1.0 + Z * Z / n) * (hat * (1.0 - hat) / n + Z * Z / (4.0 * n * n)).sqrt();
                 assert!(
-                    (centre - half..=centre + half).contains(&p),
+                    wilson_999(x, n).contains(&p),
                     "L {phase_len}, position {}: {x} of {n} fired, want 2^-{}",
                     i + 1,
                     i + 1

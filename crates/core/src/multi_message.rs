@@ -158,60 +158,6 @@ impl DecayRlnc {
     }
 }
 
-impl DecayRlnc {
-    /// Multi-source gossip: message `i` starts at `owners[i]`
-    /// (`k = owners.len()`), everyone gossips random combinations
-    /// under Decay timing, and the run completes when every node can
-    /// decode all `k` messages.
-    ///
-    /// This generalizes Lemma 12 beyond the paper's single-source
-    /// `k`-broadcast: RLNC is source-oblivious (Haeupler's projection
-    /// analysis never uses a common source), so the same schedule
-    /// solves all-to-all gossip at the same throughput.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] on bad `k` or an out-of-bounds
-    /// owner; [`CoreError::Model`] from the simulator.
-    pub fn run_gossip(
-        &self,
-        graph: &Graph,
-        owners: &[NodeId],
-        fault: Channel,
-        seed: u64,
-        max_rounds: u64,
-    ) -> Result<MultiMessageRun, CoreError> {
-        let k = owners.len();
-        check_k(k)?;
-        let n = graph.node_count();
-        if let Some(&bad) = owners.iter().find(|o| o.index() >= n) {
-            return Err(CoreError::InvalidParameter {
-                reason: format!("owner {bad} out of bounds for {n} nodes"),
-            });
-        }
-        let phase_len = self.phase_len.unwrap_or_else(|| default_phase_len(n));
-        let messages = random_messages(k, self.payload_len, seed);
-        let mut behaviors: Vec<RlncDecayNode> = (0..n)
-            .map(|_| RlncDecayNode {
-                state: RlncNode::new(k, self.payload_len),
-                phase_len,
-            })
-            .collect();
-        for (i, &owner) in owners.iter().enumerate() {
-            behaviors[owner.index()]
-                .state
-                .absorb(radio_coding::rlnc::CodedPacket::unit(
-                    k,
-                    i,
-                    messages[i].clone(),
-                ));
-        }
-        run_rlnc(graph, fault, behaviors, seed, max_rounds, &messages, |b| {
-            &b.state
-        })
-    }
-}
-
 /// Per-node behavior: Decay timing, RLNC payload.
 #[derive(Debug, Clone)]
 struct RlncDecayNode {
@@ -447,50 +393,6 @@ mod tests {
         let g = generators::path(4);
         assert!(matches!(
             DecayRlnc::default().run(&g, NodeId::new(9), 2, Channel::faultless(), 0, 10),
-            Err(CoreError::InvalidParameter { .. })
-        ));
-    }
-
-    #[test]
-    fn gossip_from_scattered_sources_completes() {
-        let g = generators::grid(6, 6);
-        // Messages owned by the four corners and the center.
-        let owners = vec![
-            NodeId::new(0),
-            NodeId::new(5),
-            NodeId::new(30),
-            NodeId::new(35),
-            NodeId::new(14),
-        ];
-        let out = DecayRlnc {
-            phase_len: None,
-            payload_len: 2,
-        }
-        .run_gossip(&g, &owners, Channel::receiver(0.3).unwrap(), 5, 1_000_000)
-        .unwrap();
-        assert!(out.run.completed());
-        assert!(out.decoded_ok);
-    }
-
-    #[test]
-    fn gossip_with_repeated_owner_is_single_source_broadcast() {
-        let g = generators::path(12);
-        let owners = vec![NodeId::new(0); 4];
-        let out = DecayRlnc {
-            phase_len: None,
-            payload_len: 1,
-        }
-        .run_gossip(&g, &owners, Channel::faultless(), 7, 1_000_000)
-        .unwrap();
-        assert!(out.run.completed());
-        assert!(out.decoded_ok);
-    }
-
-    #[test]
-    fn gossip_rejects_bad_owner() {
-        let g = generators::path(4);
-        assert!(matches!(
-            DecayRlnc::default().run_gossip(&g, &[NodeId::new(9)], Channel::faultless(), 0, 10),
             Err(CoreError::InvalidParameter { .. })
         ));
     }

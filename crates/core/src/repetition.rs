@@ -261,6 +261,61 @@ mod tests {
         );
     }
 
+    /// Dilated FASTBC's law, per real round: in each of the ρ real
+    /// rounds of slow base round `2t + 1` the source broadcasts with
+    /// probability `2^-(t mod L + 1)`, a fresh draw each time (checked
+    /// per phase position against a 99.9% Wilson interval); in the ρ
+    /// real rounds of fast base round `2t` it broadcasts exactly when
+    /// its FASTBC slot matches `t`. L = 13 takes `draw_broadcast`'s
+    /// integer path, L = 54 its `gen_bool` fallback.
+    #[test]
+    fn slow_rounds_follow_decay_and_fast_rounds_follow_the_slot() {
+        use crate::decay::wilson_999;
+        use radio_model::RoundTrace;
+
+        const ROUNDS: u64 = 1 << 17;
+        let g = generators::path(2);
+        let source = NodeId::new(0);
+        for rho in [2u64, 4] {
+            for phase_len in [13u32, 54] {
+                let params = FastbcParams {
+                    phase_len: Some(phase_len),
+                    rank_slots: None,
+                };
+                let sched =
+                    RepeatedFastbcSchedule::with_params(&g, source, rho as u32, params).unwrap();
+                assert!(sched.inner().gbst().is_fast(source), "source needs a slot");
+                let mut sim =
+                    Simulator::new(&g, Channel::faultless(), sched.behaviors(), 7).expect("valid");
+                let mut trace = RoundTrace::default();
+                let l = u64::from(phase_len);
+                let (mut slow, mut fires) = (vec![0u64; l as usize], vec![0u64; l as usize]);
+                for r in 0..ROUNDS {
+                    sim.step_traced(&mut trace);
+                    let sent = trace.broadcasters.contains(&source);
+                    let base = r / rho;
+                    if base.is_multiple_of(2) {
+                        let due = sched.inner().fast_slot_matches(source, base / 2);
+                        assert_eq!(sent, due, "ρ {rho}, L {phase_len}, fast round {r}");
+                    } else {
+                        let position = ((base - 1) / 2 % l) as usize;
+                        slow[position] += 1;
+                        fires[position] += u64::from(sent);
+                    }
+                }
+                for (i, (&n, &x)) in slow.iter().zip(&fires).enumerate() {
+                    let p = 0.5f64.powi(i as i32 + 1);
+                    assert!(
+                        wilson_999(x, n as f64).contains(&p),
+                        "ρ {rho}, L {phase_len}, position {}: {x} of {n} fired, want 2^-{}",
+                        i + 1,
+                        i + 1
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn accessors() {
         let g = generators::path(8);

@@ -1,4 +1,4 @@
-//! Latency-optimal pipelined broadcast schedules (Xin–Xia 2017,
+//! Latency-optimal pipelined broadcast schedule (Xin–Xia 2017,
 //! *Latency Optimal Broadcasting in Noisy Wireless Mesh Networks*,
 //! arXiv:1709.01494).
 //!
@@ -13,30 +13,17 @@
 //! **latency linear in its own distance**, not in `D·log n` — which is
 //! the per-node quantity [`radio_model::LatencyProfile`] measures.
 //!
-//! Two variants:
-//!
-//! * [`XinXiaSchedule`] — the randomized distributed protocol run on
-//!   the [`radio_model::Simulator`]: layer-slotted (`mod 3`) flooding where a
-//!   layer-`ℓ` node broadcasts in its slots with probability
-//!   `1/c_ℓ`, `c_ℓ` the layer's compiled contention bound. This is
-//!   the noisy-model protocol the E14 sweep races against Decay and
-//!   Robust FASTBC.
-//! * [`xin_xia_pipeline`] — the **oblivious** multi-message variant: a
-//!   deterministic, collision-free [`BaseSchedule`] (layer-TDMA inside
-//!   the `mod 3` slots, one message entering the pipeline per frame).
-//!   Being a plain faultless `BaseSchedule`, it is eligible for the
-//!   paper's §5.2 black-box transforms
-//!   ([`SenderFaultRoutingTransform`], [`CodingFaultTransform`])
-//!   exactly like the star and path pipelines.
-//!
-//! [`SenderFaultRoutingTransform`]: crate::transform::SenderFaultRoutingTransform
-//! [`CodingFaultTransform`]: crate::transform::CodingFaultTransform
+//! [`XinXiaSchedule`] is the randomized distributed protocol run on
+//! the [`radio_model::Simulator`]: layer-slotted (`mod 3`) flooding
+//! where a layer-`ℓ` node broadcasts in its slots with probability
+//! `1/c_ℓ`, `c_ℓ` the layer's compiled contention bound. This is the
+//! noisy-model protocol the E14 sweep races against Decay and Robust
+//! FASTBC.
 
 use netgraph::bfs::BfsLayers;
 use netgraph::{Graph, NodeId};
 use radio_model::{Action, Channel, Ctx, LatencyProfile, NodeBehavior, Reception};
 
-use crate::transform::BaseSchedule;
 use crate::{BroadcastRun, CoreError};
 
 /// A compiled Xin–Xia layer-pipelined broadcast schedule.
@@ -253,72 +240,10 @@ impl NodeBehavior<()> for XinXiaNode {
     const SILENCE_TRANSPARENT: bool = true;
 }
 
-/// The oblivious Xin–Xia pipeline as a faultless [`BaseSchedule`]:
-/// deterministic, collision-free, and eligible for the §5.2 black-box
-/// transforms.
-///
-/// Time is divided into *frames* of `3·W` rounds, `W` the largest BFS
-/// layer. Within a frame, round `3·j + (ℓ mod 3)` belongs to the
-/// `j`-th node of every layer `ℓ` with that residue — in-layer TDMA
-/// inside the `mod 3` layer slots, so **no two broadcasting nodes ever
-/// share a listener** (layers ≥ 3 apart cannot have common neighbors).
-/// In frame `t`, layer `ℓ` broadcasts message `t − ℓ` (when
-/// `0 ≤ t − ℓ < k`): message `m` enters the pipeline at frame `m` and
-/// marches one layer per frame, so the schedule spans `k + D` frames —
-/// `3·W·(k + D)` rounds, per-message latency `O(W·(m + d))` instead of
-/// the sequential `O(W·k·d)`.
-///
-/// # Errors
-///
-/// [`CoreError::InvalidParameter`] if `k == 0`, the source is out of
-/// bounds, or the graph is disconnected.
-pub fn xin_xia_pipeline(
-    graph: &Graph,
-    source: NodeId,
-    k: usize,
-) -> Result<BaseSchedule, CoreError> {
-    if k == 0 {
-        return Err(CoreError::InvalidParameter {
-            reason: "need at least one message".into(),
-        });
-    }
-    let n = graph.node_count();
-    if source.index() >= n {
-        return Err(CoreError::InvalidParameter {
-            reason: format!("source {source} out of bounds for {n} nodes"),
-        });
-    }
-    let layers = BfsLayers::compute(graph, source);
-    if !layers.spans_graph() {
-        return Err(CoreError::InvalidParameter {
-            reason: format!(
-                "graph is disconnected: only {} of {n} nodes reachable from {source}",
-                layers.reachable_count()
-            ),
-        });
-    }
-    let depth = layers.layer_count(); // D + 1
-    let width = (0..depth).map(|l| layers.layer(l).len()).max().unwrap_or(1);
-    let frame_len = 3 * width;
-    let frames = k + depth - 1;
-    let mut actions = vec![vec![None; n]; frames * frame_len];
-    for (l, layer) in (0..depth).map(|l| (l, layers.layer(l))) {
-        for (j, &v) in layer.iter().enumerate() {
-            let slot = 3 * j + l % 3;
-            for m in 0..k {
-                let t = m + l; // frame in which layer l carries message m
-                actions[t * frame_len + slot][v.index()] = Some(m);
-            }
-        }
-    }
-    Ok(BaseSchedule { k, actions })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::decay::Decay;
-    use crate::transform::{CodingFaultTransform, SenderFaultRoutingTransform};
     use netgraph::generators;
     use radio_obs::NullSink;
 
@@ -451,53 +376,5 @@ mod tests {
         ));
         let p = generators::path(4);
         assert!(XinXiaSchedule::new(&p, NodeId::new(9)).is_err());
-        assert!(xin_xia_pipeline(&g, NodeId::new(0), 2).is_err());
-        assert!(xin_xia_pipeline(&p, NodeId::new(0), 0).is_err());
-        assert!(xin_xia_pipeline(&p, NodeId::new(9), 2).is_err());
-    }
-
-    #[test]
-    fn oblivious_pipeline_validates_faultlessly_everywhere() {
-        for (name, g) in [
-            ("path", generators::path(10)),
-            ("star", generators::star(8)),
-            ("grid", generators::grid(4, 5)),
-            ("gnp", generators::gnp_connected(24, 0.15, 2).unwrap()),
-        ] {
-            let base = xin_xia_pipeline(&g, NodeId::new(0), 5).unwrap();
-            let trace = base.validate_faultless(&g, NodeId::new(0)).unwrap();
-            assert!(trace.complete, "{name}: pipeline must deliver everything");
-        }
-    }
-
-    #[test]
-    fn oblivious_pipeline_generalizes_the_path_pipeline() {
-        // On a path (W = 1) the frame structure reduces to the classic
-        // 3-separated pipeline: 3(k + n − 1) rounds for k messages.
-        let base = xin_xia_pipeline(&generators::path(8), NodeId::new(0), 4).unwrap();
-        assert_eq!(base.round_count(), 3 * (4 + 8 - 1));
-    }
-
-    #[test]
-    fn oblivious_pipeline_is_transform_eligible() {
-        // The §5.2 black-box transforms accept the pipeline as-is:
-        // routing under sender faults, coding under receiver faults.
-        let g = generators::grid(3, 4);
-        let base = xin_xia_pipeline(&g, NodeId::new(0), 3).unwrap();
-        let routing = SenderFaultRoutingTransform {
-            group_size: 96,
-            eta: 0.5,
-        };
-        let run = routing.run(&g, &base, NodeId::new(0), 0.3, 5).unwrap();
-        assert!(run.success, "routing transform must deliver everything");
-        let trace = base.validate_faultless(&g, NodeId::new(0)).unwrap();
-        let coding = CodingFaultTransform {
-            group_size: 64,
-            eta: 0.3,
-        };
-        let run = coding
-            .run(&g, &base, &trace, Channel::receiver(0.4).unwrap(), 9)
-            .unwrap();
-        assert!(run.success, "coding transform must meet every quota");
     }
 }

@@ -10,7 +10,7 @@
 //! | [`single_link`] | two nodes, one edge | non-adaptive routing `Θ(1/log k)` (Lemma 29), coding `Θ(1)` (Lemma 30), adaptive routing `Θ(1)` (Lemma 32) |
 //! | [`pipeline`] | any graph | adaptive routing `Ω(1/log² n)` via BFS-layer batch pipelining (Lemmas 20–21) |
 //! | [`wct`] | worst-case topology (Figure 2) | routing `Θ(1/log² n)` (Lemma 19) vs coding `Θ(1/log n)` (Lemma 23) ⇒ worst-case gap `Θ(log n)` (Theorem 24) |
-//! | [`latency`] | mesh / any graph | Xin–Xia (arXiv:1709.01494) layer-pipelined broadcast: per-node latency `O(d)` instead of Decay's `O(d log n)`, plus an oblivious transform-eligible variant |
+//! | [`latency`] | mesh / any graph | Xin–Xia (arXiv:1709.01494) layer-pipelined broadcast: per-node latency `O(d)` instead of Decay's `O(d log n)` |
 
 pub mod latency;
 pub mod pipeline;

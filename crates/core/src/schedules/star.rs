@@ -180,35 +180,6 @@ pub fn star_coding(
     })
 }
 
-/// Runs the fixed-length Lemma 16 schedule (`total_packets` rounds of
-/// coded broadcast) and reports whether every leaf finished with at
-/// least `k` packets — the success-probability form in which the
-/// paper states the schedule (`100k + 100 log n` packets fail with
-/// probability `< 1/k`).
-///
-/// # Errors
-///
-/// Propagates simulator configuration errors;
-/// [`CoreError::InvalidParameter`] if the star has more than 2³² nodes.
-pub fn star_coding_fixed_length(
-    leaves: usize,
-    k: usize,
-    total_packets: u64,
-    fault: Channel,
-    seed: u64,
-) -> Result<bool, CoreError> {
-    let g = checked_star(leaves)?;
-    let behaviors: Vec<CodingNode> = std::iter::once(CodingNode::Center)
-        .chain((0..leaves).map(|_| CodingNode::Leaf { received: 0 }))
-        .collect();
-    let mut sim = Simulator::new(&g, fault, behaviors, seed)?;
-    sim.run(total_packets);
-    Ok(sim.behaviors().iter().all(|b| match b {
-        CodingNode::Center => true,
-        CodingNode::Leaf { received } => *received >= k as u64,
-    }))
-}
-
 /// End-to-end Reed–Solomon validation on a small star: run the coding
 /// schedule with *real* GF(2¹⁶) packets and verify every leaf decodes
 /// the original messages. The counting abstraction used by
@@ -374,27 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn fixed_length_schedule_succeeds_with_paper_constants() {
-        // Lemma 16: 100k + 100 log n packets suffice with failure
-        // probability < 1/k; with p = 1/2 even 4k + 4 log n works.
-        let leaves = 128;
-        let k = 16;
-        let total = 4 * k as u64 + 4 * 7;
-        let mut successes = 0;
-        for seed in 0..20 {
-            if star_coding_fixed_length(leaves, k, total, Channel::receiver(0.5).unwrap(), seed)
-                .unwrap()
-            {
-                successes += 1;
-            }
-        }
-        assert!(
-            successes >= 18,
-            "only {successes}/20 fixed-length runs succeeded"
-        );
-    }
-
-    #[test]
     fn end_to_end_rs_decoding_matches_counting_abstraction() {
         let rounds =
             star_coding_end_to_end(16, 8, 4, Channel::receiver(0.3).unwrap(), 11, 10_000).unwrap();
@@ -416,7 +366,7 @@ mod tests {
             rejected(star_routing(leaves, 1, fault, 0, 10).map(drop));
             rejected(star_routing_telemetry(leaves, 1, fault, 0, 10).map(drop));
             rejected(star_coding(leaves, 1, fault, 0, 10).map(drop));
-            rejected(star_coding_fixed_length(leaves, 1, 10, fault, 0).map(drop));
+
             rejected(star_coding_end_to_end(leaves, 1, 1, fault, 0, 10).map(drop));
         }
     }

@@ -15,8 +15,10 @@
 //!   owns slot `3j + (ℓ mod 3)` of every `3W`-round frame (`W` the
 //!   widest layer) and round-robins its relay queue through it, so
 //!   many messages march through the layering at once and a lost hop
-//!   is retried next frame. Collision-free by the same
-//!   residue-separation argument as `schedules::latency::xin_xia_pipeline`.
+//!   is retried next frame. Collision-free: each slot belongs to one
+//!   node per layer, and layers that share a residue mod 3 are at
+//!   least three apart, so no two of a slot's broadcasters share a
+//!   listener.
 //! * [`RlncTraffic`] — generation-batched RLNC (paper §4.2): arrivals
 //!   are grouped into generations of up to `gen_size` messages, each
 //!   generation broadcast as one `core::multi_message`-style coded

@@ -92,14 +92,15 @@ impl BaseSchedule {
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] if action rows have the wrong
-    /// width.
+    /// width; [`CoreError::Model`] if the `n × k` knowledge matrix does
+    /// not fit in memory.
     pub fn validate_faultless(
         &self,
         graph: &Graph,
         source: NodeId,
     ) -> Result<FaultlessTrace, CoreError> {
         let n = graph.node_count();
-        let mut knowledge = BitMatrix::new(n, self.k);
+        let mut knowledge = BitMatrix::new(n, self.k)?;
         for m in 0..self.k {
             knowledge.set(source.index(), m);
         }
@@ -209,7 +210,8 @@ impl SenderFaultRoutingTransform {
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] for a bad `x`/`η`/`p` or an
-    /// invalid base schedule.
+    /// invalid base schedule; [`CoreError::Model`] if the knowledge
+    /// matrix of `n × k·x` bits does not fit in memory.
     pub fn run(
         &self,
         graph: &Graph,
@@ -237,7 +239,7 @@ impl SenderFaultRoutingTransform {
         let x = self.group_size;
         let k_total = base.k * x;
         let meta_len = self.meta_len(p);
-        let mut knowledge = BitMatrix::new(n, k_total);
+        let mut knowledge = BitMatrix::new(n, k_total)?;
         for m in 0..k_total {
             knowledge.set(source.index(), m);
         }

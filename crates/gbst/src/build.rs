@@ -144,7 +144,7 @@ impl Gbst {
         let demoted = demote_conflicts(graph, &level, &rank, &mut fast_child, depth, max_rank);
 
         // Stretch extraction.
-        let (stretches, stretch_index) = extract_stretches(n, &parent, &rank, &fast_child, source);
+        let stretches = extract_stretches(n, &parent, &rank, &fast_child, source);
 
         Ok(Gbst {
             source,
@@ -156,7 +156,6 @@ impl Gbst {
             fast_child,
             demoted,
             stretches,
-            stretch_index,
             depth,
         })
     }
@@ -282,16 +281,14 @@ fn demote_conflicts(
 }
 
 /// Walks fast edges into maximal stretches.
-#[allow(clippy::type_complexity)]
 fn extract_stretches(
     n: usize,
     parent: &[NodeId],
     rank: &[u32],
     fast_child: &[Option<NodeId>],
     source: NodeId,
-) -> (Vec<FastStretch>, Vec<Option<(u32, u32)>>) {
+) -> Vec<FastStretch> {
     let mut stretches = Vec::new();
-    let mut stretch_index: Vec<Option<(u32, u32)>> = vec![None; n];
     for i in 0..n {
         let head = NodeId::from_index(i);
         if fast_child[i].is_none() {
@@ -303,22 +300,18 @@ fn extract_stretches(
         if !is_head {
             continue;
         }
-        let sid = stretches.len() as u32;
         let mut nodes = vec![head];
         let mut cur = head;
         while let Some(next) = fast_child[cur.index()] {
             nodes.push(next);
             cur = next;
         }
-        for (pos, &v) in nodes.iter().enumerate() {
-            stretch_index[v.index()] = Some((sid, pos as u32));
-        }
         stretches.push(FastStretch {
             rank: rank[i],
             nodes,
         });
     }
-    (stretches, stretch_index)
+    stretches
 }
 
 #[cfg(test)]

@@ -53,7 +53,6 @@
 #![warn(missing_docs)]
 
 mod build;
-pub mod dot;
 mod error;
 mod tree;
 

@@ -53,8 +53,7 @@ pub struct Gbst {
     pub(crate) demoted: usize,
     /// Fast stretches, head-first.
     pub(crate) stretches: Vec<FastStretch>,
-    /// `stretch_index[v]` = (stretch id, position) if `v` lies on one.
-    pub(crate) stretch_index: Vec<Option<(u32, u32)>>,
+
     /// Depth of the tree (max level).
     pub(crate) depth: u32,
 }
@@ -108,16 +107,6 @@ impl Gbst {
     /// Whether `v` is a fast node (has a fast child, post-demotion).
     pub fn is_fast(&self, v: NodeId) -> bool {
         self.fast_child[v.index()].is_some()
-    }
-
-    /// Whether `v` lies on a fast stretch (as head, interior or tail).
-    pub fn on_stretch(&self, v: NodeId) -> bool {
-        self.stretch_index[v.index()].is_some()
-    }
-
-    /// The `(stretch id, position)` of `v` on its stretch, if any.
-    pub fn stretch_position(&self, v: NodeId) -> Option<(u32, u32)> {
-        self.stretch_index[v.index()]
     }
 
     /// Number of fast edges demoted to slow during construction to

@@ -104,16 +104,6 @@ proptest! {
         }
     }
 
-    #[test]
-    fn stretch_index_consistent(g in arb_connected()) {
-        let t = Gbst::build(&g, NodeId::new(0)).unwrap();
-        for (sid, s) in t.stretches().iter().enumerate() {
-            for (pos, &v) in s.nodes.iter().enumerate() {
-                prop_assert_eq!(t.stretch_position(v), Some((sid as u32, pos as u32)));
-                prop_assert!(t.on_stretch(v));
-            }
-        }
-    }
 
     #[test]
     fn trees_never_demote(n in 1usize..100, seed in any::<u64>()) {

@@ -154,19 +154,6 @@ impl BfsLayers {
     pub fn spans_graph(&self) -> bool {
         self.reachable == self.levels.len()
     }
-
-    /// The path of BFS-tree parents from `v` up to the source,
-    /// inclusive on both ends. Returns `None` if `v` is unreachable.
-    pub fn path_to_source(&self, v: NodeId) -> Option<Vec<NodeId>> {
-        self.level(v)?;
-        let mut path = vec![v];
-        let mut cur = v;
-        while cur != self.source {
-            cur = self.parent(cur);
-            path.push(cur);
-        }
-        Some(path)
-    }
 }
 
 /// BFS distances from `source` only (cheaper than [`BfsLayers`] when
@@ -265,22 +252,6 @@ mod tests {
         assert_eq!(l.level(NodeId::new(3)), None);
         assert!(!l.spans_graph());
         assert_eq!(l.reachable_count(), 2);
-        assert_eq!(l.path_to_source(NodeId::new(3)), None);
-    }
-
-    #[test]
-    fn path_to_source_walks_parents() {
-        let g = generators::path(4);
-        let l = BfsLayers::compute(&g, NodeId::new(0));
-        assert_eq!(
-            l.path_to_source(NodeId::new(3)).unwrap(),
-            vec![
-                NodeId::new(3),
-                NodeId::new(2),
-                NodeId::new(1),
-                NodeId::new(0)
-            ]
-        );
     }
 
     #[test]

@@ -80,28 +80,6 @@ impl Bitset {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// Replaces this set's contents with `other`'s.
-    ///
-    /// # Panics
-    ///
-    /// If the capacities differ.
-    pub fn copy_from(&mut self, other: &Bitset) {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        self.words.copy_from_slice(&other.words);
-    }
-
-    /// Adds every member of `other` to this set.
-    ///
-    /// # Panics
-    ///
-    /// If the capacities differ.
-    pub fn union_with(&mut self, other: &Bitset) {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-
     /// The raw word storage (bit `i` of the set is bit `i % 64` of
     /// word `i / 64`).
     pub fn words(&self) -> &[u64] {
@@ -273,19 +251,6 @@ mod tests {
         assert_eq!(s.count_ones(), 70);
         assert_eq!(s.ones().count(), 70);
         assert!(!s.contains(70));
-    }
-
-    #[test]
-    fn union_and_copy() {
-        let mut a = Bitset::new(128);
-        let mut b = Bitset::new(128);
-        a.insert(3);
-        b.insert(100);
-        a.union_with(&b);
-        assert_eq!(a.ones().collect::<Vec<_>>(), vec![3, 100]);
-        let mut c = Bitset::new(128);
-        c.copy_from(&a);
-        assert_eq!(c, a);
     }
 
     #[test]

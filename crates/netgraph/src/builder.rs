@@ -40,11 +40,6 @@ impl GraphBuilder {
         self.node_count
     }
 
-    /// Number of edges added so far (before deduplication).
-    pub fn pending_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds the undirected edge `{u, v}`.
     ///
     /// Adding the same edge twice is allowed; duplicates are merged by
@@ -123,7 +118,7 @@ mod tests {
             .unwrap()
             .add_edge(NodeId::new(1), NodeId::new(2))
             .unwrap();
-        assert_eq!(b.pending_edge_count(), 2);
+
         let g = b.build();
         assert_eq!(g.edge_count(), 2);
     }

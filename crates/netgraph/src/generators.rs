@@ -527,19 +527,6 @@ pub fn torus(rows: usize, cols: usize) -> Result<Graph, GraphError> {
     Ok(b.build())
 }
 
-/// Complete bipartite graph `K_{left,right}`; nodes `0..left` on one
-/// side and `left..left+right` on the other.
-pub fn complete_bipartite(left: usize, right: usize) -> Graph {
-    let mut b = GraphBuilder::new(left + right);
-    for i in 0..left {
-        for j in 0..right {
-            b.add_edge(NodeId::from_index(i), NodeId::from_index(left + j))
-                .expect("bipartite edges are always valid");
-        }
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -727,14 +714,6 @@ mod tests {
         }
         assert_eq!(metrics::diameter(&g), Some(4));
         assert!(torus(2, 5).is_err());
-    }
-
-    #[test]
-    fn complete_bipartite_shape() {
-        let g = complete_bipartite(3, 4);
-        assert_eq!(g.node_count(), 7);
-        assert_eq!(g.edge_count(), 12);
-        assert_eq!(metrics::diameter(&g), Some(2));
     }
 
     #[test]

@@ -45,7 +45,6 @@ mod node;
 pub mod bfs;
 pub mod bitset;
 pub mod collision;
-pub mod dot;
 pub mod generators;
 pub mod metrics;
 pub mod wct;

@@ -36,9 +36,7 @@ pub fn eccentricity(graph: &Graph, v: NodeId) -> Option<u32> {
 ///
 /// Returns `None` for disconnected graphs and `Some(0)` for graphs
 /// with at most one node. Intended for the evaluation-scale graphs in
-/// this workspace (n up to a few tens of thousands on sparse graphs);
-/// for a fast estimate on larger graphs use
-/// [`diameter_double_sweep_lower_bound`].
+/// this workspace (n up to a few tens of thousands on sparse graphs).
 pub fn diameter(graph: &Graph) -> Option<u32> {
     if graph.node_count() == 0 {
         return Some(0);
@@ -48,31 +46,6 @@ pub fn diameter(graph: &Graph) -> Option<u32> {
         best = best.max(eccentricity(graph, v)?);
     }
     Some(best)
-}
-
-/// Lower bound on the diameter via a double BFS sweep: BFS from `start`
-/// to find the farthest node `u`, then BFS from `u`; the eccentricity
-/// of `u` is a lower bound on `D` (and exact on trees).
-///
-/// Returns `None` if the graph is disconnected or empty.
-pub fn diameter_double_sweep_lower_bound(graph: &Graph, start: NodeId) -> Option<u32> {
-    if graph.node_count() == 0 {
-        return None;
-    }
-    let d1 = bfs::distances(graph, start);
-    let mut far = start;
-    let mut far_d = 0;
-    for v in graph.nodes() {
-        let d = d1[v.index()];
-        if d == UNREACHABLE {
-            return None;
-        }
-        if d > far_d {
-            far_d = d;
-            far = v;
-        }
-    }
-    eccentricity(graph, far)
 }
 
 /// Summary of a graph's degree distribution.
@@ -151,22 +124,6 @@ mod tests {
         assert!(is_connected(&generators::path(5)));
         assert!(is_connected(&Graph::from_edges(0, []).unwrap()));
         assert!(is_connected(&Graph::from_edges(1, []).unwrap()));
-    }
-
-    #[test]
-    fn double_sweep_exact_on_trees() {
-        let g = generators::balanced_tree(2, 4).unwrap();
-        let exact = diameter(&g).unwrap();
-        let ds = diameter_double_sweep_lower_bound(&g, NodeId::new(0)).unwrap();
-        assert_eq!(exact, ds);
-    }
-
-    #[test]
-    fn double_sweep_is_lower_bound() {
-        let g = generators::gnp_connected(64, 0.08, 7).unwrap();
-        let exact = diameter(&g).unwrap();
-        let ds = diameter_double_sweep_lower_bound(&g, NodeId::new(0)).unwrap();
-        assert!(ds <= exact);
     }
 
     #[test]

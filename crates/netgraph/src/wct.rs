@@ -27,28 +27,6 @@ pub struct WctParams {
     pub seed: u64,
 }
 
-impl WctParams {
-    /// Balanced parameters for a WCT of roughly `n_target` nodes:
-    /// `m ≈ √n` senders, `≈ √n / log` clusters of size `≈ √n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_target < 16`.
-    pub fn balanced(n_target: usize, seed: u64) -> Self {
-        assert!(n_target >= 16, "WCT needs n_target >= 16");
-        let root = (n_target as f64).sqrt().round() as usize;
-        let m = root.max(2);
-        let classes = (usize::BITS - (m - 1).leading_zeros()) as usize;
-        let clusters_per_class = (root / classes).max(1);
-        WctParams {
-            senders: m,
-            clusters_per_class,
-            cluster_size: root.max(1),
-            seed,
-        }
-    }
-}
-
 /// The generated worst-case topology with its cluster decomposition.
 ///
 /// Node layout: node 0 is the source, nodes `1..=m` are senders, then
@@ -75,8 +53,6 @@ pub struct Wct {
     senders: Vec<NodeId>,
     /// `clusters[c]` = the member nodes of cluster `c` (sorted).
     clusters: Vec<Vec<NodeId>>,
-    /// Degree class of each cluster (inherited from its receiver).
-    class_of: Vec<u32>,
     /// For each cluster, the shared sender neighborhood.
     cluster_senders: Vec<Vec<NodeId>>,
 }
@@ -116,10 +92,10 @@ impl Wct {
                 .expect("source-sender edges are always valid");
         }
         let mut clusters = Vec::with_capacity(cluster_count);
-        let mut class_of = Vec::with_capacity(cluster_count);
+
         let mut cluster_senders = Vec::with_capacity(cluster_count);
         let mut next = 1 + m;
-        for (j, &r) in base.receivers().iter().enumerate() {
+        for &r in base.receivers() {
             let shared: Vec<NodeId> = base.graph().neighbors(r).to_vec();
             let mut members = Vec::with_capacity(cluster_size);
             for _ in 0..cluster_size {
@@ -132,7 +108,7 @@ impl Wct {
                 members.push(v);
             }
             clusters.push(members);
-            class_of.push(base.receiver_class(j));
+
             cluster_senders.push(shared);
         }
         Ok(Wct {
@@ -140,7 +116,6 @@ impl Wct {
             source,
             senders,
             clusters,
-            class_of,
             cluster_senders,
         })
     }
@@ -177,11 +152,6 @@ impl Wct {
     /// All clusters.
     pub fn clusters(&self) -> &[Vec<NodeId>] {
         &self.clusters
-    }
-
-    /// The degree class of cluster `c`.
-    pub fn cluster_class(&self, c: usize) -> u32 {
-        self.class_of[c]
     }
 
     /// The shared sender neighborhood of cluster `c`.
@@ -319,15 +289,6 @@ mod tests {
             let f = w.fraction_of_clusters_receiving(&set);
             assert!(f <= 0.6, "set size {size}: fraction {f}");
         }
-    }
-
-    #[test]
-    fn balanced_params_reasonable() {
-        let p = WctParams::balanced(4096, 9);
-        assert_eq!(p.senders, 64);
-        let w = Wct::generate(p).unwrap();
-        let n = w.graph().node_count();
-        assert!((2048..=8192).contains(&n), "balanced n = {n}");
     }
 
     #[test]

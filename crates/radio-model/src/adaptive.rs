@@ -22,12 +22,17 @@
 //! sweep checks a whole word of listeners against that message's
 //! column of the [`Knowledge`] state: a listener that already holds it
 //! still steps the fault stream, but costs nothing else.
+//!
+//! The knowledge state is sized `n × k` bits twice over; a run whose
+//! state does not fit in memory fails with [`ModelError::TooLarge`]
+//! before its first round.
 
 use netgraph::{Bitset, Graph, NodeId};
 use radio_obs::{PhaseSet, SpanTimer};
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore};
 
+use crate::bitmat::try_filled;
 use crate::engine::{reach_pass, sender_faulted};
 use crate::rng::{fork_rng, kept_mask, loss_threshold};
 use crate::{BitMatrix, Channel, ModelError};
@@ -47,11 +52,12 @@ impl MsgId {
 /// `i`. This is exactly the information an adaptive routing schedule
 /// is allowed to consult (Definition 14).
 ///
-/// Every bit is kept twice: in a row per node (a [`BitMatrix`], which
-/// answers [`Knowledge::first_missing`] and [`Knowledge::node_complete`]
-/// a word at a time) and in a column per message (a [`Bitset`] over the
-/// nodes, which answers [`Knowledge::knows`] and lets the runner tell 64
-/// listeners at once which of them already hold a message). A grant
+/// Every bit is kept twice, in two [`BitMatrix`]es: in a row per node,
+/// which answers [`Knowledge::first_missing`] and
+/// [`Knowledge::node_complete`] a word at a time, and in a row per
+/// message (the transpose: that message's column, one bit per node),
+/// which answers [`Knowledge::knows`] and lets the runner tell 64
+/// listeners at once which of them already hold a message. A grant
 /// writes both, so the two always agree.
 ///
 /// Beside them it keeps, per message, the number of nodes still
@@ -62,8 +68,8 @@ impl MsgId {
 #[derive(Debug, Clone)]
 pub struct Knowledge {
     matrix: BitMatrix,
-    /// `columns[m]`: the nodes that know message `m`.
-    columns: Vec<Bitset>,
+    /// Row `m` of `columns`: the nodes that know message `m`.
+    columns: BitMatrix,
     /// `missing[m]`: how many nodes still lack message `m`.
     missing: Vec<usize>,
     /// The lowest `m` with `missing[m] > 0`; `k` once all is known.
@@ -72,15 +78,21 @@ pub struct Knowledge {
 
 impl Knowledge {
     /// Creates an empty knowledge state for `n` nodes and `k` messages.
-    pub fn new(n: usize, k: usize) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::TooLarge`] if the state does not fit in memory.
+    pub fn new(n: usize, k: usize) -> Result<Self, ModelError> {
         let mut knowledge = Knowledge {
-            matrix: BitMatrix::new(n, k),
-            columns: vec![Bitset::new(n); k],
-            missing: vec![n; k],
+            matrix: BitMatrix::new(n, k)?,
+            columns: BitMatrix::new(k, n)?,
+            missing: try_filled(k, n).ok_or_else(|| ModelError::TooLarge {
+                what: format!("{k} per-message counts"),
+            })?,
             lowest: 0,
         };
         knowledge.advance();
-        knowledge
+        Ok(knowledge)
     }
 
     /// Number of nodes.
@@ -96,7 +108,7 @@ impl Knowledge {
     /// Grants message `m` to node `v`. Returns whether this was new.
     pub fn grant(&mut self, v: NodeId, m: MsgId) -> bool {
         let fresh = self.matrix.set(v.index(), m.index());
-        self.columns[m.index()].insert(v.index());
+        self.columns.set(m.index(), v.index());
         self.missing[m.index()] -= usize::from(fresh);
         self.advance();
         fresh
@@ -106,14 +118,14 @@ impl Knowledge {
     pub fn grant_all(&mut self, v: NodeId) {
         for m in 0..self.message_count() {
             self.missing[m] -= usize::from(self.matrix.set(v.index(), m));
-            self.columns[m].insert(v.index());
+            self.columns.set(m, v.index());
         }
         self.advance();
     }
 
     /// Whether node `v` knows message `m`.
     pub fn knows(&self, v: NodeId, m: MsgId) -> bool {
-        self.columns[m.index()].contains(v.index())
+        self.columns.get(m.index(), v.index())
     }
 
     /// Whether `v` knows all messages.
@@ -209,9 +221,11 @@ pub struct RoutingOutcome {
 /// # Errors
 ///
 /// [`ModelError::TooManyMessages`] if `k` exceeds 2³², the number of
-/// messages a [`MsgId`] can name; [`ModelError::InvalidSender`] if the
-/// controller lists a node twice in one round, a node outside the
-/// graph, or a message outside `0..k`.
+/// messages a [`MsgId`] can name; [`ModelError::TooLarge`] if the
+/// knowledge state of `n × k` bits does not fit in memory;
+/// [`ModelError::InvalidSender`] if the controller lists a node twice
+/// in one round, a node outside the graph, or a message outside
+/// `0..k`.
 pub fn run_routing(
     graph: &Graph,
     channel: Channel,
@@ -270,7 +284,7 @@ fn run_routing_inner(
         return Err(ModelError::TooManyMessages { messages: k });
     }
     let n = graph.node_count();
-    let mut knowledge = Knowledge::new(n, k);
+    let mut knowledge = Knowledge::new(n, k)?;
     knowledge.grant_all(source);
     let mut ctrl_rng = fork_rng(seed, 0);
     let mut fault_rng = fork_rng(seed, 1);
@@ -455,7 +469,7 @@ fn resolve_one_message(
         .iter()
         .zip(slot.collided.words())
         .zip(slot.broadcasting.words())
-        .zip(columns[m].words_mut());
+        .zip(columns.row_words_mut(m));
     for (w, (((&rw, &cw), &bw), known)) in words.enumerate() {
         let clean = clean_word(rw & !cw & !bw, w, &slot.heard_from, sender_ok);
         let useful = clean & !*known;
@@ -563,7 +577,7 @@ fn resolve_listeners(
                 (run_msg, run_fresh) = (msg, 0);
             }
             run_fresh += usize::from(matrix.set(v, msg));
-            columns[msg].insert(v);
+            columns.set(msg, v);
         }
     }
     if run_fresh > 0 {
@@ -764,7 +778,7 @@ mod tests {
 
     #[test]
     fn knowledge_bookkeeping() {
-        let mut k = Knowledge::new(3, 4);
+        let mut k = Knowledge::new(3, 4).unwrap();
         assert_eq!(k.node_count(), 3);
         assert_eq!(k.message_count(), 4);
         k.grant_all(NodeId::new(0));
@@ -784,11 +798,14 @@ mod tests {
     #[test]
     fn empty_knowledge_is_complete() {
         for (n, k) in [(0, 0), (0, 5), (4, 0)] {
-            let knowledge = Knowledge::new(n, k);
+            let knowledge = Knowledge::new(n, k).unwrap();
             assert!(knowledge.all_complete(), "n = {n}, k = {k}");
             assert_eq!(knowledge.lowest_missing(), None, "n = {n}, k = {k}");
         }
-        assert_eq!(Knowledge::new(1, 1).lowest_missing(), Some(MsgId(0)));
+        assert_eq!(
+            Knowledge::new(1, 1).unwrap().lowest_missing(),
+            Some(MsgId(0))
+        );
     }
 
     /// The lowest message some node lacks, by scanning every row.
@@ -807,7 +824,7 @@ mod tests {
             k in 0usize..71,
             grants in proptest::collection::vec((0usize..6, 0usize..71, any::<bool>()), 0..300),
         ) {
-            let mut knowledge = Knowledge::new(n, k);
+            let mut knowledge = Knowledge::new(n, k).unwrap();
             for (v, m, all) in grants {
                 if v >= n || m >= k {
                     continue;
@@ -838,7 +855,7 @@ mod tests {
             k in 1usize..71,
             grants in proptest::collection::vec((any::<usize>(), any::<usize>(), 0u8..8), 0..300),
         ) {
-            let mut knowledge = Knowledge::new(n, k);
+            let mut knowledge = Knowledge::new(n, k).unwrap();
             let mut granted = std::collections::HashSet::new();
             for (v, m, all) in grants {
                 let (v, m) = (v % n, m % k);

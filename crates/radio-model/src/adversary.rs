@@ -174,11 +174,6 @@ impl<B> ByzantineNode<B> {
         &self.inner
     }
 
-    /// The wrapped honest behavior, mutably.
-    pub fn inner_mut(&mut self) -> &mut B {
-        &mut self.inner
-    }
-
     /// This node's assigned misbehavior, if any.
     pub fn role(&self) -> Option<Misbehavior> {
         self.role

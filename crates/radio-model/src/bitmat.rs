@@ -1,14 +1,16 @@
 //! Dense bit matrix backing the knowledge state of adaptive schedules.
 
+use crate::ModelError;
+
 /// A dense bit matrix, used as the knowledge matrix of adaptive
-/// schedules (rows = nodes, columns = messages).
+/// schedules (rows = nodes, columns = messages, or the transpose).
 ///
 /// # Example
 ///
 /// ```
 /// use radio_model::BitMatrix;
 ///
-/// let mut m = BitMatrix::new(3, 70);
+/// let mut m = BitMatrix::new(3, 70).unwrap();
 /// m.set(1, 64);
 /// assert!(m.get(1, 64));
 /// assert!(!m.get(1, 63));
@@ -25,14 +27,27 @@ pub struct BitMatrix {
 
 impl BitMatrix {
     /// Creates an all-zero `rows × cols` matrix.
-    pub fn new(rows: usize, cols: usize) -> Self {
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::TooLarge`] if the matrix's size overflows `usize`
+    /// or the allocator refuses it: the words are reserved before any
+    /// is written, so a matrix too large for memory is an error, not an
+    /// abort.
+    pub fn new(rows: usize, cols: usize) -> Result<Self, ModelError> {
         let words_per_row = cols.div_ceil(64);
-        BitMatrix {
+        let bits = rows
+            .checked_mul(words_per_row)
+            .and_then(|len| try_filled(len, 0))
+            .ok_or_else(|| ModelError::TooLarge {
+                what: format!("a {rows} x {cols} bit matrix"),
+            })?;
+        Ok(BitMatrix {
             rows,
             cols,
             words_per_row,
-            bits: vec![0; rows * words_per_row],
-        }
+            bits,
+        })
     }
 
     /// Number of rows.
@@ -76,6 +91,14 @@ impl BitMatrix {
         self.bits[w] & mask != 0
     }
 
+    /// The words of row `r`: bit `c` of the row is bit `c % 64` of
+    /// word `c / 64`. Callers must leave the bits past `cols` zero.
+    #[inline]
+    pub(crate) fn row_words_mut(&mut self, r: usize) -> &mut [u64] {
+        let lo = r * self.words_per_row;
+        &mut self.bits[lo..lo + self.words_per_row]
+    }
+
     /// Number of set bits in row `r`.
     pub fn row_count_ones(&self, r: usize) -> usize {
         let lo = r * self.words_per_row;
@@ -112,20 +135,41 @@ impl BitMatrix {
     }
 }
 
+/// A vector of `len` copies of `value`, or `None` if the allocator
+/// refuses the memory (it is reserved before anything is written).
+pub(crate) fn try_filled<T: Clone>(len: usize, value: T) -> Option<Vec<T>> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(len).ok()?;
+    v.resize(len, value);
+    Some(v)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
+    fn matrices_too_large_to_allocate_are_errors() {
+        // 2³² × 2³² bits are 2⁶¹ bytes: past what a `Vec` may hold.
+        assert!(matches!(
+            BitMatrix::new(1 << 32, 1 << 32),
+            Err(ModelError::TooLarge { .. })
+        ));
+        // A word count that overflows `usize` is caught before any
+        // allocation is attempted.
+        assert!(BitMatrix::new(usize::MAX, 128).is_err());
+    }
+
+    #[test]
     fn set_get_clear() {
-        let mut m = BitMatrix::new(2, 3);
+        let mut m = BitMatrix::new(2, 3).unwrap();
         assert!(m.set(0, 2));
         assert!(!m.set(0, 2), "second set reports no change");
         assert!(m.get(0, 2));
         m.clear(0, 2);
         assert!(!m.get(0, 2));
         // Past a word boundary, in the second row: only that row moves.
-        let mut m = BitMatrix::new(2, 70);
+        let mut m = BitMatrix::new(2, 70).unwrap();
         assert!(m.set(1, 65));
         assert!(!m.set(1, 65), "second set reports no change");
         assert_eq!((m.row_count_ones(0), m.row_count_ones(1)), (0, 1));
@@ -133,7 +177,7 @@ mod tests {
 
     #[test]
     fn row_counts_across_word_boundary() {
-        let mut m = BitMatrix::new(1, 130);
+        let mut m = BitMatrix::new(1, 130).unwrap();
         m.set(0, 0);
         m.set(0, 64);
         m.set(0, 129);
@@ -143,7 +187,7 @@ mod tests {
 
     #[test]
     fn all_ones_detection() {
-        let mut m = BitMatrix::new(2, 65);
+        let mut m = BitMatrix::new(2, 65).unwrap();
         for r in 0..2 {
             for c in 0..65 {
                 m.set(r, c);
@@ -157,7 +201,7 @@ mod tests {
 
     #[test]
     fn first_zero() {
-        let mut m = BitMatrix::new(1, 70);
+        let mut m = BitMatrix::new(1, 70).unwrap();
         assert_eq!(m.first_zero_in_row(0), Some(0));
         for c in 0..65 {
             m.set(0, c);
@@ -171,7 +215,7 @@ mod tests {
 
     #[test]
     fn dimensions() {
-        let m = BitMatrix::new(4, 9);
+        let m = BitMatrix::new(4, 9).unwrap();
         assert_eq!(m.rows(), 4);
         assert_eq!(m.cols(), 9);
     }

@@ -77,16 +77,6 @@ impl<P> Reception<P> {
         matches!(self, Reception::Packet(_))
     }
 
-    /// Whether the slot was noise (collision or fault).
-    pub fn is_noise(&self) -> bool {
-        matches!(self, Reception::Noise)
-    }
-
-    /// Whether the slot was a detected erasure.
-    pub fn is_erased(&self) -> bool {
-        matches!(self, Reception::Erased)
-    }
-
     /// Whether the slot was silent.
     pub fn is_silence(&self) -> bool {
         matches!(self, Reception::Silence)
@@ -379,17 +369,6 @@ impl Channel {
     pub fn is_erasure(&self) -> bool {
         matches!(self.kind, Kind::Erasure { .. })
     }
-
-    /// Whether this channel carries both a sender-side and a
-    /// delivery-side component.
-    pub fn is_composed(&self) -> bool {
-        matches!(self.kind, Kind::Composed { .. })
-    }
-
-    /// Whether this channel never loses anything.
-    pub fn is_faultless(&self) -> bool {
-        matches!(self.kind, Kind::Faultless)
-    }
 }
 
 /// `1 − (1−a)(1−b)`: the loss probability of two independent loss
@@ -476,14 +455,13 @@ mod tests {
     #[test]
     fn accessors() {
         assert_eq!(Channel::faultless().fault_probability(), 0.0);
-        assert!(Channel::faultless().is_faultless());
         let s = Channel::sender(0.3).unwrap();
         assert_eq!(s.fault_probability(), 0.3);
         assert!(s.is_sender() && !s.is_receiver() && !s.is_erasure());
         let r = Channel::receiver(0.3).unwrap();
         assert!(r.is_receiver() && !r.is_sender());
         let e = Channel::erasure(0.3).unwrap();
-        assert!(e.is_erasure() && !e.is_receiver() && !e.is_faultless());
+        assert!(e.is_erasure() && !e.is_receiver());
         assert_eq!(Channel::default(), Channel::faultless());
     }
 
@@ -525,7 +503,7 @@ mod tests {
 
         // Sender + delivery yields a composed channel.
         let c = s.compose(e).unwrap();
-        assert!(c.is_composed() && !c.is_sender() && !c.is_erasure());
+        assert!(!c.is_sender() && !c.is_erasure());
         assert_eq!(c.sender_fault(), Some(0.5));
         assert_eq!(c.delivery_fault(), Some(0.5));
         assert!(c.delivery_presents_erasure());
@@ -538,7 +516,9 @@ mod tests {
         assert_eq!(cc.delivery_fault(), Some(0.5));
 
         let cr = s.compose(r).unwrap();
-        assert!(cr.is_composed() && !cr.delivery_presents_erasure());
+        assert_eq!(cr.sender_fault(), Some(0.5));
+        assert_eq!(cr.delivery_fault(), Some(0.5));
+        assert!(!cr.delivery_presents_erasure());
 
         // The two delivery presentations cannot be mixed.
         assert!(matches!(
@@ -653,11 +633,11 @@ mod tests {
         assert_eq!(p.map(|x| u32::from(x) * 2), Reception::Packet(14));
         assert_eq!(p.packet(), Some(7));
         let n: Reception<u8> = Reception::Noise;
-        assert!(n.is_noise() && !n.is_packet());
+        assert!(!n.is_packet());
+        assert_eq!(n.kind(), ReceptionKind::Noise);
         assert_eq!(n.packet(), None);
         assert_eq!(n.map(u32::from), Reception::Noise);
         let e: Reception<u8> = Reception::Erased;
-        assert!(e.is_erased());
         assert_eq!(e.kind(), ReceptionKind::Erased);
         assert_eq!(e.map(u32::from), Reception::Erased);
         let s: Reception<u8> = Reception::Silence;

@@ -49,6 +49,13 @@ pub enum ModelError {
         /// The requested message count `k`.
         messages: usize,
     },
+    /// A state too large to allocate: its size overflows `usize`, or
+    /// the allocator refused it.
+    TooLarge {
+        /// What could not be allocated, e.g. `a 5 x 4294967296 bit
+        /// matrix`.
+        what: String,
+    },
     /// Two channels whose delivery-side presentations differ
     /// (`receiver` noise vs `erasure` detection) cannot be composed.
     IncompatibleChannels {
@@ -103,6 +110,9 @@ impl fmt::Display for ModelError {
                     f,
                     "cannot route k = {messages} messages: a message index names at most 2^32"
                 )
+            }
+            ModelError::TooLarge { what } => {
+                write!(f, "cannot allocate {what}: it does not fit in memory")
             }
             ModelError::IncompatibleChannels { left, right } => {
                 write!(
@@ -180,6 +190,13 @@ mod tests {
         assert_eq!(
             ModelError::TooManyMessages { messages: 1 << 33 }.to_string(),
             "cannot route k = 8589934592 messages: a message index names at most 2^32"
+        );
+        assert_eq!(
+            ModelError::TooLarge {
+                what: "a 5 x 4294967296 bit matrix".into()
+            }
+            .to_string(),
+            "cannot allocate a 5 x 4294967296 bit matrix: it does not fit in memory"
         );
         assert!(ModelError::InvalidChannelSpec {
             spec: "bogus".into()

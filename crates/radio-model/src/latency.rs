@@ -57,16 +57,6 @@ impl LatencyProfile {
         self.decode[v.index()]
     }
 
-    /// The raw per-node first-packet rounds, indexed by node id.
-    pub fn first_packet_rounds(&self) -> &[Option<u64>] {
-        &self.first_packet
-    }
-
-    /// The raw per-node decode-completion rounds, indexed by node id.
-    pub fn decode_rounds(&self) -> &[Option<u64>] {
-        &self.decode
-    }
-
     /// Nodes that have received at least one packet.
     pub fn delivered_count(&self) -> usize {
         self.first_packet.iter().filter(|r| r.is_some()).count()

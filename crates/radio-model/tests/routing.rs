@@ -132,7 +132,7 @@ fn reference_run(
     max_rounds: u64,
 ) -> RoutingOutcome {
     let n = graph.node_count();
-    let mut knowledge = Knowledge::new(n, k);
+    let mut knowledge = Knowledge::new(n, k).unwrap();
     knowledge.grant_all(source);
     let mut ctrl_rng = fork_rng(seed, 0);
     let mut fault_rng = fork_rng(seed, 1);

@@ -211,13 +211,6 @@ impl Resolved {
     pub fn cell_ms(&self) -> &[f64] {
         &self.cell_ms
     }
-
-    /// Total wall-clock milliseconds spent inside cells (the sum over
-    /// [`Resolved::cell_ms`]; with multiple workers this exceeds the
-    /// elapsed wall time).
-    pub fn total_cell_ms(&self) -> f64 {
-        self.cell_ms.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -267,7 +260,7 @@ mod tests {
         let res = plan.run(&SweepConfig::new(Some(2), 0), "ms");
         assert_eq!(res.cell_ms().len(), 4);
         assert!(res.cell_ms().iter().all(|&m| m >= 0.0));
-        assert!(res.total_cell_ms() >= 0.0);
+
         assert_eq!(res.values(a).len(), 3);
     }
 

@@ -116,32 +116,6 @@ pub fn quantile(samples: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Tail percentiles of a sample set, for latency-style reporting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Percentiles {
-    /// Median (p50).
-    pub p50: f64,
-    /// 90th percentile.
-    pub p90: f64,
-    /// 99th percentile.
-    pub p99: f64,
-}
-
-impl Percentiles {
-    /// Computes p50/p90/p99 of `samples`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty slice or NaN samples.
-    pub fn from_samples(samples: &[f64]) -> Self {
-        Percentiles {
-            p50: quantile(samples, 0.50),
-            p90: quantile(samples, 0.90),
-            p99: quantile(samples, 0.99),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,10 +171,8 @@ mod tests {
         assert!((quantile(&xs, 0.0) - 1.0).abs() < 1e-12);
         assert!((quantile(&xs, 1.0) - 100.0).abs() < 1e-12);
         assert!((quantile(&xs, 0.5) - 50.5).abs() < 1e-12);
-        let p = Percentiles::from_samples(&xs);
-        assert!((p.p50 - 50.5).abs() < 1e-12);
-        assert!((p.p90 - 90.1).abs() < 1e-9);
-        assert!((p.p99 - 99.01).abs() < 1e-9);
+        assert!((quantile(&xs, 0.9) - 90.1).abs() < 1e-9);
+        assert!((quantile(&xs, 0.99) - 99.01).abs() < 1e-9);
     }
 
     #[test]
@@ -228,17 +200,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "zero samples")]
-    fn percentiles_of_empty_panic() {
-        let _ = Percentiles::from_samples(&[]);
-    }
-
-    #[test]
     fn quantile_of_single_sample_is_that_sample() {
         for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
             assert_eq!(quantile(&[7.5], q), 7.5, "q = {q}");
         }
-        let p = Percentiles::from_samples(&[7.5]);
-        assert_eq!((p.p50, p.p90, p.p99), (7.5, 7.5, 7.5));
     }
 }

@@ -54,11 +54,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows so far.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// The column headers.
     pub fn headers(&self) -> &[String] {
         &self.headers
@@ -153,7 +148,7 @@ mod tests {
     fn row_owned_and_count() {
         let mut t = Table::new(&["x"]);
         t.row_owned(vec!["7".into()]);
-        assert_eq!(t.row_count(), 1);
+        assert_eq!(t.render_markdown(), "| x |\n|---|\n| 7 |\n");
     }
 
     #[test]

@@ -624,19 +624,15 @@ fn cmd_consensus(opts: &Options) -> Result<(), String> {
         return Err(format!("unknown consensus algo `{algo}`"));
     }
     let f = opts.faulty;
+    // A bad --adversary is an error even when no node is faulty.
+    let misbehavior = parse_adversary(&opts.adversary)?;
     // Node 0 (the BRB source) is always spared; the selection is
     // seeded from --seed, so reruns corrupt the same nodes.
     let adversary = if f == 0 {
         Adversary::honest(n)
     } else {
-        Adversary::seeded(
-            n,
-            f,
-            parse_adversary(&opts.adversary)?,
-            opts.seed,
-            &[NodeId::new(0)],
-        )
-        .map_err(|e| e.to_string())?
+        Adversary::seeded(n, f, misbehavior, opts.seed, &[NodeId::new(0)])
+            .map_err(|e| e.to_string())?
     };
     println!(
         "topology {} ({n} nodes), fault {}, algo {algo}, f = {f} ({})",
@@ -810,6 +806,21 @@ mod tests {
         let d = Options::parse(&[]).unwrap();
         assert_eq!(d.faulty, 0);
         assert_eq!(d.adversary, "crash");
+        // The adversary spec is checked whatever --faulty is, the
+        // default 0 included.
+        for faulty in [None, Some("0"), Some("2")] {
+            let mut args = vec!["consensus", "--adversary", "bribe", "--topology", "path:8"];
+            args.extend(["--trials", "1"]);
+            if let Some(f) = faulty {
+                args.extend(["--faulty", f]);
+            }
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            assert_eq!(
+                run(&args),
+                Err("unknown adversary `bribe` (want crash[:R], equivocate, or jam)".into()),
+                "--faulty {faulty:?}"
+            );
+        }
     }
 
     #[test]
