@@ -15,12 +15,15 @@
 //! quick one.
 //!
 //! `IDS` filters by experiment id (e.g. `E8 E10`); default runs all.
+//! At most one scale flag may be given (default `--quick`).
 //! `--list` prints the registry (one `id  description` line per
 //! experiment) and exits; `--help` (or `-h`) prints the synopsis above
-//! and exits. `--jobs` sets the sweep worker count
+//! and exits. `--jobs` sets the sweep worker count, at most 1024
 //! (default: available parallelism) — for a fixed `--seed`, tables and
 //! the measured content of the `--json` artifact are byte-identical for
-//! any `--jobs` value (DESIGN.md §4b). The artifact additionally
+//! any `--jobs` value (DESIGN.md §4b). The `--json` and `--telemetry`
+//! paths are opened before any experiment runs, so a path that cannot
+//! be written fails at once. The artifact additionally
 //! records every experiment's per-cell wall-clock milliseconds
 //! (`cell_ms`); that one field is observability data and is ignored
 //! by `--diff`.
@@ -37,7 +40,6 @@
 //! observational only: reports and the `--json` artifact are
 //! byte-identical with telemetry on or off.
 
-use std::io::BufWriter;
 use std::process::ExitCode;
 
 use noisy_radio_bench::{
@@ -45,7 +47,7 @@ use noisy_radio_bench::{
     Scale,
 };
 use radio_obs::{CounterSink, JsonlSink};
-use radio_sweep::SweepConfig;
+use radio_sweep::{parse_jobs, OutputFile, SweepConfig};
 
 /// The synopsis of the module docs, printed by `--help` and `-h`.
 const USAGE: &str = "\
@@ -55,6 +57,9 @@ usage: experiments [--quick|--full|--smoke] [--markdown] [--jobs N]
        experiments --list
        experiments --diff OLD.json NEW.json
        experiments --help
+
+One scale flag at most (default --quick); --jobs N takes 1 to 1024
+workers (default: available parallelism).
 ";
 
 fn main() -> ExitCode {
@@ -68,7 +73,7 @@ fn main() -> ExitCode {
 }
 
 fn run(args: &[String]) -> Result<ExitCode, String> {
-    let mut scale = Scale::Quick;
+    let mut scale: Option<Scale> = None;
     let mut markdown = false;
     let mut jobs: Option<usize> = None;
     let mut master_seed: u64 = 42;
@@ -85,10 +90,17 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 .cloned()
                 .ok_or_else(|| format!("flag {arg} needs a value"))
         };
+        let mut set_scale = |chosen: Scale| match scale.replace(chosen) {
+            None => Ok(()),
+            Some(first) => Err(format!(
+                "{arg} after --{}: give one scale flag",
+                first.name()
+            )),
+        };
         match arg.as_str() {
-            "--quick" => scale = Scale::Quick,
-            "--full" => scale = Scale::Full,
-            "--smoke" => scale = Scale::Smoke,
+            "--quick" => set_scale(Scale::Quick)?,
+            "--full" => set_scale(Scale::Full)?,
+            "--smoke" => set_scale(Scale::Smoke)?,
             "--markdown" => markdown = true,
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -98,13 +110,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
                 print!("{}", experiments::render_registry());
                 return Ok(ExitCode::SUCCESS);
             }
-            "--jobs" => {
-                let n: usize = value()?.parse().map_err(|e| format!("bad --jobs: {e}"))?;
-                if n == 0 {
-                    return Err("--jobs must be ≥ 1".into());
-                }
-                jobs = Some(n);
-            }
+            "--jobs" => jobs = Some(parse_jobs(&value()?)?),
             "--seed" => {
                 master_seed = value()?.parse().map_err(|e| format!("bad --seed: {e}"))?;
             }
@@ -136,6 +142,15 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         });
     }
 
+    // Check the ids and open every output before any cell runs, so
+    // that a bad id or a path that cannot be written fails at once.
+    experiments::check_ids(&filter)?;
+    let json_out = json_path.as_deref().map(OutputFile::open).transpose()?;
+    let telemetry_out = telemetry_path
+        .as_deref()
+        .map(OutputFile::open)
+        .transpose()?;
+    let scale = scale.unwrap_or(Scale::Quick);
     let cfg = SweepConfig::new(jobs, master_seed);
     let t0 = std::time::Instant::now();
     let timed = experiments::run_selected_timed(scale, &cfg, &filter)?;
@@ -153,24 +168,20 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             failures += 1;
         }
     }
-    if let Some(path) = &json_path {
-        let doc = suite_json_timed(&reports, scale.name(), master_seed);
-        std::fs::write(path, doc).map_err(|e| format!("cannot write {path}: {e}"))?;
-        eprintln!("(wrote {path})");
+    if let Some(out) = &json_out {
+        out.write(suite_json_timed(&reports, scale.name(), master_seed).as_bytes())?;
+        eprintln!("(wrote {})", out.path());
     }
-    if telemetry_path.is_some() || telemetry_summary {
+    if telemetry_out.is_some() || telemetry_summary {
         let mut counters = CounterSink::new();
         emit_suite_telemetry(&mut counters, &reports, &driver_ms);
-        if let Some(path) = &telemetry_path {
-            let file =
-                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-            let mut jsonl = JsonlSink::new(BufWriter::new(file));
+        if let Some(out) = &telemetry_out {
+            let mut jsonl = JsonlSink::new(Vec::new());
             counters.emit_into(&mut jsonl);
             let lines = jsonl.lines();
-            jsonl
-                .finish()
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("(wrote {path}: {lines} telemetry events)");
+            let bytes = jsonl.finish().expect("writing to memory cannot fail");
+            out.write(&bytes)?;
+            eprintln!("(wrote {}: {lines} telemetry events)", out.path());
         }
         if telemetry_summary {
             eprint!("{}", render_suite_summary(&counters));

@@ -178,6 +178,22 @@ pub fn run_selected(
     run_selected_timed(scale, cfg, ids).map(|reports| reports.into_iter().map(|(r, _)| r).collect())
 }
 
+/// Checks that every id in `ids` names a registered experiment
+/// (case-insensitively), without running anything.
+///
+/// # Errors
+///
+/// Returns the first id that matches no registered experiment.
+pub fn check_ids(ids: &[String]) -> Result<(), String> {
+    match ids
+        .iter()
+        .find(|id| !EXPERIMENTS.iter().any(|e| e.id.eq_ignore_ascii_case(id)))
+    {
+        Some(id) => Err(format!("unknown experiment id `{id}`")),
+        None => Ok(()),
+    }
+}
+
 /// As [`run_selected`], additionally returning each driver's wall-clock
 /// duration in milliseconds.
 ///
@@ -192,11 +208,7 @@ pub fn run_selected_timed(
     cfg: &SweepConfig,
     ids: &[String],
 ) -> Result<Vec<(ExperimentReport, f64)>, String> {
-    for id in ids {
-        if !EXPERIMENTS.iter().any(|e| e.id.eq_ignore_ascii_case(id)) {
-            return Err(format!("unknown experiment id `{id}`"));
-        }
-    }
+    check_ids(ids)?;
     Ok(EXPERIMENTS
         .iter()
         .filter(|e| ids.is_empty() || ids.iter().any(|id| e.id.eq_ignore_ascii_case(id)))

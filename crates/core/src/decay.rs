@@ -184,7 +184,7 @@ const PHASE_RECIP: [u64; 65] = {
 /// `step·(L·⌈2⁶⁴/L⌉ − 2⁶⁴) < 2⁶⁴`, which holds comfortably for every
 /// reachable round count (`step < 2⁵⁷` suffices for `L ≤ 64`).
 #[inline]
-fn phase_step(phase_len: u32, step: u64) -> u64 {
+pub(crate) fn phase_step(phase_len: u32, step: u64) -> u64 {
     let l = u64::from(phase_len);
     if !(2..PHASE_RECIP.len()).contains(&(phase_len as usize)) || step >= 1 << 57 {
         return step % l;

@@ -18,10 +18,23 @@
 //! transmit again, giving the `Θ((p/(1−p))·D·log n + D/(1−p))`
 //! degradation of Lemma 10 that motivates
 //! [Robust FASTBC](crate::robust_fastbc).
+//!
+//! One node type runs FASTBC, Robust FASTBC and the dilated baselines
+//! of [`crate::repetition`]: `FastbcNode<T>`, over a per-node timing
+//! `T` (this module's `FastTiming`, Robust FASTBC's block timing, or
+//! the dilated timing) that says in which rounds the node broadcasts.
+//! An informed node keeps the round of its next fast slot and the round
+//! its next slow Decay coin fires, drawn ahead from its own stream, and
+//! the engine wakes it only in those rounds. After a broadcast the
+//! timing steps to the next round by addition from the one it last
+//! returned (FASTBC's slot recurs every `2·6R` rounds), so a broadcast
+//! runs no division; the division-based search runs once, when the
+//! node is informed.
 
 use gbst::Gbst;
 use netgraph::{Graph, NodeId};
 use radio_model::{Action, Channel, Ctx, NodeBehavior, Reception, RoundTrace};
+use rand::RngCore;
 
 use crate::decay::{default_phase_len, DecayNode, UNDRAWN};
 use crate::{BroadcastRun, CoreError};
@@ -158,7 +171,8 @@ impl<'g> FastbcSchedule<'g> {
                 FastbcNode::new(
                     v == self.gbst.source(),
                     self.phase_len,
-                    self.gbst.is_fast(v).then(|| self.timing(v)),
+                    self.gbst.is_fast(v),
+                    self.timing(v),
                 )
             })
             .collect()
@@ -229,13 +243,41 @@ impl<'g> FastbcSchedule<'g> {
     }
 }
 
-/// The fast-round slots of one fast node, as [`FastbcNode`] consults
-/// them.
-pub(crate) trait FastSlots: Copy {
-    /// The first even real round `≥ from` in which the node is
-    /// scheduled to broadcast ([`NEVER`] if no such round fits a
-    /// `u64`).
+/// The rounds one node of a GBST schedule broadcasts in, as
+/// [`FastbcNode`] walks them: its fast slots, if it is a fast node, and
+/// the rounds its slow Decay coins fire.
+///
+/// Each walk starts with a search from the round the node is informed
+/// in (`first_due`, `first_slow`) and then steps on from the round it
+/// last returned (`due_after`, `slow_after`). The timing keeps what a
+/// step needs, so that a broadcast costs additions and compares.
+pub(crate) trait Timing: Copy {
+    /// The first fast slot at or after round `from` ([`NEVER`] if no
+    /// such round fits a `u64`): stateless, the reference for the walk.
     fn next_due(&self, from: u64) -> u64;
+
+    /// As [`Timing::next_due`], starting the walk at that slot.
+    fn first_due(&mut self, from: u64) -> u64 {
+        self.next_due(from)
+    }
+
+    /// The fast slot after `due`, the slot the walk last returned:
+    /// `next_due(due + 1)`.
+    fn due_after(&mut self, due: u64) -> u64;
+
+    /// The first slow round at or after `from` whose Decay coin fires,
+    /// drawing the coin of every slow round from `from` on in turn from
+    /// `rng`. Undilated, slow round `2t + 1` runs Decay step `t`, so
+    /// the first at or after `from` is step `⌊from/2⌋`.
+    fn first_slow<R: RngCore>(&mut self, phase_len: u32, from: u64, rng: &mut R) -> u64 {
+        2 * DecayNode::next_broadcast(phase_len, from / 2, rng) + 1
+    }
+
+    /// The slow broadcast after `round`, the one the walk last
+    /// returned: the coins drawn on from the round after it.
+    fn slow_after<R: RngCore>(&mut self, phase_len: u32, round: u64, rng: &mut R) -> u64 {
+        self.first_slow(phase_len, round + 1, rng)
+    }
 }
 
 /// A round no run reaches: the next fast slot of an uninformed or slow
@@ -252,15 +294,20 @@ pub(crate) struct FastTiming {
 
 impl FastTiming {
     /// Whether the node is scheduled in fast round `t`: the stateless
-    /// reference for [`FastSlots::next_due`].
+    /// reference for [`Timing::next_due`].
     pub(crate) fn matches(&self, t: u64) -> bool {
         let l = i64::from(self.level);
         let r = i64::from(self.rank);
         (t as i64 - (l - 6 * r)).rem_euclid(self.modulus as i64) == 0
     }
+
+    /// The real rounds from one slot to the next: `2·6R`.
+    pub(crate) fn period(&self) -> u64 {
+        2 * self.modulus
+    }
 }
 
-impl FastSlots for FastTiming {
+impl Timing for FastTiming {
     fn next_due(&self, from: u64) -> u64 {
         let m = self.modulus;
         let slot = (i64::from(self.level) - 6 * i64::from(self.rank)).rem_euclid(m as i64) as u64;
@@ -275,10 +322,14 @@ impl FastSlots for FastTiming {
         };
         (t + wait).saturating_mul(2)
     }
+
+    fn due_after(&mut self, due: u64) -> u64 {
+        due.saturating_add(self.period())
+    }
 }
 
-/// Per-node behavior of FASTBC and Robust FASTBC: the fast slots `T`
-/// on even rounds, a Decay step on odd rounds.
+/// Per-node behavior of FASTBC, Robust FASTBC and dilated FASTBC: the
+/// fast slots and slow Decay coins of the timing `T`.
 ///
 /// Both halves are cached as the round they next broadcast in, and
 /// [`NodeBehavior::next_act`] reports the earlier of the two, so the
@@ -286,28 +337,29 @@ impl FastSlots for FastTiming {
 #[derive(Debug, Clone)]
 pub(crate) struct FastbcNode<T> {
     informed: bool,
+    /// Whether the node holds fast slots: a fast node of the GBST.
+    fast: bool,
     phase_len: u32,
-    fast: Option<T>,
-    /// The even round this node broadcasts in next: set from the round
-    /// after it is informed (round 0 for the source) and advanced past
-    /// each broadcast, so a fast round costs one compare instead of
-    /// re-deriving the slot. [`NEVER`] while uninformed and for slow
-    /// nodes.
+    timing: T,
+    /// The round this node broadcasts in next in a fast round: set from
+    /// the round after it is informed (round 0 for the source) and
+    /// stepped past each fast broadcast, so a fast round costs one
+    /// compare. [`NEVER`] while uninformed and for slow nodes.
     next_due: u64,
-    /// The odd round whose Decay coin fires next, drawn ahead from the
-    /// node's own stream (see [`DecayNode::next_broadcast`]) at its
-    /// first act after being informed and again after each slow
-    /// broadcast. [`NEVER`] while uninformed, [`UNDRAWN`] from being
-    /// informed until that first act.
+    /// The round whose slow Decay coin fires next, drawn ahead from the
+    /// node's own stream at its first act after being informed and
+    /// again after each slow broadcast. [`NEVER`] while uninformed,
+    /// [`UNDRAWN`] from being informed until that first act.
     next_slow: u64,
 }
 
-impl<T: FastSlots> FastbcNode<T> {
-    pub(crate) fn new(source: bool, phase_len: u32, fast: Option<T>) -> Self {
+impl<T: Timing> FastbcNode<T> {
+    pub(crate) fn new(source: bool, phase_len: u32, fast: bool, timing: T) -> Self {
         let mut node = FastbcNode {
             informed: false,
-            phase_len,
             fast,
+            phase_len,
+            timing,
             next_due: NEVER,
             next_slow: NEVER,
         };
@@ -319,39 +371,32 @@ impl<T: FastSlots> FastbcNode<T> {
 
     fn inform(&mut self, from: u64) {
         self.informed = true;
-        self.next_due = self.fast.map_or(NEVER, |slots| slots.next_due(from));
+        self.next_due = if self.fast {
+            self.timing.first_due(from)
+        } else {
+            NEVER
+        };
         self.next_slow = UNDRAWN;
-    }
-
-    /// The odd round `2t + 1` of the first Decay step `t ≥ from_step`
-    /// whose coin fires.
-    fn draw_slow(&self, from_step: u64, ctx: &mut Ctx<'_>) -> u64 {
-        2 * DecayNode::next_broadcast(self.phase_len, from_step, ctx.rng) + 1
     }
 }
 
-impl<T: FastSlots> NodeBehavior<()> for FastbcNode<T> {
+impl<T: Timing> NodeBehavior<()> for FastbcNode<T> {
     fn act(&mut self, ctx: &mut Ctx<'_>) -> Action<()> {
         if !self.informed {
             return Action::Listen;
         }
         if self.next_slow == UNDRAWN {
-            // Slow round 2t + 1 runs Decay step t; the first at or
-            // after this round is step ⌊round/2⌋.
-            self.next_slow = self.draw_slow(ctx.round / 2, ctx);
+            self.next_slow = self.timing.first_slow(self.phase_len, ctx.round, ctx.rng);
         }
         // The engine wakes the node at `next_act`, the earlier of the
         // two, so neither due round can pass unseen.
         debug_assert!(ctx.round <= self.next_due, "fast slot skipped");
         debug_assert!(ctx.round <= self.next_slow, "slow broadcast skipped");
         if ctx.round == self.next_due {
-            if let Some(slots) = self.fast {
-                self.next_due = slots.next_due(ctx.round + 1);
-            }
+            self.next_due = self.timing.due_after(ctx.round);
             Action::Broadcast(())
         } else if ctx.round == self.next_slow {
-            // Slow round 2t + 1: draw ahead from Decay step t + 1.
-            self.next_slow = self.draw_slow(ctx.round.div_ceil(2), ctx);
+            self.next_slow = self.timing.slow_after(self.phase_len, ctx.round, ctx.rng);
             Action::Broadcast(())
         } else {
             Action::Listen
@@ -562,6 +607,43 @@ mod tests {
                         assert_eq!(timing.next_due(from), brute, "{timing:?} from {from}");
                         let far = 1_000_000_007 * period;
                         assert_eq!(timing.next_due(from + far), brute + far);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stepping_from_each_slot_walks_every_matching_even_round() {
+        // The walk against the brute-force sweep of `matches`: started
+        // from every round of one period (so from every slot and from
+        // between slots), `first_due` and then `due_after` hit exactly
+        // the matching even rounds, over three periods.
+        for level in 0..14 {
+            for rank in 1..=3 {
+                for rank_slots in rank..=4 {
+                    let timing = FastTiming {
+                        level,
+                        rank,
+                        modulus: 6 * u64::from(rank_slots),
+                    };
+                    let period = timing.period();
+                    let slots: Vec<u64> = (0..5 * period)
+                        .filter(|&r| r % 2 == 0 && timing.matches(r / 2))
+                        .collect();
+                    let far = 1_000_000_007 * period;
+                    for from in 0..period {
+                        let want = slots.iter().copied().filter(|&r| r >= from);
+                        let want: Vec<u64> = want.take_while(|&r| r < from + 3 * period).collect();
+                        assert!(want.len() >= 3, "{timing:?} from {from}");
+                        for offset in [0, far] {
+                            let mut walk = timing;
+                            let mut due = walk.first_due(from + offset);
+                            for &slot in &want {
+                                assert_eq!(due, slot + offset, "{timing:?} from {from}");
+                                due = walk.due_after(due);
+                            }
+                        }
                     }
                 }
             }

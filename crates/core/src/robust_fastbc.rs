@@ -30,7 +30,7 @@ use netgraph::{Graph, NodeId};
 use radio_model::{Channel, LatencyProfile, RoundTrace};
 
 use crate::decay::default_phase_len;
-use crate::fastbc::{FastSlots, FastbcNode};
+use crate::fastbc::{FastbcNode, Timing};
 use crate::{BroadcastRun, CoreError};
 
 /// Tunables for [`RobustFastbcSchedule`].
@@ -177,6 +177,7 @@ impl<'g> RobustFastbcSchedule<'g> {
             block_size: self.block_size,
             window: self.window,
             modulus: self.modulus,
+            end: 0,
         }
     }
 
@@ -188,7 +189,8 @@ impl<'g> RobustFastbcSchedule<'g> {
                 FastbcNode::new(
                     v == self.gbst.source(),
                     self.phase_len,
-                    self.gbst.is_fast(v).then(|| self.timing(v)),
+                    self.gbst.is_fast(v),
+                    self.timing(v),
                 )
             })
             .collect()
@@ -271,11 +273,15 @@ pub(crate) struct BlockTiming {
     block_size: u32,
     window: u32,
     modulus: u64,
+    /// The end of the activation window that holds the slot the walk
+    /// last returned (0 before it starts). Up to there the slots are 6
+    /// rounds apart, so only a step past it searches.
+    end: u64,
 }
 
 impl BlockTiming {
     /// Whether the node is scheduled in (even) real round `round`: the
-    /// stateless reference for [`FastSlots::next_due`].
+    /// stateless reference for [`Timing::next_due`].
     pub(crate) fn matches(&self, round: u64) -> bool {
         let t = round / 2; // fast-round index
         let superround = t / (u64::from(self.window) * u64::from(self.block_size));
@@ -285,31 +291,68 @@ impl BlockTiming {
         let active = (superround as i64 - (block - 6 * r)).rem_euclid(m) == 0;
         active && u64::from(self.level) % 3 == round % 3
     }
-}
 
-impl FastSlots for BlockTiming {
-    fn next_due(&self, from: u64) -> u64 {
-        // Real rounds per superround (saturating: a superround longer
-        // than `u64` rounds never ends), and the superround residue in
-        // which this node's block is active.
-        let span = (2 * u64::from(self.window)).saturating_mul(u64::from(self.block_size));
+    /// Real rounds per superround, `2cS` (saturating: a superround
+    /// longer than `u64` rounds never ends).
+    fn span(&self) -> u64 {
+        (2 * u64::from(self.window)).saturating_mul(u64::from(self.block_size))
+    }
+
+    /// The first round at or after `r` with `r ≡ level (mod 3)` and `r`
+    /// even, i.e. `r ≡ 4·(level mod 3) (mod 6)`.
+    fn slot_from(&self, r: u64) -> u64 {
+        let phase = 4 * u64::from(self.level % 3) % 6;
+        r.saturating_add((phase + 6 - r % 6) % 6)
+    }
+
+    /// The first slot at or after `from`, and the end of the activation
+    /// window that holds it.
+    fn first_slot(&self, from: u64) -> (u64, u64) {
+        let span = self.span();
         let m = self.modulus;
+        // The superround residue in which this node's block is active.
         let active = (i64::from(self.level / self.block_size) - 6 * i64::from(self.rank))
             .rem_euclid(m as i64) as u64;
-        // Even rounds with `round ≡ level (mod 3)` are `≡ phase (mod 6)`.
-        let phase = 4 * u64::from(self.level % 3) % 6;
-        let slot_from = |r: u64| r.saturating_add((phase + 6 - r % 6) % 6);
         let u0 = from / span;
         let u = u0 + (active + m - u0 % m) % m;
-        let due = slot_from(from.max(u.saturating_mul(span)));
-        if due < (u + 1).saturating_mul(span) {
-            due
+        let due = self.slot_from(from.max(u.saturating_mul(span)));
+        let end = (u + 1).saturating_mul(span);
+        if due < end {
+            (due, end)
         } else {
             // Past this activation's last slot. The next activation
             // starts one cycle later, and its `2cS ≥ 6` rounds hold a
             // slot.
-            slot_from((u + m).saturating_mul(span))
+            let start = (u + m).saturating_mul(span);
+            (self.slot_from(start), start.saturating_add(span))
         }
+    }
+}
+
+impl Timing for BlockTiming {
+    fn next_due(&self, from: u64) -> u64 {
+        self.first_slot(from).0
+    }
+
+    fn first_due(&mut self, from: u64) -> u64 {
+        let (due, end) = self.first_slot(from);
+        self.end = end;
+        due
+    }
+
+    fn due_after(&mut self, due: u64) -> u64 {
+        let next = due.saturating_add(6);
+        if next < self.end {
+            return next;
+        }
+        // The block is active again `6R − 1` superrounds after this
+        // window ends.
+        let span = self.span();
+        let start = self
+            .end
+            .saturating_add((self.modulus - 1).saturating_mul(span));
+        self.end = start.saturating_add(span);
+        self.slot_from(start)
     }
 }
 
@@ -459,6 +502,7 @@ mod tests {
                             block_size,
                             window,
                             modulus: 6 * u64::from(rank_slots),
+                            end: 0,
                         };
                         // One activation cycle; the schedule repeats
                         // after it.
@@ -484,6 +528,132 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Walks `timing` from `from` with `first_due` and then `due_after`
+    /// and checks each slot against `want`, the matching even rounds
+    /// from `from` on as a brute-force sweep found them, in order.
+    fn assert_walk(timing: BlockTiming, from: u64, want: &[u64]) {
+        let mut walk = timing;
+        let mut due = walk.first_due(from);
+        for &slot in want {
+            assert_eq!(due, slot, "{timing:?} from {from}");
+            due = walk.due_after(due);
+        }
+    }
+
+    #[test]
+    fn stepping_from_each_slot_walks_every_matching_even_round() {
+        // The walk against the brute-force sweep of `matches`, over the
+        // grid of `next_due_is_the_first_matching_even_round`: started
+        // from every round of one activation cycle (so from every slot
+        // and from between slots), it hits exactly the matching even
+        // rounds, over three cycles.
+        for level in 0..14 {
+            for rank in 1..=2 {
+                for (block_size, window) in [(1, 3), (2, 3), (3, 4), (4, 3)] {
+                    for rank_slots in rank..=3 {
+                        let timing = BlockTiming {
+                            level,
+                            rank,
+                            block_size,
+                            window,
+                            modulus: 6 * u64::from(rank_slots),
+                            end: 0,
+                        };
+                        let period = 2 * u64::from(window * block_size) * timing.modulus;
+                        let slots: Vec<u64> = (0..5 * period)
+                            .filter(|&r| r % 2 == 0 && timing.matches(r))
+                            .collect();
+                        let far = 1_000_003 * period;
+                        for from in 0..period {
+                            let want = slots.iter().copied().filter(|&r| r >= from);
+                            let want: Vec<u64> =
+                                want.take_while(|&r| r < from + 3 * period).collect();
+                            assert!(want.len() >= 3, "{timing:?} from {from}");
+                            assert_walk(timing, from, &want);
+                            let shifted: Vec<u64> = want.iter().map(|r| r + far).collect();
+                            assert_walk(timing, from + far, &shifted);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn stepping_matches_the_sweep_when_window_times_block_size_exceeds_u32() {
+        // The two timings of `window_times_block_size_beyond_u32_runs`.
+        // With c = S = 70 000 a superround spans 2cS = 9.8e9 rounds:
+        // every fast node of `path:16` is walked from each round of a
+        // prefix and from just before the end of its first activation,
+        // across the inactive superrounds, into the next one. Activity
+        // is fixed within a superround and any 6 consecutive even
+        // rounds hold one `≡ level (mod 3)`, so a superround whose
+        // first 12 rounds hold no slot holds none.
+        let g = generators::path(16);
+        let sched = RobustFastbcSchedule::with_params(
+            &g,
+            NodeId::new(0),
+            RobustFastbcParams {
+                window_multiplier: Some(70_000),
+                block_size: Some(70_000),
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let sweep = |timing: &BlockTiming, rounds: std::ops::Range<u64>| -> Vec<u64> {
+            rounds
+                .filter(|&r| r % 2 == 0 && timing.matches(r))
+                .collect()
+        };
+        for v in g.nodes().filter(|&v| sched.gbst().is_fast(v)) {
+            let timing = sched.timing(v);
+            let span = timing.span();
+            assert_eq!(span, 9_800_000_000);
+            let prefix = sweep(&timing, 0..2_000);
+            for from in 0..60 {
+                let want: Vec<u64> = prefix.iter().copied().filter(|&r| r >= from).collect();
+                assert_walk(timing, from, &want);
+            }
+            // The first activation, its next one, and every superround
+            // between them.
+            let u = (0..timing.modulus)
+                .find(|&u| !sweep(&timing, u * span..u * span + 12).is_empty())
+                .expect("the block is active once per cycle");
+            let next = u + timing.modulus;
+            for idle in u + 1..next {
+                assert!(sweep(&timing, idle * span..idle * span + 12).is_empty());
+            }
+            let from = (u + 1) * span - 40;
+            let mut want = sweep(&timing, from..(u + 1) * span);
+            want.extend(sweep(&timing, next * span..next * span + 40));
+            assert!(want.len() > 10, "{timing:?}");
+            assert_walk(timing, from, &want);
+        }
+        // c = S = u32::MAX: 2cS saturates, so the one activation never
+        // ends. The walk follows the sweep from round 0 and up to the
+        // last even round below 2⁶⁴ that matches, then answers never.
+        let widest = BlockTiming {
+            level: 5,
+            rank: 1,
+            block_size: u32::MAX,
+            window: u32::MAX,
+            modulus: 6,
+            end: 0,
+        };
+        assert_eq!(widest.span(), u64::MAX);
+        let low = sweep(&widest, 0..2_000);
+        assert_eq!(low[..3], [2, 8, 14]);
+        for from in 0..60 {
+            let want: Vec<u64> = low.iter().copied().filter(|&r| r >= from).collect();
+            assert_walk(widest, from, &want);
+        }
+        let top = u64::MAX - 2_000;
+        let mut want = sweep(&widest, top..u64::MAX);
+        assert!(!want.is_empty());
+        want.push(u64::MAX);
+        assert_walk(widest, top, &want);
     }
 
     #[test]
@@ -552,6 +722,7 @@ mod tests {
             block_size: u32::MAX,
             window: u32::MAX,
             modulus: 6,
+            end: 0,
         };
         assert_eq!(widest.next_due(0), 2);
         assert!(widest.matches(2));

@@ -33,14 +33,22 @@
 //! * [`Json`] — a dependency-free JSON value tree for structured
 //!   result artifacts (`BENCH_*.json`-style), with deterministic
 //!   rendering.
+//!
+//! For the binaries that run sweeps, [`parse_jobs`] bounds the worker
+//! count a command line may ask for, and [`OutputFile`] opens an output
+//! path before any cell runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod output;
 pub mod plan;
 pub mod runner;
 
 pub use json::Json;
+pub use output::OutputFile;
 pub use plan::{Handle, Plan, Resolved, TrialResult};
-pub use runner::{emit_cell_spans, run_cells, run_cells_timed, CellCtx, SweepConfig};
+pub use runner::{
+    emit_cell_spans, parse_jobs, run_cells, run_cells_timed, CellCtx, SweepConfig, MAX_JOBS,
+};

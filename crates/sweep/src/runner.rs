@@ -89,6 +89,40 @@ impl Default for SweepConfig {
     }
 }
 
+/// The most worker threads `--jobs` may ask for. [`run_cells`] starts
+/// `min(jobs, cells)` scoped threads, and starting one panics when the
+/// OS refuses it, so the binaries bound the flag instead.
+pub const MAX_JOBS: usize = 1024;
+
+/// Parses a `--jobs` value as the `cli` and `experiments` binaries
+/// accept it: a worker count from 1 to [`MAX_JOBS`].
+///
+/// # Errors
+///
+/// A message naming the flag (and, above the bound, [`MAX_JOBS`]) for
+/// anything else.
+///
+/// # Examples
+///
+/// ```
+/// use radio_sweep::{parse_jobs, MAX_JOBS};
+///
+/// assert_eq!(parse_jobs("2"), Ok(2));
+/// assert_eq!(parse_jobs(&MAX_JOBS.to_string()), Ok(MAX_JOBS));
+/// assert!(parse_jobs("0").is_err());
+/// assert!(parse_jobs("1025").unwrap_err().contains("1024"));
+/// ```
+pub fn parse_jobs(value: &str) -> Result<usize, String> {
+    let n: usize = value.parse().map_err(|e| format!("bad --jobs: {e}"))?;
+    if n == 0 {
+        return Err("--jobs must be ≥ 1".into());
+    }
+    if n > MAX_JOBS {
+        return Err(format!("--jobs must be at most {MAX_JOBS}, got {n}"));
+    }
+    Ok(n)
+}
+
 /// What a cell knows about itself: its grid index and its forked seed.
 ///
 /// The seed is `fork_seed(base_seed, index)` — a pure function of the

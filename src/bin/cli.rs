@@ -26,7 +26,7 @@ use noisy_radio::gbst::Gbst;
 use noisy_radio::model::{Adversary, Channel, Misbehavior, ModelError};
 use noisy_radio::netgraph::{generators, metrics, Graph, NodeId};
 use noisy_radio::obs::{CounterSink, JsonlSink, NullSink, TelemetrySink};
-use noisy_radio::sweep::{run_cells, SweepConfig};
+use noisy_radio::sweep::{parse_jobs, run_cells, OutputFile, SweepConfig};
 use noisy_radio::throughput::traffic::{ThroughputRun, TrafficConfig};
 use noisy_radio::throughput::LatencySummary;
 
@@ -59,10 +59,12 @@ COMMON OPTIONS:
                     (default receiver:0.3)
   --seed N          RNG seed (default 42)
   --trials N        independent trials (default 3)
-  --jobs N          worker threads for trials (default: available
-                    parallelism); results are identical for any N
+  --jobs N          worker threads for trials, 1 to 1024 (default:
+                    available parallelism); results are identical for
+                    any N
   --telemetry PATH  write a JSONL telemetry event log (one span/counter
-                    object per line); never changes the measured output
+                    object per line); never changes the measured output.
+                    The path is opened before any trial runs
   --telemetry-summary
                     print aggregated telemetry tables to stderr
 
@@ -116,7 +118,14 @@ fn run(args: &[String]) -> Result<(), String> {
         print!("{HELP}");
         return Ok(());
     }
-    let opts = Options::parse(&args[1..])?;
+    let mut opts = Options::parse(&args[1..])?;
+    // Open the output before any trial runs, so that a path that cannot
+    // be written fails at once.
+    opts.telemetry_out = opts
+        .telemetry
+        .as_deref()
+        .map(OutputFile::open)
+        .transpose()?;
     match command.as_str() {
         "broadcast" => cmd_broadcast(&opts),
         "multicast" => cmd_multicast(&opts),
@@ -145,6 +154,8 @@ struct Options {
     faulty: usize,
     adversary: String,
     telemetry: Option<String>,
+    /// The `--telemetry` file, opened by [`run`] before any trial.
+    telemetry_out: Option<OutputFile>,
     telemetry_summary: bool,
 }
 
@@ -165,16 +176,12 @@ impl Options {
     /// stderr. Telemetry is observational only — the measured output
     /// above is byte-identical with or without it.
     fn finish_telemetry(&self, counters: &CounterSink) -> Result<(), String> {
-        if let Some(path) = &self.telemetry {
-            let file =
-                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-            let mut jsonl = JsonlSink::new(std::io::BufWriter::new(file));
+        if let Some(out) = &self.telemetry_out {
+            let mut jsonl = JsonlSink::new(Vec::new());
             counters.emit_into(&mut jsonl);
             let lines = jsonl.lines();
-            jsonl
-                .finish()
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("(wrote {path}: {lines} telemetry events)");
+            out.write(&jsonl.finish().expect("writing to memory cannot fail"))?;
+            eprintln!("(wrote {}: {lines} telemetry events)", out.path());
         }
         if self.telemetry_summary {
             eprint!("{}", counters.render_summary());
@@ -199,6 +206,7 @@ impl Options {
             faulty: 0,
             adversary: "crash".into(),
             telemetry: None,
+            telemetry_out: None,
             telemetry_summary: false,
         };
         let mut it = args.iter();
@@ -215,13 +223,7 @@ impl Options {
                 "--trials" => {
                     opts.trials = value()?.parse().map_err(|e| format!("bad --trials: {e}"))?
                 }
-                "--jobs" => {
-                    let n: usize = value()?.parse().map_err(|e| format!("bad --jobs: {e}"))?;
-                    if n == 0 {
-                        return Err("--jobs must be ≥ 1".into());
-                    }
-                    opts.jobs = Some(n);
-                }
+                "--jobs" => opts.jobs = Some(parse_jobs(&value()?)?),
                 "--algo" => opts.algo = Some(value()?),
                 "--k" => opts.k = value()?.parse().map_err(|e| format!("bad --k: {e}"))?,
                 "--leaves" => {
@@ -926,8 +928,14 @@ mod tests {
         assert!(d.sweep().jobs >= 1);
         let zero: Vec<String> = ["--jobs", "0"].iter().map(|s| s.to_string()).collect();
         assert!(Options::parse(&zero).is_err());
+        // Parsed only: no trial runs, so no worker thread starts.
+        let most: Vec<String> = ["--jobs", "1024"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(Options::parse(&most).unwrap().jobs, Some(1024));
+        let over: Vec<String> = ["--jobs", "1025"].iter().map(|s| s.to_string()).collect();
+        let err = Options::parse(&over).err().expect("1025 workers rejected");
+        assert!(err.contains("at most 1024"), "{err}");
+        assert!(HELP.contains("1 to 1024"));
     }
-
     #[test]
     fn help_flag_after_a_command_prints_help() {
         for args in [["gap", "--help"], ["broadcast", "-h"]] {

@@ -1,0 +1,39 @@
+//! Command lines the `cli` binary must refuse before its first trial:
+//! each exits 1, says why on stderr, and prints nothing on stdout.
+
+use std::process::Command;
+
+fn refused(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_cli"))
+        .args(args)
+        .output()
+        .expect("run cli");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} ran something");
+    stderr
+}
+
+#[test]
+fn an_unwritable_telemetry_path_fails_before_any_trial() {
+    let stderr = refused(&[
+        "broadcast",
+        "--topology",
+        "path:64",
+        "--trials",
+        "1",
+        "--telemetry",
+        "/nonexistent/x.jsonl",
+    ]);
+    assert!(
+        stderr.contains("cannot write /nonexistent/x.jsonl"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn jobs_beyond_the_bound_are_refused() {
+    // The parser refuses the count, so no worker thread starts.
+    let stderr = refused(&["broadcast", "--topology", "path:2", "--jobs", "1025"]);
+    assert!(stderr.contains("at most 1024"), "{stderr}");
+}
