@@ -4,9 +4,7 @@ use netgraph::{generators, NodeId};
 use noisy_radio_core::decay::Decay;
 use noisy_radio_core::experimental::StreamingRlnc;
 use noisy_radio_core::multi_message::{DecayRlnc, RobustFastbcRlnc};
-use noisy_radio_core::robust_fastbc::{
-    default_block_size, RobustFastbcParams, RobustFastbcSchedule,
-};
+use noisy_radio_core::robust_fastbc::{default_block_size, RobustFastbcSchedule};
 use radio_model::Channel;
 use radio_sweep::{Plan, SweepConfig};
 use radio_throughput::Table;
@@ -43,17 +41,7 @@ pub fn a1_block_size(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
     };
     let scheds: Vec<_> = blocks
         .iter()
-        .map(|&s| {
-            RobustFastbcSchedule::with_params(
-                &g,
-                NodeId::new(0),
-                RobustFastbcParams {
-                    block_size: Some(s),
-                    ..Default::default()
-                },
-            )
-            .expect("valid")
-        })
+        .map(|&s| RobustFastbcSchedule::with_block_size(&g, NodeId::new(0), s).expect("valid"))
         .collect();
     let mut plan = Plan::new();
     let handles: Vec<_> = scheds
@@ -126,34 +114,25 @@ pub fn a3_streaming_rlnc(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
         .map(|&k| {
             let g = &g;
             let decay = plan.one(move |ctx| {
-                DecayRlnc {
-                    phase_len: None,
-                    payload_len: 0,
-                }
-                .run(g, NodeId::new(0), k, fault, ctx.seed, MAX_ROUNDS)
-                .expect("valid")
-                .run
-                .rounds_used()
+                DecayRlnc { payload_len: 0 }
+                    .run(g, NodeId::new(0), k, fault, ctx.seed, MAX_ROUNDS)
+                    .expect("valid")
+                    .run
+                    .rounds_used()
             });
             let robust = plan.one(move |ctx| {
-                RobustFastbcRlnc {
-                    params: Default::default(),
-                    payload_len: 0,
-                }
-                .run(g, NodeId::new(0), k, fault, ctx.seed, MAX_ROUNDS)
-                .expect("valid")
-                .run
-                .rounds_used()
+                RobustFastbcRlnc { payload_len: 0 }
+                    .run(g, NodeId::new(0), k, fault, ctx.seed, MAX_ROUNDS)
+                    .expect("valid")
+                    .run
+                    .rounds_used()
             });
             let streaming = plan.one(move |ctx| {
-                StreamingRlnc {
-                    phase_len: None,
-                    payload_len: 0,
-                }
-                .run(g, NodeId::new(0), k, fault, ctx.seed, MAX_ROUNDS)
-                .expect("valid")
-                .run
-                .rounds_used()
+                StreamingRlnc { payload_len: 0 }
+                    .run(g, NodeId::new(0), k, fault, ctx.seed, MAX_ROUNDS)
+                    .expect("valid")
+                    .run
+                    .rounds_used()
             });
             (decay, robust, streaming)
         })

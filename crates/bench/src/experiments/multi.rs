@@ -37,19 +37,16 @@ pub fn e6_decay_rlnc(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
     let log_n = (n as f64).log2();
     let (outs, cell_ms): (Vec<MultiMessageRun>, Vec<f64>) =
         run_cells_timed(cfg.jobs, cfg.scope_seed("E6"), ks.len(), |ctx| {
-            DecayRlnc {
-                phase_len: None,
-                payload_len: 0,
-            }
-            .run(
-                &g,
-                NodeId::new(0),
-                ks[ctx.index as usize],
-                fault,
-                ctx.seed,
-                MAX_ROUNDS,
-            )
-            .expect("valid")
+            DecayRlnc { payload_len: 0 }
+                .run(
+                    &g,
+                    NodeId::new(0),
+                    ks[ctx.index as usize],
+                    fault,
+                    ctx.seed,
+                    MAX_ROUNDS,
+                )
+                .expect("valid")
         });
 
     let mut table = Table::new(&[
@@ -122,19 +119,16 @@ pub fn e7_rfastbc_rlnc(scale: Scale, cfg: &SweepConfig) -> ExperimentReport {
     let loglog_n = log_n.log2();
     let (outs, cell_ms): (Vec<MultiMessageRun>, Vec<f64>) =
         run_cells_timed(cfg.jobs, cfg.scope_seed("E7"), ks.len(), |ctx| {
-            RobustFastbcRlnc {
-                params: Default::default(),
-                payload_len: 0,
-            }
-            .run(
-                &g,
-                NodeId::new(0),
-                ks[ctx.index as usize],
-                fault,
-                ctx.seed,
-                MAX_ROUNDS,
-            )
-            .expect("valid")
+            RobustFastbcRlnc { payload_len: 0 }
+                .run(
+                    &g,
+                    NodeId::new(0),
+                    ks[ctx.index as usize],
+                    fault,
+                    ctx.seed,
+                    MAX_ROUNDS,
+                )
+                .expect("valid")
         });
 
     let mut table = Table::new(&[

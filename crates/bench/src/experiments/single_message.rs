@@ -3,7 +3,7 @@
 
 use netgraph::{generators, NodeId};
 use noisy_radio_core::decay::Decay;
-use noisy_radio_core::fastbc::{FastbcParams, FastbcSchedule};
+use noisy_radio_core::fastbc::FastbcSchedule;
 use noisy_radio_core::repetition::RepeatedFastbcSchedule;
 use noisy_radio_core::robust_fastbc::RobustFastbcSchedule;
 use radio_model::Channel;
@@ -270,11 +270,7 @@ pub fn e4_fastbc_degradation(scale: Scale, cfg: &SweepConfig) -> ExperimentRepor
         .map(|(&n, g)| {
             let log_n = (n as f64).log2().ceil() as u32;
             // The paper's analysis regime: rank slots = Θ(log n).
-            let params = FastbcParams {
-                phase_len: None,
-                rank_slots: Some(log_n),
-            };
-            FastbcSchedule::with_params(g, NodeId::new(0), params).expect("valid")
+            FastbcSchedule::with_rank_slots(g, NodeId::new(0), log_n).expect("valid")
         })
         .collect();
     let robusts: Vec<_> = graphs

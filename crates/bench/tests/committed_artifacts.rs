@@ -19,6 +19,12 @@
 //!   sender+erasure channels, the erasure-aware relay, and first-packet
 //!   latencies, so any change to how the engine resolves a listener's
 //!   slot — collisions, sender faults, loss draws — moves these bytes.
+//! - E6, E7, E11, A1, A2 and A3 must reproduce `BENCH_core_quick.json`.
+//!   They run the RLNC multi-message schedules (Decay, Robust FASTBC and
+//!   the ungated streaming pipeline), Robust FASTBC across block sizes,
+//!   Decay's fixed-budget failure rate and the Lemma 25–26 transforms,
+//!   so any change to their Decay coins, block slots or sole-sender
+//!   resolution moves these bytes.
 
 use noisy_radio_bench::{diff_artifacts, experiments, suite_json, Scale};
 use radio_sweep::{Json, SweepConfig};
@@ -27,6 +33,7 @@ const COMMITTED_E8_QUICK: &str = include_str!("../../../BENCH_e8_quick.json");
 const COMMITTED_GBST_QUICK: &str = include_str!("../../../BENCH_gbst_quick.json");
 const COMMITTED_ROUTING_QUICK: &str = include_str!("../../../BENCH_routing_quick.json");
 const COMMITTED_ENGINE_QUICK: &str = include_str!("../../../BENCH_engine_quick.json");
+const COMMITTED_CORE_QUICK: &str = include_str!("../../../BENCH_core_quick.json");
 
 fn assert_reproduces(ids: &[&str], committed: &str) {
     let cfg = SweepConfig::new(Some(2), 42);
@@ -56,4 +63,9 @@ fn routing_quick_reproduces_the_committed_artifact() {
 #[test]
 fn engine_quick_reproduces_the_committed_artifact() {
     assert_reproduces(&["E1", "E3", "E13", "E14"], COMMITTED_ENGINE_QUICK);
+}
+
+#[test]
+fn core_quick_reproduces_the_committed_artifact() {
+    assert_reproduces(&["E6", "E7", "E11", "A1", "A2", "A3"], COMMITTED_CORE_QUICK);
 }

@@ -33,24 +33,16 @@ use super::{Bundle, ConsensusMsg, ConsensusRun, Gossip, GossipPacket, Verb, COIN
 use crate::decay::default_phase_len;
 use crate::CoreError;
 
-/// Configuration for Ben-Or consensus runs (mirrors
-/// [`crate::decay::Decay`]: the phase length is the gossip knob).
+/// Ben-Or consensus runs. Like [`crate::decay::Decay`], it has nothing
+/// to configure: the gossip runs Decay phases of the derived length
+/// `⌈log₂ n⌉ + 1`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BenOr {
-    /// Gossip phase length override; `None` derives `⌈log₂ n⌉ + 1`.
-    pub phase_len: Option<u32>,
-}
+pub struct BenOr;
 
 impl BenOr {
-    /// Creates the default configuration.
+    /// Creates the protocol.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets an explicit gossip phase length (must be ≥ 1).
-    pub fn with_phase_len(mut self, phase_len: u32) -> Self {
-        self.phase_len = Some(phase_len);
-        self
+        BenOr
     }
 
     /// Runs Ben-Or with one binary `input` per node, tolerating `f`
@@ -65,8 +57,7 @@ impl BenOr {
     ///
     /// * [`CoreError::InvalidParameter`] for an input vector of the
     ///   wrong length, `f > n − 2` (a node could then complete rounds
-    ///   alone), a zero phase length, or an adversary sized for a
-    ///   different node count;
+    ///   alone), or an adversary sized for a different node count;
     /// * [`CoreError::Model`] for simulator configuration errors.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
@@ -100,15 +91,9 @@ impl BenOr {
                 ),
             });
         }
-        let phase_len = self.phase_len.unwrap_or_else(|| default_phase_len(n));
-        if phase_len == 0 {
-            return Err(CoreError::InvalidParameter {
-                reason: "phase length must be ≥ 1".into(),
-            });
-        }
         let coin_seed = fork_seed(seed, COIN_STREAM);
         let behaviors: Vec<BenOrNode> = (0..n)
-            .map(|i| BenOrNode::new(i as u32, n, f, inputs[i], coin_seed, phase_len))
+            .map(|i| BenOrNode::new(i as u32, n, f, inputs[i], coin_seed))
             .collect();
         let honest = adversary.honest_mask();
         let wrapped = adversary.wrap(behaviors)?;
@@ -181,7 +166,7 @@ pub struct BenOrNode {
 
 impl BenOrNode {
     /// Fresh node `me` of `n`, tolerating `f`, proposing `input`.
-    pub fn new(me: u32, n: usize, f: usize, input: bool, coin_seed: u64, phase_len: u32) -> Self {
+    pub fn new(me: u32, n: usize, f: usize, input: bool, coin_seed: u64) -> Self {
         let mut node = BenOrNode {
             me,
             n,
@@ -191,7 +176,7 @@ impl BenOrNode {
             coin_seed,
             decided: None,
             rounds: Vec::new(),
-            gossip: Gossip::new(phase_len),
+            gossip: Gossip::new(default_phase_len(n)),
         };
         node.emit(Verb::Est { r: 1, v: input });
         node.advance();
@@ -509,18 +494,6 @@ mod tests {
                 1,
                 Channel::faultless(),
                 &Adversary::honest(5),
-                0,
-                10
-            ),
-            Err(CoreError::InvalidParameter { .. })
-        ));
-        assert!(matches!(
-            BenOr::new().with_phase_len(0).run(
-                &g,
-                &[true; 4],
-                1,
-                Channel::faultless(),
-                &adv,
                 0,
                 10
             ),

@@ -23,24 +23,16 @@ use super::{echo_quorum, Bundle, ConsensusMsg, ConsensusRun, Gossip, GossipPacke
 use crate::decay::default_phase_len;
 use crate::CoreError;
 
-/// Configuration for Bracha BRB runs (mirrors [`crate::decay::Decay`]:
-/// the phase length is the gossip knob).
+/// Bracha BRB runs. Like [`crate::decay::Decay`], it has nothing to
+/// configure: the gossip runs Decay phases of the derived length
+/// `⌈log₂ n⌉ + 1`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Brb {
-    /// Gossip phase length override; `None` derives `⌈log₂ n⌉ + 1`.
-    pub phase_len: Option<u32>,
-}
+pub struct Brb;
 
 impl Brb {
-    /// Creates the default configuration.
+    /// Creates the protocol.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets an explicit gossip phase length (must be ≥ 1).
-    pub fn with_phase_len(mut self, phase_len: u32) -> Self {
-        self.phase_len = Some(phase_len);
-        self
+        Brb
     }
 
     /// Runs BRB from `source` proposing `value`, tolerating `f`
@@ -54,8 +46,7 @@ impl Brb {
     /// # Errors
     ///
     /// * [`CoreError::InvalidParameter`] for an out-of-range source,
-    ///   `f ≥ n`, a zero phase length, or an adversary sized for a
-    ///   different node count;
+    ///   `f ≥ n`, or an adversary sized for a different node count;
     /// * [`CoreError::Model`] for simulator configuration errors.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
@@ -88,14 +79,8 @@ impl Brb {
                 ),
             });
         }
-        let phase_len = self.phase_len.unwrap_or_else(|| default_phase_len(n));
-        if phase_len == 0 {
-            return Err(CoreError::InvalidParameter {
-                reason: "phase length must be ≥ 1".into(),
-            });
-        }
         let behaviors: Vec<BrbNode> = (0..n)
-            .map(|i| BrbNode::new(i as u32, n, f, source.index() as u32, value, phase_len))
+            .map(|i| BrbNode::new(i as u32, n, f, source.index() as u32, value))
             .collect();
         let honest = adversary.honest_mask();
         let wrapped = adversary.wrap(behaviors)?;
@@ -145,12 +130,12 @@ pub struct BrbNode {
 impl BrbNode {
     /// Fresh node `me` of `n`, tolerating `f`, with the designated
     /// `source` proposing `value`.
-    pub fn new(me: u32, n: usize, f: usize, source: u32, value: bool, phase_len: u32) -> Self {
+    pub fn new(me: u32, n: usize, f: usize, source: u32, value: bool) -> Self {
         let mut node = BrbNode {
             me,
             f,
             source,
-            gossip: Gossip::new(phase_len),
+            gossip: Gossip::new(default_phase_len(n)),
             init_seen: None,
             echo_from: vec![None; n],
             ready_from: vec![None; n],
@@ -405,19 +390,6 @@ mod tests {
                 1,
                 Channel::faultless(),
                 &Adversary::honest(5),
-                0,
-                10
-            ),
-            Err(CoreError::InvalidParameter { .. })
-        ));
-        assert!(matches!(
-            Brb::new().with_phase_len(0).run(
-                &g,
-                NodeId::new(0),
-                true,
-                1,
-                Channel::faultless(),
-                &adv,
                 0,
                 10
             ),

@@ -20,31 +20,16 @@ use radio_obs::NullSink;
 
 use crate::{BroadcastRun, CoreError};
 
-/// Configuration for [`Decay`].
-///
-/// The algorithmic knob is the phase length; `None` (default) derives
-/// `⌈log₂ n⌉ + 1` from the graph at run time.
+/// Single-message Decay. It has nothing to configure: the phase length
+/// is derived from the graph, `L = ⌈log₂ n⌉ + 1` (see
+/// [`default_phase_len`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Decay {
-    /// Phase length override; `None` derives `⌈log₂ n⌉ + 1`.
-    pub phase_len: Option<u32>,
-}
+pub struct Decay;
 
 impl Decay {
-    /// Creates the default configuration.
+    /// Creates the algorithm.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets an explicit phase length (must be ≥ 1).
-    pub fn with_phase_len(mut self, phase_len: u32) -> Self {
-        self.phase_len = Some(phase_len);
-        self
-    }
-
-    /// The phase length used for an `n`-node graph.
-    pub fn effective_phase_len(&self, n: usize) -> u32 {
-        self.phase_len.unwrap_or_else(|| default_phase_len(n))
+        Decay
     }
 
     /// Runs single-message Decay from `source` until every node is
@@ -52,7 +37,7 @@ impl Decay {
     ///
     /// # Errors
     ///
-    /// * [`CoreError::InvalidParameter`] if an explicit phase length is 0;
+    /// * [`CoreError::InvalidParameter`] if `source` is out of bounds;
     /// * [`CoreError::Model`] for simulator configuration errors.
     pub fn run(
         &self,
@@ -93,12 +78,7 @@ impl Decay {
                 reason: format!("source {source} out of bounds for {n} nodes"),
             });
         }
-        let phase_len = self.effective_phase_len(n);
-        if phase_len == 0 {
-            return Err(CoreError::InvalidParameter {
-                reason: "phase length must be ≥ 1".into(),
-            });
-        }
+        let phase_len = default_phase_len(n);
         let setup = radio_obs::SpanTimer::start(sink.enabled());
         let behaviors: Vec<DecayNode> = (0..n)
             .map(|i| DecayNode::new(i == source.index(), phase_len))
@@ -152,19 +132,27 @@ impl Decay {
     }
 }
 
-/// Derives the canonical phase length `⌈log₂ n⌉ + 1`.
+/// Derives the canonical phase length `⌈log₂ n⌉ + 1`: from 2 (for
+/// `n ≤ 2`) up to 33, since a [`NodeId`] is a `u32` and a graph has at
+/// most 2³² nodes.
 pub fn default_phase_len(n: usize) -> u32 {
     (usize::BITS - (n.max(2) - 1).leading_zeros()) + 1
 }
 
-/// `⌈2⁶⁴/L⌉` for `L` in `2..=64`, indexed by `L`: the magic
-/// reciprocals behind [`phase_step`]'s division-free modulo. Built at
-/// compile time; entries 0 and 1 are unused padding (`⌈2⁶⁴/1⌉`
-/// overflows, and `step mod 1` needs no reciprocal).
-const PHASE_RECIP: [u64; 65] = {
-    let mut t = [0u64; 65];
+/// The longest phase [`DecayNode::new`] accepts. A coin at phase
+/// position `i` fires with probability `2^-i`, which a 53-bit uniform
+/// compares exactly only for `i ≤ 53` (see [`DecayNode::draw_broadcast`]);
+/// derived phase lengths are at most 33.
+const MAX_PHASE_LEN: u32 = 53;
+
+/// `⌈2⁶⁴/L⌉` for `L` in `2..=53`, indexed by `L`: the magic reciprocals
+/// behind [`phase_step`]'s division-free modulo. Built at compile time;
+/// entries 0 and 1 are unused padding (`⌈2⁶⁴/1⌉` overflows, and
+/// `step mod 1` needs no reciprocal).
+const PHASE_RECIP: [u64; MAX_PHASE_LEN as usize + 1] = {
+    let mut t = [0u64; MAX_PHASE_LEN as usize + 1];
     let mut l = 2u64;
-    while l <= 64 {
+    while l <= MAX_PHASE_LEN as u64 {
         // ⌈2⁶⁴/l⌉ without 128-bit arithmetic: ⌊(2⁶⁴−1)/l⌋ + 1 (equal
         // whether or not l divides 2⁶⁴, since only powers of two do
         // and for those ⌊(2⁶⁴−1)/l⌋ = 2⁶⁴/l − 1).
@@ -174,8 +162,8 @@ const PHASE_RECIP: [u64; 65] = {
     t
 };
 
-/// `step mod phase_len`, division-free for the phase lengths that
-/// occur in practice (`⌈log₂ n⌉ + 1 ≤ 64` up to astronomical n).
+/// `step mod phase_len`: division-free for every phase length in
+/// `2..=53` below step 2⁵⁷, a hardware modulo otherwise.
 ///
 /// Decay-family nodes evaluate this for their coins (a [`DecayNode`]
 /// once per draw-ahead), and a runtime `u64` modulo is the single most
@@ -225,8 +213,18 @@ pub struct DecayNode {
 
 impl DecayNode {
     /// A node that holds the message from the start iff `informed`,
-    /// running phases of `phase_len` rounds.
+    /// running phases of `phase_len` rounds ([`default_phase_len`] gives
+    /// the paper's length for a graph).
+    ///
+    /// # Panics
+    ///
+    /// If `phase_len` is outside `1..=53`: the coin of phase position
+    /// 54 would need more than the 53 bits of a uniform draw.
     pub fn new(informed: bool, phase_len: u32) -> Self {
+        assert!(
+            (1..=MAX_PHASE_LEN).contains(&phase_len),
+            "Decay phase length {phase_len} outside 1..=53"
+        );
         DecayNode {
             phase_len,
             next: if informed { UNDRAWN } else { UNINFORMED },
@@ -240,14 +238,10 @@ impl DecayNode {
 
     /// The Decay broadcast probability for (0-based) `step` within the
     /// phase structure: `2^{-((step mod L) + 1)}`.
-    pub fn broadcast_probability(phase_len: u32, step: u64) -> f64 {
+    pub(crate) fn broadcast_probability(phase_len: u32, step: u64) -> f64 {
         let i = phase_step(phase_len, step) + 1;
-        // 2^-i built directly as an IEEE-754 exponent: every informed
-        // node evaluates this each round, and `powi` compiles to a
-        // multiplication loop. Exact powers of two, so bit-identical
-        // to `0.5f64.powi(i)` (both are exact for i ≤ 1022; phases are
-        // orders of magnitude shorter).
-        debug_assert!(i <= 1022, "phase step would denormalize 2^-i");
+        // 2^-i built directly as an IEEE-754 exponent: exact, so
+        // bit-identical to `0.5f64.powi(i)`.
         f64::from_bits((1023 - i) << 52)
     }
 
@@ -259,22 +253,11 @@ impl DecayNode {
     /// compares it against `p`; for `p = 2⁻ⁱ` with `1 ≤ i ≤ 53` both
     /// sides are exact, so the comparison is precisely
     /// `(next_u64() >> 11) < 2^(53−i)`. Same stream consumption, same
-    /// outcome, no float traffic — this is the hottest line of every
-    /// Decay-family sweep.
-    pub fn draw_broadcast<R: rand::RngCore>(phase_len: u32, step: u64, rng: &mut R) -> bool {
-        // One predictable guard covers the reciprocal table, the
-        // multiply-shift exactness bound, and the i ≤ 53 threshold
-        // exactness all at once (L ≤ 54 ⇒ i ≤ 54 needs the extra
-        // check only at the boundary).
-        if (2..=53).contains(&phase_len) && step < 1 << 57 {
-            let l = u64::from(phase_len);
-            let q = ((u128::from(step) * u128::from(PHASE_RECIP[phase_len as usize])) >> 64) as u64;
-            let i = step - q * l + 1;
-            debug_assert_eq!(i, step % l + 1);
-            (rng.next_u64() >> 11) < (1u64 << (53 - i))
-        } else {
-            rand::Rng::gen_bool(rng, Self::broadcast_probability(phase_len, step))
-        }
+    /// outcome, no float traffic. Every phase length is in `1..=53`
+    /// (see [`DecayNode::new`]), so every `i` is.
+    pub(crate) fn draw_broadcast<R: rand::RngCore>(phase_len: u32, step: u64, rng: &mut R) -> bool {
+        let i = phase_step(phase_len, step) + 1;
+        (rng.next_u64() >> 11) < (1u64 << (53 - i))
     }
 
     /// The first step at or after `from_step` whose Decay coin fires,
@@ -282,22 +265,20 @@ impl DecayNode {
     /// the same draws, in the same order and with the same outcomes,
     /// as calling [`DecayNode::draw_broadcast`] step by step until it
     /// returns `true`.
-    pub fn next_broadcast<R: rand::RngCore>(phase_len: u32, from_step: u64, rng: &mut R) -> u64 {
-        let mut step = from_step;
-        if !(1..=53).contains(&phase_len) {
-            while !Self::draw_broadcast(phase_len, step, rng) {
-                step += 1;
-            }
-            return step;
-        }
+    pub(crate) fn next_broadcast<R: rand::RngCore>(
+        phase_len: u32,
+        from_step: u64,
+        rng: &mut R,
+    ) -> u64 {
         // `draw_broadcast`'s test for phase index `i`, `(draw >> 11) <
         // 2^(53−i)`, is `draw < 2^(64−i)`. The threshold halves from
         // step to step and returns to 2⁶³ at each phase start, exact at
-        // every step, so there is no 2⁵⁷ bound. The loop above instead
-        // re-derives `i` with a 128-bit multiply per draw; used for
-        // every phase length, it ran the benchmark's `grid-decay` at
-        // 282M node-rounds/s against this carry's 379M (medians of 10
-        // rotated 30 s runs, 2-vCPU Xeon host).
+        // every step, so there is no 2⁵⁷ bound. Calling `draw_broadcast`
+        // step by step instead re-derives `i` with a 128-bit multiply per
+        // draw; that ran the benchmark's `grid-decay` at 282M
+        // node-rounds/s against this carry's 379M (medians of 10 rotated
+        // 30 s runs, 2-vCPU Xeon host).
+        let mut step = from_step;
         let last = 1u64 << (64 - phase_len);
         let mut threshold = 1u64 << (63 - phase_step(phase_len, step));
         while rng.next_u64() >= threshold {
@@ -350,16 +331,44 @@ impl NodeBehavior<()> for DecayNode {
     const SILENCE_TRANSPARENT: bool = true;
 }
 
-/// The two-sided 99.9% Wilson score interval for a success rate, given
-/// `hits` successes in `n` trials: the check of the coin laws here and
-/// in `repetition.rs`.
+/// Whether `hits` successes in `trials` independent trials of success
+/// probability `p` (strictly between 0 and 1) pass a two-sided exact
+/// binomial test at the 99.9% level: neither `P(X ≤ hits)` nor
+/// `P(X ≥ hits)` is below 0.05%. The check of the coin laws here and in
+/// `repetition.rs`. Unlike a Wilson interval it keeps its level where
+/// a phase position expects about one fire, as late positions do.
 #[cfg(test)]
-pub(crate) fn wilson_999(hits: u64, n: f64) -> std::ops::RangeInclusive<f64> {
-    const Z: f64 = 3.2905;
-    let hat = hits as f64 / n;
-    let centre = (hat + Z * Z / (2.0 * n)) / (1.0 + Z * Z / n);
-    let half = Z / (1.0 + Z * Z / n) * (hat * (1.0 - hat) / n + Z * Z / (4.0 * n * n)).sqrt();
-    centre - half..=centre + half
+pub(crate) fn binomial_999(hits: u64, trials: u64, p: f64) -> bool {
+    // Binomial weights relative to the mode's, walked out from the mode
+    // until they fall below 1e-20: the mass beyond is far below 0.05%.
+    let odds = p / (1.0 - p);
+    let mode = (((trials + 1) as f64 * p) as u64).min(trials);
+    let (mut total, mut at_most, mut at_least) = (0.0, 0.0, 0.0);
+    let mut tally = |k: u64, w: f64| {
+        total += w;
+        if k <= hits {
+            at_most += w;
+        }
+        if k >= hits {
+            at_least += w;
+        }
+    };
+    let (mut k, mut w) = (mode, 1.0);
+    tally(k, w);
+    while k > 0 && w > 1e-20 {
+        // P(k − 1) / P(k).
+        w *= k as f64 / ((trials - k + 1) as f64 * odds);
+        k -= 1;
+        tally(k, w);
+    }
+    let (mut k, mut w) = (mode, 1.0);
+    while k < trials && w > 1e-20 {
+        // P(k + 1) / P(k).
+        w *= (trials - k) as f64 * odds / (k + 1) as f64;
+        k += 1;
+        tally(k, w);
+    }
+    at_most >= 0.0005 * total && at_least >= 0.0005 * total
 }
 
 #[cfg(test)]
@@ -388,8 +397,10 @@ mod tests {
         use rand::{RngCore, SeedableRng};
         let mut a = rand::rngs::SmallRng::seed_from_u64(7);
         let mut b = a.clone();
-        for phase_len in [2u32, 13, 53, 54, 64] {
-            for step in 0..u64::from(phase_len) * 4 {
+        // Past 2⁵⁷ `phase_step` takes the hardware modulo.
+        let far = [(1 << 57) - 1, 1 << 57, (1 << 57) + 1, u64::MAX];
+        for phase_len in [1u32, 2, 13, 33, 53] {
+            for step in (0..u64::from(phase_len) * 4).chain(far) {
                 let fast = DecayNode::draw_broadcast(phase_len, step, &mut a);
                 let p = DecayNode::broadcast_probability(phase_len, step);
                 let slow = rand::Rng::gen_bool(&mut b, p);
@@ -402,9 +413,9 @@ mod tests {
     #[test]
     fn next_broadcast_matches_drawing_step_by_step() {
         use rand::{RngCore, SeedableRng};
-        // 54 and 64 take the `gen_bool` fallback; the rest carry the
-        // threshold across phase boundaries and past 2⁵⁷.
-        for phase_len in [1u32, 2, 13, 53, 54, 64] {
+        // The threshold carries across phase boundaries and past 2⁵⁷,
+        // from phase length 1 up to the longest the nodes accept.
+        for phase_len in [1u32, 2, 13, 33, 53] {
             let l = u64::from(phase_len);
             let near_2_57 = (1u64 << 57) / l * l;
             let starts = [0, l - 1, l, l + 1, 5 * l - 1, 5 * l, 5 * l + 1]
@@ -429,14 +440,14 @@ mod tests {
     /// Decay's law: the coin at phase position `i` (1-based) fires with
     /// probability `2^-i`. Broadcasts found by chaining `next_broadcast`
     /// over 2¹⁸ steps per phase length (eight seeds of 2¹⁵) are counted
-    /// per position and checked against `2^-i` with a 99.9% Wilson
-    /// interval. L ∈ {1, 13, 53} runs the threshold carry, L ∈ {54, 64}
-    /// the `draw_broadcast` fallback.
+    /// per position and checked against `2^-i` with a two-sided exact
+    /// binomial test at 99.9%, for L ∈ {1, 13, 33, 53}: 33 is the
+    /// longest derived phase (2³² nodes), 53 the longest a node accepts.
     #[test]
     fn next_broadcast_fires_at_position_i_with_probability_2_pow_minus_i() {
         use rand::SeedableRng;
         const STEPS: u64 = 1 << 15;
-        for phase_len in [1u32, 13, 53, 54, 64] {
+        for phase_len in [1u32, 13, 33, 53] {
             let l = u64::from(phase_len);
             let mut fires = vec![0u64; phase_len as usize];
             for seed in 0..8 {
@@ -450,11 +461,11 @@ mod tests {
             for (i, &x) in fires.iter().enumerate() {
                 // Every step of every seed visits position `i` once per
                 // phase it covers.
-                let n = (8 * ((STEPS - i as u64).div_ceil(l))) as f64;
+                let n = 8 * (STEPS - i as u64).div_ceil(l);
                 let p = DecayNode::broadcast_probability(phase_len, i as u64);
                 assert_eq!(p, 0.5f64.powi(i as i32 + 1));
                 assert!(
-                    wilson_999(x, n).contains(&p),
+                    binomial_999(x, n, p),
                     "L {phase_len}, position {}: {x} of {n} fired, want 2^-{}",
                     i + 1,
                     i + 1
@@ -464,8 +475,33 @@ mod tests {
     }
 
     #[test]
+    fn binomial_999_rejects_only_the_outer_tails() {
+        // Against binomial tails computed independently: at n·p near 1,
+        // where the law tests' late positions sit, and at n·p = 500.
+        let (p11, p15) = (0.5f64.powi(11), 0.5f64.powi(15));
+        for (hits, trials, p, pass) in [
+            (3, 7944, p15, true),    // P(X ≥ 3) = 0.2%
+            (4, 7944, p15, false),   // P(X ≥ 4) = 0.012%
+            (5, 1986, p11, true),    // P(X ≥ 5) = 0.32%
+            (7, 1986, p11, false),   // P(X ≥ 7) = 0.0068%
+            (447, 1000, 0.5, false), // P(X ≤ 447) = 0.045%
+            (448, 1000, 0.5, true),  // P(X ≤ 448) = 0.056%
+            (552, 1000, 0.5, true),
+            (553, 1000, 0.5, false),
+            (1, 1000, 0.01, false), // P(X ≤ 1) = 0.048%
+            (2, 1000, 0.01, true),
+        ] {
+            assert_eq!(
+                binomial_999(hits, trials, p),
+                pass,
+                "{hits} of {trials} at {p}"
+            );
+        }
+    }
+
+    #[test]
     fn broadcast_probability_matches_powi() {
-        for phase_len in [2u32, 5, 11, 21, 64] {
+        for phase_len in [2u32, 5, 11, 21, 33, 53] {
             for step in 0..u64::from(phase_len) * 3 {
                 let i = (step % u64::from(phase_len)) + 1;
                 assert_eq!(
@@ -486,6 +522,33 @@ mod tests {
         // Degenerate sizes clamp to n = 2.
         assert_eq!(default_phase_len(0), 2);
         assert_eq!(default_phase_len(1), 2);
+    }
+
+    #[test]
+    fn default_phase_len_is_at_most_33_for_every_graph() {
+        // `NodeId` is a `u32`, so the generators admit at most 2³² nodes;
+        // the length grows with n, so 2³² gives the longest phase.
+        let most = 1usize << 32;
+        assert!(generators::checked_node_count("graph", Some(most)).is_ok());
+        assert!(generators::checked_node_count("graph", Some(most + 1)).is_err());
+        assert_eq!(default_phase_len(most), 33);
+        let counts = (0..=32).flat_map(|k| [(1usize << k) - 1, 1 << k, (1 << k) + 1]);
+        for n in counts.filter(|&n| n <= most) {
+            let len = default_phase_len(n);
+            assert!((2..=33).contains(&len), "n {n}: L {len}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "Decay phase length 0 outside 1..=53")]
+    fn zero_phase_len_rejected() {
+        DecayNode::new(true, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "Decay phase length 54 outside 1..=53")]
+    fn phase_len_past_53_rejected() {
+        DecayNode::new(false, 54);
     }
 
     #[test]
@@ -578,17 +641,6 @@ mod tests {
         let g = generators::path(4);
         assert!(matches!(
             Decay::new().run(&g, NodeId::new(9), Channel::faultless(), 0, 10),
-            Err(CoreError::InvalidParameter { .. })
-        ));
-    }
-
-    #[test]
-    fn zero_phase_len_rejected() {
-        let g = generators::path(4);
-        assert!(matches!(
-            Decay::new()
-                .with_phase_len(0)
-                .run(&g, NodeId::new(0), Channel::faultless(), 0, 10),
             Err(CoreError::InvalidParameter { .. })
         ));
     }

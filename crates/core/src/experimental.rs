@@ -36,11 +36,9 @@ use crate::robust_fastbc::RobustFastbcSchedule;
 use crate::CoreError;
 
 /// The ungated streaming-RLNC pipeline (see the [module docs](self)).
+/// Odd rounds run Decay with the derived phase length `⌈log₂ n⌉ + 1`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StreamingRlnc {
-    /// Decay phase length for odd rounds; `None` derives
-    /// `⌈log₂ n⌉ + 1`.
-    pub phase_len: Option<u32>,
     /// Payload symbols per message (0 = coefficients only).
     pub payload_len: usize,
 }
@@ -68,7 +66,7 @@ impl StreamingRlnc {
         let sched = RobustFastbcSchedule::new(graph, source)?;
         let gbst = sched.gbst();
         let n = graph.node_count();
-        let phase_len = self.phase_len.unwrap_or_else(|| default_phase_len(n));
+        let phase_len = default_phase_len(n);
         let mut rng = radio_model::fork_rng(seed, 0xA3);
         let messages: Vec<Vec<Gf256>> = (0..k)
             .map(|_| {
@@ -144,19 +142,16 @@ mod tests {
     #[test]
     fn completes_on_noisy_path_with_verified_payloads() {
         let g = generators::path(64);
-        let out = StreamingRlnc {
-            phase_len: None,
-            payload_len: 2,
-        }
-        .run(
-            &g,
-            NodeId::new(0),
-            8,
-            Channel::receiver(0.3).unwrap(),
-            3,
-            5_000_000,
-        )
-        .unwrap();
+        let out = StreamingRlnc { payload_len: 2 }
+            .run(
+                &g,
+                NodeId::new(0),
+                8,
+                Channel::receiver(0.3).unwrap(),
+                3,
+                5_000_000,
+            )
+            .unwrap();
         assert!(out.run.completed());
         assert!(out.decoded_ok);
     }
@@ -171,12 +166,9 @@ mod tests {
                 Channel::sender(0.3).unwrap(),
                 Channel::receiver(0.3).unwrap(),
             ] {
-                let out = StreamingRlnc {
-                    phase_len: None,
-                    payload_len: 0,
-                }
-                .run(&g, NodeId::new(0), 6, fault, 5, 5_000_000)
-                .unwrap();
+                let out = StreamingRlnc { payload_len: 0 }
+                    .run(&g, NodeId::new(0), 6, fault, 5, 5_000_000)
+                    .unwrap();
                 assert!(out.run.completed(), "stalled under {fault}");
                 assert!(out.decoded_ok);
             }
@@ -191,22 +183,16 @@ mod tests {
         let g = generators::path(128);
         let fault = Channel::receiver(0.3).unwrap();
         let k = 48;
-        let streaming = StreamingRlnc {
-            phase_len: None,
-            payload_len: 0,
-        }
-        .run(&g, NodeId::new(0), k, fault, 7, 50_000_000)
-        .unwrap()
-        .run
-        .rounds_used();
-        let decay = DecayRlnc {
-            phase_len: None,
-            payload_len: 0,
-        }
-        .run(&g, NodeId::new(0), k, fault, 7, 50_000_000)
-        .unwrap()
-        .run
-        .rounds_used();
+        let streaming = StreamingRlnc { payload_len: 0 }
+            .run(&g, NodeId::new(0), k, fault, 7, 50_000_000)
+            .unwrap()
+            .run
+            .rounds_used();
+        let decay = DecayRlnc { payload_len: 0 }
+            .run(&g, NodeId::new(0), k, fault, 7, 50_000_000)
+            .unwrap()
+            .run
+            .rounds_used();
         assert!(
             streaming < decay,
             "streaming ({streaming}) should beat Decay-RLNC ({decay}) at k = {k}"

@@ -39,21 +39,9 @@ use rand::RngCore;
 use crate::decay::{default_phase_len, DecayNode, UNDRAWN};
 use crate::{BroadcastRun, CoreError};
 
-/// Tunables for [`FastbcSchedule`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FastbcParams {
-    /// Decay phase length for slow rounds; `None` derives
-    /// `⌈log₂ n⌉ + 1`.
-    pub phase_len: Option<u32>,
-    /// Number of rank slots `R` in the fast-round modulus `6R`;
-    /// `None` uses the GBST's `r_max`. The paper's analysis (and
-    /// Lemma 10's `Θ(log n)` retransmission wait) assumes
-    /// `R = Θ(log n)`; pass `Some(⌈log₂ n⌉)` to reproduce that regime
-    /// on low-rank topologies such as bare paths.
-    pub rank_slots: Option<u32>,
-}
-
 /// A compiled FASTBC schedule: the GBST plus per-node timing data.
+/// Slow rounds run Decay with the derived phase length
+/// `⌈log₂ n⌉ + 1`.
 ///
 /// Compile once with [`FastbcSchedule::new`], then [`run`] many
 /// noisy/faultless trials against it.
@@ -82,41 +70,38 @@ pub struct FastbcSchedule<'g> {
 }
 
 impl<'g> FastbcSchedule<'g> {
-    /// Compiles a FASTBC schedule with default parameters.
+    /// Compiles a FASTBC schedule whose fast-round modulus is `6R` with
+    /// `R` the GBST's `r_max`.
     ///
     /// # Errors
     ///
     /// [`CoreError::Gbst`] if the graph is disconnected or the source
     /// is invalid.
     pub fn new(graph: &'g Graph, source: NodeId) -> Result<Self, CoreError> {
-        Self::with_params(graph, source, FastbcParams::default())
+        Self::build(graph, source, None)
     }
 
-    /// Compiles a FASTBC schedule with explicit parameters.
+    /// Compiles with `rank_slots` rank slots `R` in the fast-round
+    /// modulus `6R` instead of the GBST's `r_max`. The paper's analysis
+    /// (and Lemma 10's `Θ(log n)` retransmission wait) assumes
+    /// `R = Θ(log n)`; pass `⌈log₂ n⌉` to reproduce that regime on
+    /// low-rank topologies such as bare paths.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Gbst`] on construction failure, or
-    /// [`CoreError::InvalidParameter`] for zero parameters.
-    pub fn with_params(
+    /// As [`FastbcSchedule::new`], or [`CoreError::InvalidParameter`] if
+    /// `rank_slots` is below the GBST's `r_max` (which is at least 1).
+    pub fn with_rank_slots(
         graph: &'g Graph,
         source: NodeId,
-        params: FastbcParams,
+        rank_slots: u32,
     ) -> Result<Self, CoreError> {
+        Self::build(graph, source, Some(rank_slots))
+    }
+
+    fn build(graph: &'g Graph, source: NodeId, rank_slots: Option<u32>) -> Result<Self, CoreError> {
         let gbst = Gbst::build(graph, source)?;
-        let n = graph.node_count();
-        let phase_len = params.phase_len.unwrap_or_else(|| default_phase_len(n));
-        if phase_len == 0 {
-            return Err(CoreError::InvalidParameter {
-                reason: "phase length must be ≥ 1".into(),
-            });
-        }
-        let rank_slots = params.rank_slots.unwrap_or_else(|| gbst.max_rank());
-        if rank_slots == 0 {
-            return Err(CoreError::InvalidParameter {
-                reason: "rank slots must be ≥ 1".into(),
-            });
-        }
+        let rank_slots = rank_slots.unwrap_or_else(|| gbst.max_rank());
         if rank_slots < gbst.max_rank() {
             return Err(CoreError::InvalidParameter {
                 reason: format!(
@@ -128,7 +113,7 @@ impl<'g> FastbcSchedule<'g> {
         Ok(FastbcSchedule {
             graph,
             gbst,
-            phase_len,
+            phase_len: default_phase_len(graph.node_count()),
             modulus: 6 * u64::from(rank_slots),
         })
     }
@@ -136,11 +121,6 @@ impl<'g> FastbcSchedule<'g> {
     /// The underlying GBST.
     pub fn gbst(&self) -> &Gbst {
         &self.gbst
-    }
-
-    /// The fast-round modulus `6R`.
-    pub fn modulus(&self) -> u64 {
-        self.modulus
     }
 
     /// The slow-round Decay phase length.
@@ -481,11 +461,7 @@ mod tests {
         // Lemma 10's shape: with rank_slots = ceil(log2 n), the noisy
         // run pays ~6·log n fast rounds per dropped hop.
         let g = generators::path(256);
-        let params = FastbcParams {
-            phase_len: None,
-            rank_slots: Some(8 /* log2 256 */),
-        };
-        let sched = FastbcSchedule::with_params(&g, NodeId::new(0), params).unwrap();
+        let sched = FastbcSchedule::with_rank_slots(&g, NodeId::new(0), 8 /* log2 256 */).unwrap();
         let clean = sched
             .run(Channel::faultless(), 1, 1_000_000)
             .unwrap()
@@ -536,39 +512,15 @@ mod tests {
     #[test]
     fn rank_slots_below_max_rank_rejected() {
         let g = generators::balanced_tree(2, 4).unwrap();
-        let err = FastbcSchedule::with_params(
-            &g,
-            NodeId::new(0),
-            FastbcParams {
-                phase_len: None,
-                rank_slots: Some(1),
-            },
-        )
-        .unwrap_err();
+        let err = FastbcSchedule::with_rank_slots(&g, NodeId::new(0), 1).unwrap_err();
         assert!(matches!(err, CoreError::InvalidParameter { .. }));
     }
 
     #[test]
     fn zero_params_rejected() {
+        // A GBST's ranks start at 1, so no graph takes zero rank slots.
         let g = generators::path(8);
-        assert!(FastbcSchedule::with_params(
-            &g,
-            NodeId::new(0),
-            FastbcParams {
-                phase_len: Some(0),
-                rank_slots: None
-            }
-        )
-        .is_err());
-        assert!(FastbcSchedule::with_params(
-            &g,
-            NodeId::new(0),
-            FastbcParams {
-                phase_len: None,
-                rank_slots: Some(0)
-            }
-        )
-        .is_err());
+        assert!(FastbcSchedule::with_rank_slots(&g, NodeId::new(0), 0).is_err());
     }
 
     #[test]
@@ -657,12 +609,11 @@ mod tests {
         // nodes whose slot matches.
         let path = generators::path(64);
         let gnp = generators::gnp_connected(96, 0.06, 11).unwrap();
-        let log_n = FastbcParams {
-            phase_len: None,
-            rank_slots: Some(6),
-        };
-        for (g, params) in [(&path, log_n), (&gnp, FastbcParams::default())] {
-            let sched = FastbcSchedule::with_params(g, NodeId::new(0), params).unwrap();
+        let scheds = [
+            FastbcSchedule::with_rank_slots(&path, NodeId::new(0), 6).unwrap(),
+            FastbcSchedule::new(&gnp, NodeId::new(0)).unwrap(),
+        ];
+        for (g, sched) in [(&path, &scheds[0]), (&gnp, &scheds[1])] {
             let gbst = sched.gbst();
             for fault in [Channel::faultless(), Channel::receiver(0.3).unwrap()] {
                 let mut informed = vec![false; g.node_count()];

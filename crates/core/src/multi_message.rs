@@ -24,7 +24,7 @@ use radio_coding::{Field, Gf256};
 use radio_model::{Action, Channel, Ctx, LatencyProfile, NodeBehavior, Reception, Simulator};
 
 use crate::decay::{default_phase_len, DecayNode};
-use crate::robust_fastbc::{BlockTiming, RobustFastbcParams, RobustFastbcSchedule};
+use crate::robust_fastbc::{BlockTiming, RobustFastbcSchedule};
 use crate::{BroadcastRun, CoreError};
 
 /// Outcome of a multi-message run: the broadcast result, the decoded
@@ -91,7 +91,8 @@ where
     })
 }
 
-/// Decay-slotted RLNC multi-message broadcast (Lemma 12).
+/// Decay-slotted RLNC multi-message broadcast (Lemma 12), with the
+/// derived phase length `⌈log₂ n⌉ + 1`.
 ///
 /// # Example
 ///
@@ -109,8 +110,6 @@ where
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecayRlnc {
-    /// Decay phase length; `None` derives `⌈log₂ n⌉ + 1`.
-    pub phase_len: Option<u32>,
     /// Payload symbols per message (0 = track coefficients only,
     /// fastest; > 0 = carry and verify real payloads).
     pub payload_len: usize,
@@ -140,7 +139,7 @@ impl DecayRlnc {
                 reason: format!("source {source} out of bounds for {n} nodes"),
             });
         }
-        let phase_len = self.phase_len.unwrap_or_else(|| default_phase_len(n));
+        let phase_len = default_phase_len(n);
         let messages = random_messages(k, self.payload_len, seed);
         let behaviors: Vec<RlncDecayNode> = (0..n)
             .map(|i| RlncDecayNode {
@@ -188,11 +187,10 @@ impl NodeBehavior<CodedPacket<Gf256>> for RlncDecayNode {
     }
 }
 
-/// Robust-FASTBC-slotted RLNC multi-message broadcast (Lemma 13).
+/// Robust-FASTBC-slotted RLNC multi-message broadcast (Lemma 13), on
+/// the schedule [`RobustFastbcSchedule::new`] compiles.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RobustFastbcRlnc {
-    /// Robust FASTBC parameters (block size, window, phase length).
-    pub params: RobustFastbcParams,
     /// Payload symbols per message (see [`DecayRlnc::payload_len`]).
     pub payload_len: usize,
 }
@@ -215,7 +213,7 @@ impl RobustFastbcRlnc {
         max_rounds: u64,
     ) -> Result<MultiMessageRun, CoreError> {
         check_k(k)?;
-        let sched = RobustFastbcSchedule::with_params(graph, source, self.params)?;
+        let sched = RobustFastbcSchedule::new(graph, source)?;
         let gbst = sched.gbst();
         let n = graph.node_count();
         let messages = random_messages(k, self.payload_len, seed);
@@ -285,12 +283,9 @@ mod tests {
     #[test]
     fn decay_rlnc_small_path() {
         let g = generators::path(6);
-        let out = DecayRlnc {
-            phase_len: None,
-            payload_len: 2,
-        }
-        .run(&g, NodeId::new(0), 3, Channel::faultless(), 1, 100_000)
-        .unwrap();
+        let out = DecayRlnc { payload_len: 2 }
+            .run(&g, NodeId::new(0), 3, Channel::faultless(), 1, 100_000)
+            .unwrap();
         assert!(out.run.completed());
         assert!(out.decoded_ok);
     }
@@ -298,19 +293,16 @@ mod tests {
     #[test]
     fn decay_rlnc_star_with_receiver_faults() {
         let g = generators::star(32);
-        let out = DecayRlnc {
-            phase_len: None,
-            payload_len: 1,
-        }
-        .run(
-            &g,
-            NodeId::new(0),
-            16,
-            Channel::receiver(0.5).unwrap(),
-            3,
-            1_000_000,
-        )
-        .unwrap();
+        let out = DecayRlnc { payload_len: 1 }
+            .run(
+                &g,
+                NodeId::new(0),
+                16,
+                Channel::receiver(0.5).unwrap(),
+                3,
+                1_000_000,
+            )
+            .unwrap();
         assert!(
             out.run.completed(),
             "Lemma 12: coding throughput Ω(1/log n) on the star"
@@ -321,19 +313,16 @@ mod tests {
     #[test]
     fn decay_rlnc_gnp_sender_faults() {
         let g = generators::gnp_connected(48, 0.1, 5).unwrap();
-        let out = DecayRlnc {
-            phase_len: None,
-            payload_len: 0,
-        }
-        .run(
-            &g,
-            NodeId::new(0),
-            8,
-            Channel::sender(0.3).unwrap(),
-            7,
-            1_000_000,
-        )
-        .unwrap();
+        let out = DecayRlnc { payload_len: 0 }
+            .run(
+                &g,
+                NodeId::new(0),
+                8,
+                Channel::sender(0.3).unwrap(),
+                7,
+                1_000_000,
+            )
+            .unwrap();
         assert!(out.run.completed());
         assert!(
             out.decoded_ok,
@@ -344,19 +333,16 @@ mod tests {
     #[test]
     fn robust_fastbc_rlnc_path() {
         let g = generators::path(48);
-        let out = RobustFastbcRlnc {
-            params: Default::default(),
-            payload_len: 1,
-        }
-        .run(
-            &g,
-            NodeId::new(0),
-            6,
-            Channel::receiver(0.3).unwrap(),
-            11,
-            2_000_000,
-        )
-        .unwrap();
+        let out = RobustFastbcRlnc { payload_len: 1 }
+            .run(
+                &g,
+                NodeId::new(0),
+                6,
+                Channel::receiver(0.3).unwrap(),
+                11,
+                2_000_000,
+            )
+            .unwrap();
         assert!(
             out.run.completed(),
             "Lemma 13 variant must complete under faults"
@@ -367,12 +353,9 @@ mod tests {
     #[test]
     fn robust_fastbc_rlnc_tree_faultless() {
         let g = generators::balanced_tree(2, 5).unwrap();
-        let out = RobustFastbcRlnc {
-            params: Default::default(),
-            payload_len: 2,
-        }
-        .run(&g, NodeId::new(0), 5, Channel::faultless(), 13, 2_000_000)
-        .unwrap();
+        let out = RobustFastbcRlnc { payload_len: 2 }
+            .run(&g, NodeId::new(0), 5, Channel::faultless(), 13, 2_000_000)
+            .unwrap();
         assert!(out.run.completed());
         assert!(out.decoded_ok);
     }
@@ -404,19 +387,16 @@ mod tests {
         // hears a packet (random_combination never emits the zero
         // vector), and the source decodes at construction.
         let g = generators::path(8);
-        let out = DecayRlnc {
-            phase_len: None,
-            payload_len: 1,
-        }
-        .run(
-            &g,
-            NodeId::new(0),
-            1,
-            Channel::receiver(0.4).unwrap(),
-            3,
-            1_000_000,
-        )
-        .unwrap();
+        let out = DecayRlnc { payload_len: 1 }
+            .run(
+                &g,
+                NodeId::new(0),
+                1,
+                Channel::receiver(0.4).unwrap(),
+                3,
+                1_000_000,
+            )
+            .unwrap();
         let profile = &out.profile;
         assert!(out.run.completed() && out.decoded_ok);
         assert_eq!(profile.decode_complete(NodeId::new(0)), Some(0));
@@ -436,12 +416,9 @@ mod tests {
         // reach k everywhere and every decode round is recorded no
         // earlier than the node's first packet.
         let g = generators::path(4);
-        let out = DecayRlnc {
-            phase_len: None,
-            payload_len: 0,
-        }
-        .run(&g, NodeId::new(0), 8, Channel::faultless(), 5, 1_000_000)
-        .unwrap();
+        let out = DecayRlnc { payload_len: 0 }
+            .run(&g, NodeId::new(0), 8, Channel::faultless(), 5, 1_000_000)
+            .unwrap();
         let profile = &out.profile;
         assert!(out.run.completed() && out.decoded_ok);
         assert_eq!(profile.decoded_count(), 4);
@@ -463,19 +440,16 @@ mod tests {
         let mean_decode = |k: usize| {
             let (mut total, mut count) = (0u64, 0u64);
             for seed in 0..4 {
-                let out = DecayRlnc {
-                    phase_len: None,
-                    payload_len: 0,
-                }
-                .run(
-                    &g,
-                    NodeId::new(0),
-                    k,
-                    Channel::receiver(0.3).unwrap(),
-                    seed,
-                    1_000_000,
-                )
-                .unwrap();
+                let out = DecayRlnc { payload_len: 0 }
+                    .run(
+                        &g,
+                        NodeId::new(0),
+                        k,
+                        Channel::receiver(0.3).unwrap(),
+                        seed,
+                        1_000_000,
+                    )
+                    .unwrap();
                 let profile = &out.profile;
                 assert!(out.run.completed(), "k = {k} seed {seed}");
                 let lats = profile.decode_latencies();
@@ -495,19 +469,16 @@ mod tests {
     #[test]
     fn robust_fastbc_rlnc_profiled_populates_decode_rounds() {
         let g = generators::path(24);
-        let out = RobustFastbcRlnc {
-            params: Default::default(),
-            payload_len: 0,
-        }
-        .run(
-            &g,
-            NodeId::new(0),
-            4,
-            Channel::receiver(0.3).unwrap(),
-            7,
-            2_000_000,
-        )
-        .unwrap();
+        let out = RobustFastbcRlnc { payload_len: 0 }
+            .run(
+                &g,
+                NodeId::new(0),
+                4,
+                Channel::receiver(0.3).unwrap(),
+                7,
+                2_000_000,
+            )
+            .unwrap();
         let profile = &out.profile;
         assert!(out.run.completed());
         assert_eq!(profile.decoded_count(), 24);
@@ -523,21 +494,18 @@ mod tests {
         // k-dominant regime should not much more than double rounds.
         let g = generators::star(64);
         let run = |k: usize| {
-            DecayRlnc {
-                phase_len: None,
-                payload_len: 0,
-            }
-            .run(
-                &g,
-                NodeId::new(0),
-                k,
-                Channel::receiver(0.5).unwrap(),
-                21,
-                4_000_000,
-            )
-            .unwrap()
-            .run
-            .rounds_used()
+            DecayRlnc { payload_len: 0 }
+                .run(
+                    &g,
+                    NodeId::new(0),
+                    k,
+                    Channel::receiver(0.5).unwrap(),
+                    21,
+                    4_000_000,
+                )
+                .unwrap()
+                .run
+                .rounds_used()
         };
         let r32 = run(32);
         let r64 = run(64);

@@ -28,8 +28,8 @@ use netgraph::{Graph, NodeId};
 use radio_model::Channel;
 use rand::RngCore;
 
-use crate::decay::{phase_step, DecayNode};
-use crate::fastbc::{FastTiming, FastbcNode, FastbcParams, FastbcSchedule, Timing};
+use crate::decay::phase_step;
+use crate::fastbc::{FastTiming, FastbcNode, FastbcSchedule, Timing};
 use crate::{BroadcastRun, CoreError};
 
 /// A FASTBC schedule with every round repeated `ρ` times.
@@ -61,26 +61,12 @@ impl<'g> RepeatedFastbcSchedule<'g> {
     /// [`CoreError::InvalidParameter`] if `ρ == 0`;
     /// [`CoreError::Gbst`] on GBST construction failure.
     pub fn new(graph: &'g Graph, source: NodeId, repetitions: u32) -> Result<Self, CoreError> {
-        Self::with_params(graph, source, repetitions, FastbcParams::default())
-    }
-
-    /// Compiles with explicit FASTBC parameters.
-    ///
-    /// # Errors
-    ///
-    /// As [`RepeatedFastbcSchedule::new`].
-    pub fn with_params(
-        graph: &'g Graph,
-        source: NodeId,
-        repetitions: u32,
-        params: FastbcParams,
-    ) -> Result<Self, CoreError> {
         if repetitions == 0 {
             return Err(CoreError::InvalidParameter {
                 reason: "repetitions must be ≥ 1".into(),
             });
         }
-        let inner = FastbcSchedule::with_params(graph, source, params)?;
+        let inner = FastbcSchedule::new(graph, source)?;
         Ok(RepeatedFastbcSchedule {
             inner,
             graph,
@@ -191,19 +177,11 @@ impl DilatedTiming {
     /// `round` is that end), then all `ρ` of each later one — and
     /// returns the round whose coin fires first: the same draws, in the
     /// same order and with the same outcomes, as
-    /// [`DecayNode::draw_broadcast`] round by round.
+    /// [`DecayNode::draw_broadcast`](crate::decay::DecayNode::draw_broadcast)
+    /// round by round.
     fn draw_slow<R: RngCore>(&mut self, phase_len: u32, mut round: u64, rng: &mut R) -> u64 {
         if round == self.slow_end {
             round = self.next_slow_base();
-        }
-        if !(1..=53).contains(&phase_len) {
-            while !DecayNode::draw_broadcast(phase_len, self.step, rng) {
-                round += 1;
-                if round == self.slow_end {
-                    round = self.next_slow_base();
-                }
-            }
-            return round;
         }
         // The threshold carry of `DecayNode::next_broadcast`: step `t`
         // fires when the draw is below `2^(63 − t mod L)`, which halves
@@ -272,6 +250,7 @@ impl Timing for DilatedTiming {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decay::DecayNode;
     use netgraph::generators;
     use radio_model::Simulator;
 
@@ -345,29 +324,33 @@ mod tests {
     /// Dilated FASTBC's law, per real round: in each of the ρ real
     /// rounds of slow base round `2t + 1` the source broadcasts with
     /// probability `2^-(t mod L + 1)`, a fresh draw each time (checked
-    /// per phase position against a 99.9% Wilson interval); in the ρ
-    /// real rounds of fast base round `2t` it broadcasts exactly when
-    /// its FASTBC slot matches `t`. L = 13 takes `draw_broadcast`'s
-    /// integer path, L = 54 its `gen_bool` fallback.
+    /// per phase position with a two-sided exact binomial test at
+    /// 99.9%); in the ρ real rounds of fast base round `2t` it
+    /// broadcasts exactly when its FASTBC slot matches `t`. The nodes
+    /// run phases of L = 13 and of L = 33, the longest derived phase,
+    /// rather than the 2 that `path:2` derives.
     #[test]
     fn slow_rounds_follow_decay_and_fast_rounds_follow_the_slot() {
-        use crate::decay::wilson_999;
+        use crate::decay::binomial_999;
         use radio_model::RoundTrace;
 
         const ROUNDS: u64 = 1 << 17;
         let g = generators::path(2);
         let source = NodeId::new(0);
         for rho in [2u64, 4] {
-            for phase_len in [13u32, 54] {
-                let params = FastbcParams {
-                    phase_len: Some(phase_len),
-                    rank_slots: None,
-                };
-                let sched =
-                    RepeatedFastbcSchedule::with_params(&g, source, rho as u32, params).unwrap();
-                assert!(sched.inner().gbst().is_fast(source), "source needs a slot");
+            for phase_len in [13u32, 33] {
+                let sched = RepeatedFastbcSchedule::new(&g, source, rho as u32).unwrap();
+                let gbst = sched.inner().gbst();
+                assert!(gbst.is_fast(source), "source needs a slot");
+                let behaviors: Vec<_> = g
+                    .nodes()
+                    .map(|v| {
+                        let timing = DilatedTiming::new(sched.inner().timing(v), rho as u32);
+                        FastbcNode::new(v == source, phase_len, gbst.is_fast(v), timing)
+                    })
+                    .collect();
                 let mut sim =
-                    Simulator::new(&g, Channel::faultless(), sched.behaviors(), 7).expect("valid");
+                    Simulator::new(&g, Channel::faultless(), behaviors, 7).expect("valid");
                 let mut trace = RoundTrace::default();
                 let l = u64::from(phase_len);
                 let (mut slow, mut fires) = (vec![0u64; l as usize], vec![0u64; l as usize]);
@@ -387,7 +370,7 @@ mod tests {
                 for (i, (&n, &x)) in slow.iter().zip(&fires).enumerate() {
                     let p = 0.5f64.powi(i as i32 + 1);
                     assert!(
-                        wilson_999(x, n as f64).contains(&p),
+                        binomial_999(x, n, p),
                         "ρ {rho}, L {phase_len}, position {}: {x} of {n} fired, want 2^-{}",
                         i + 1,
                         i + 1
@@ -403,14 +386,13 @@ mod tests {
         // The carry loop against a node that draws one coin in each real
         // round of each slow base round with `draw_broadcast`, on cloned
         // streams: the first broadcast and the three after it agree, and
-        // so do the streams afterwards. L = 54 takes the `draw_broadcast`
-        // fallback; L ∈ {1, 13, 53} carry the threshold.
+        // so do the streams afterwards, for phase lengths from 1 to 53.
         let g = generators::path(4);
         let base = FastbcSchedule::new(&g, NodeId::new(0))
             .unwrap()
             .timing(NodeId::new(0));
         for rho in [1u64, 2, 3, 13] {
-            for phase_len in [1u32, 13, 53, 54] {
+            for phase_len in [1u32, 13, 33, 53] {
                 let l = u64::from(phase_len);
                 // The first real round of step t's slow base round.
                 let slow = |t: u64| (2 * t + 1) * rho;
@@ -429,7 +411,7 @@ mod tests {
                     slow(l - 1) + rho - 1,
                     2 * l * rho,
                     slow(3 * l - 1) + rho / 2,
-                    // Where `draw_broadcast` leaves its integer path.
+                    // Where `phase_step` leaves its multiply-shift.
                     slow((1 << 57) - 1) + rho - 1,
                 ];
                 for (k, from) in starts.into_iter().enumerate() {
@@ -486,12 +468,10 @@ mod tests {
         // real rounds r whose base round ⌊r/ρ⌋ = 2t has a matching
         // slot t, over three periods.
         let g = generators::gnp_connected(24, 0.2, 3).unwrap();
-        for rank_slots in [None, Some(3)] {
-            let params = FastbcParams {
-                phase_len: None,
-                rank_slots,
-            };
-            let sched = FastbcSchedule::with_params(&g, NodeId::new(0), params).unwrap();
+        for sched in [
+            FastbcSchedule::new(&g, NodeId::new(0)).unwrap(),
+            FastbcSchedule::with_rank_slots(&g, NodeId::new(0), 3).unwrap(),
+        ] {
             for v in g.nodes() {
                 let base = sched.timing(v);
                 for rho in [1u64, 2, 3, 13] {

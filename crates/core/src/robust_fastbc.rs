@@ -33,24 +33,10 @@ use crate::decay::default_phase_len;
 use crate::fastbc::{FastbcNode, Timing};
 use crate::{BroadcastRun, CoreError};
 
-/// Tunables for [`RobustFastbcSchedule`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RobustFastbcParams {
-    /// Decay phase length for slow rounds; `None` derives
-    /// `⌈log₂ n⌉ + 1`.
-    pub phase_len: Option<u32>,
-    /// Block size `S`; `None` derives `max(2, ⌈log₂ log₂ n⌉ + 1)`.
-    pub block_size: Option<u32>,
-    /// Window multiplier `c` (block active for `c·S` fast rounds);
-    /// `None` uses 6. Must be ≥ 3 so an un-faulted message can cross
-    /// a whole block within one window.
-    pub window_multiplier: Option<u32>,
-    /// Rank slots `R` for the modulus `6R`; `None` uses the GBST
-    /// `r_max` (see [`crate::fastbc::FastbcParams::rank_slots`]).
-    pub rank_slots: Option<u32>,
-}
-
-/// A compiled Robust FASTBC schedule.
+/// A compiled Robust FASTBC schedule. The window multiplier is the
+/// constant `c = 6`, the rank slots are the GBST's `r_max`, and slow
+/// rounds run Decay with the derived phase length `⌈log₂ n⌉ + 1`; only
+/// the block size `S` can be chosen.
 ///
 /// # Example
 ///
@@ -70,10 +56,14 @@ pub struct RobustFastbcSchedule<'g> {
     gbst: Gbst,
     phase_len: u32,
     block_size: u32,
-    window: u32,
     /// Superround modulus `6R`.
     modulus: u64,
 }
+
+/// The window multiplier `c`: a block stays active for `c·S` fast
+/// rounds, so that an un-faulted message crosses its `S` levels of the
+/// mod-3 pipeline (which takes `c ≥ 3`) with room for retries.
+const WINDOW: u64 = 6;
 
 /// Derives the canonical block size `max(2, ⌈log₂ log₂ n⌉ + 1)`.
 pub fn default_block_size(n: usize) -> u32 {
@@ -82,79 +72,47 @@ pub fn default_block_size(n: usize) -> u32 {
 }
 
 impl<'g> RobustFastbcSchedule<'g> {
-    /// Compiles a Robust FASTBC schedule with default parameters.
+    /// Compiles a Robust FASTBC schedule with the canonical block size
+    /// [`default_block_size`].
     ///
     /// # Errors
     ///
     /// [`CoreError::Gbst`] if the graph is disconnected or the source
     /// is invalid.
     pub fn new(graph: &'g Graph, source: NodeId) -> Result<Self, CoreError> {
-        Self::with_params(graph, source, RobustFastbcParams::default())
+        Self::with_block_size(graph, source, default_block_size(graph.node_count()))
     }
 
-    /// Compiles with explicit parameters.
+    /// Compiles with block size `S = block_size` (the A1 ablation sweeps
+    /// it).
     ///
     /// # Errors
     ///
-    /// [`CoreError::Gbst`] on construction failure, or
-    /// [`CoreError::InvalidParameter`] for out-of-range parameters.
-    pub fn with_params(
+    /// As [`RobustFastbcSchedule::new`], or
+    /// [`CoreError::InvalidParameter`] if `block_size` is 0.
+    pub fn with_block_size(
         graph: &'g Graph,
         source: NodeId,
-        params: RobustFastbcParams,
+        block_size: u32,
     ) -> Result<Self, CoreError> {
         let gbst = Gbst::build(graph, source)?;
-        let n = graph.node_count();
-        let phase_len = params.phase_len.unwrap_or_else(|| default_phase_len(n));
-        let block_size = params.block_size.unwrap_or_else(|| default_block_size(n));
-        let window = params.window_multiplier.unwrap_or(6);
-        if phase_len == 0 || block_size == 0 {
+        if block_size == 0 {
             return Err(CoreError::InvalidParameter {
-                reason: "phase length and block size must be ≥ 1".into(),
-            });
-        }
-        if window < 3 {
-            return Err(CoreError::InvalidParameter {
-                reason: format!("window multiplier {window} must be ≥ 3"),
-            });
-        }
-        let rank_slots = params.rank_slots.unwrap_or_else(|| gbst.max_rank());
-        if rank_slots < gbst.max_rank() {
-            return Err(CoreError::InvalidParameter {
-                reason: format!(
-                    "rank slots {rank_slots} below GBST max rank {}",
-                    gbst.max_rank()
-                ),
+                reason: "block size must be ≥ 1".into(),
             });
         }
         Ok(RobustFastbcSchedule {
             graph,
-            gbst,
-            phase_len,
+            phase_len: default_phase_len(graph.node_count()),
             block_size,
-            window,
-            modulus: 6 * u64::from(rank_slots),
+            modulus: 6 * u64::from(gbst.max_rank()),
+            gbst,
         })
     }
 
     /// The underlying GBST.
     pub fn gbst(&self) -> &Gbst {
         &self.gbst
-    }
-
-    /// The block size `S`.
-    pub fn block_size(&self) -> u32 {
-        self.block_size
-    }
-
-    /// The window multiplier `c`.
-    pub fn window_multiplier(&self) -> u32 {
-        self.window
-    }
-
-    /// The superround modulus `6R`.
-    pub fn modulus(&self) -> u64 {
-        self.modulus
     }
 
     /// The slow-round Decay phase length.
@@ -175,7 +133,6 @@ impl<'g> RobustFastbcSchedule<'g> {
             level: self.gbst.level(v),
             rank: self.gbst.rank(v),
             block_size: self.block_size,
-            window: self.window,
             modulus: self.modulus,
             end: 0,
         }
@@ -262,16 +219,13 @@ impl<'g> RobustFastbcSchedule<'g> {
 
 /// Block-pipelined fast-round timing (§4.1's formal description):
 /// broadcast at even round `t` iff
-/// `⌊l/S⌋ − 6r ≡ ⌊(t/2)/(cS)⌋ (mod 6·r_max)` and `l ≡ t (mod 3)`.
-///
-/// The window `c·S` is formed in `u64`, so every `u32` parameter pair
-/// is representable.
+/// `⌊l/S⌋ − 6r ≡ ⌊(t/2)/(cS)⌋ (mod 6·r_max)` and `l ≡ t (mod 3)`, with
+/// `c` = [`WINDOW`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BlockTiming {
     level: u32,
     rank: u32,
     block_size: u32,
-    window: u32,
     modulus: u64,
     /// The end of the activation window that holds the slot the walk
     /// last returned (0 before it starts). Up to there the slots are 6
@@ -284,7 +238,7 @@ impl BlockTiming {
     /// stateless reference for [`Timing::next_due`].
     pub(crate) fn matches(&self, round: u64) -> bool {
         let t = round / 2; // fast-round index
-        let superround = t / (u64::from(self.window) * u64::from(self.block_size));
+        let superround = t / (WINDOW * u64::from(self.block_size));
         let block = i64::from(self.level / self.block_size);
         let r = i64::from(self.rank);
         let m = self.modulus as i64;
@@ -292,10 +246,10 @@ impl BlockTiming {
         active && u64::from(self.level) % 3 == round % 3
     }
 
-    /// Real rounds per superround, `2cS` (saturating: a superround
-    /// longer than `u64` rounds never ends).
+    /// Real rounds per superround, `2cS = 12·S`: below 2³⁶ for every
+    /// `u32` block size.
     fn span(&self) -> u64 {
-        (2 * u64::from(self.window)).saturating_mul(u64::from(self.block_size))
+        2 * WINDOW * u64::from(self.block_size)
     }
 
     /// The first round at or after `r` with `r ≡ level (mod 3)` and `r`
@@ -321,7 +275,7 @@ impl BlockTiming {
             (due, end)
         } else {
             // Past this activation's last slot. The next activation
-            // starts one cycle later, and its `2cS ≥ 6` rounds hold a
+            // starts one cycle later, and its `2cS ≥ 12` rounds hold a
             // slot.
             let start = (u + m).saturating_mul(span);
             (self.slot_from(start), start.saturating_add(span))
@@ -459,17 +413,9 @@ mod tests {
     }
 
     #[test]
-    fn window_multiplier_below_3_rejected() {
+    fn zero_block_size_rejected() {
         let g = generators::path(8);
-        let err = RobustFastbcSchedule::with_params(
-            &g,
-            NodeId::new(0),
-            RobustFastbcParams {
-                window_multiplier: Some(2),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
+        let err = RobustFastbcSchedule::with_block_size(&g, NodeId::new(0), 0).unwrap_err();
         assert!(matches!(err, CoreError::InvalidParameter { .. }));
     }
 
@@ -494,19 +440,18 @@ mod tests {
     fn next_due_is_the_first_matching_even_round() {
         for level in 0..14 {
             for rank in 1..=2 {
-                for (block_size, window) in [(1, 3), (2, 3), (3, 4), (4, 3)] {
+                for block_size in 1..=4 {
                     for rank_slots in rank..=3 {
                         let timing = BlockTiming {
                             level,
                             rank,
                             block_size,
-                            window,
                             modulus: 6 * u64::from(rank_slots),
                             end: 0,
                         };
                         // One activation cycle; the schedule repeats
                         // after it.
-                        let period = 2 * u64::from(window * block_size) * timing.modulus;
+                        let period = timing.span() * timing.modulus;
                         // first_due[r]: the brute-force first even
                         // matching round ≥ r, swept backwards.
                         let len = 2 * period;
@@ -551,17 +496,16 @@ mod tests {
         // rounds, over three cycles.
         for level in 0..14 {
             for rank in 1..=2 {
-                for (block_size, window) in [(1, 3), (2, 3), (3, 4), (4, 3)] {
+                for block_size in 1..=4 {
                     for rank_slots in rank..=3 {
                         let timing = BlockTiming {
                             level,
                             rank,
                             block_size,
-                            window,
                             modulus: 6 * u64::from(rank_slots),
                             end: 0,
                         };
-                        let period = 2 * u64::from(window * block_size) * timing.modulus;
+                        let period = timing.span() * timing.modulus;
                         let slots: Vec<u64> = (0..5 * period)
                             .filter(|&r| r % 2 == 0 && timing.matches(r))
                             .collect();
@@ -584,7 +528,7 @@ mod tests {
     #[test]
     fn stepping_matches_the_sweep_when_window_times_block_size_exceeds_u32() {
         // The two timings of `window_times_block_size_beyond_u32_runs`.
-        // With c = S = 70 000 a superround spans 2cS = 9.8e9 rounds:
+        // With S = 800 000 000 a superround spans 2cS = 9.6e9 rounds:
         // every fast node of `path:16` is walked from each round of a
         // prefix and from just before the end of its first activation,
         // across the inactive superrounds, into the next one. Activity
@@ -592,16 +536,7 @@ mod tests {
         // rounds hold one `≡ level (mod 3)`, so a superround whose
         // first 12 rounds hold no slot holds none.
         let g = generators::path(16);
-        let sched = RobustFastbcSchedule::with_params(
-            &g,
-            NodeId::new(0),
-            RobustFastbcParams {
-                window_multiplier: Some(70_000),
-                block_size: Some(70_000),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let sched = RobustFastbcSchedule::with_block_size(&g, NodeId::new(0), 800_000_000).unwrap();
         let sweep = |timing: &BlockTiming, rounds: std::ops::Range<u64>| -> Vec<u64> {
             rounds
                 .filter(|&r| r % 2 == 0 && timing.matches(r))
@@ -610,7 +545,7 @@ mod tests {
         for v in g.nodes().filter(|&v| sched.gbst().is_fast(v)) {
             let timing = sched.timing(v);
             let span = timing.span();
-            assert_eq!(span, 9_800_000_000);
+            assert_eq!(span, 9_600_000_000);
             let prefix = sweep(&timing, 0..2_000);
             for from in 0..60 {
                 let want: Vec<u64> = prefix.iter().copied().filter(|&r| r >= from).collect();
@@ -631,29 +566,34 @@ mod tests {
             assert!(want.len() > 10, "{timing:?}");
             assert_walk(timing, from, &want);
         }
-        // c = S = u32::MAX: 2cS saturates, so the one activation never
-        // ends. The walk follows the sweep from round 0 and up to the
-        // last even round below 2⁶⁴ that matches, then answers never.
+        // S = u32::MAX: a superround spans 12·S ≈ 5.2e10 rounds, and the
+        // block is active in superrounds ≡ 0 (mod 6). The walk follows
+        // the sweep from round 0, and to the end of the last activation
+        // that ends below 2⁶⁴; the next one would start past 2⁶⁴, so the
+        // walk then answers never, as it does from the rounds above.
         let widest = BlockTiming {
             level: 5,
             rank: 1,
             block_size: u32::MAX,
-            window: u32::MAX,
             modulus: 6,
             end: 0,
         };
-        assert_eq!(widest.span(), u64::MAX);
+        let span = widest.span();
+        assert_eq!(span, 12 * u64::from(u32::MAX));
         let low = sweep(&widest, 0..2_000);
         assert_eq!(low[..3], [2, 8, 14]);
         for from in 0..60 {
             let want: Vec<u64> = low.iter().copied().filter(|&r| r >= from).collect();
             assert_walk(widest, from, &want);
         }
-        let top = u64::MAX - 2_000;
-        let mut want = sweep(&widest, top..u64::MAX);
+        let last = u64::MAX / span / 6 * 6;
+        assert!((last + 6).checked_mul(span).is_none());
+        let end = (last + 1) * span;
+        let mut want = sweep(&widest, end - 2_000..end);
         assert!(!want.is_empty());
         want.push(u64::MAX);
-        assert_walk(widest, top, &want);
+        assert_walk(widest, end - 2_000, &want);
+        assert_walk(widest, u64::MAX - 2_000, &[u64::MAX]);
     }
 
     #[test]
@@ -691,19 +631,10 @@ mod tests {
 
     #[test]
     fn window_times_block_size_beyond_u32_runs() {
-        // c·S = 4.9e9 does not fit a u32; it used to overflow in the
+        // c·S = 4.8e9 does not fit a u32; it used to overflow in the
         // first fast round.
         let g = generators::path(16);
-        let sched = RobustFastbcSchedule::with_params(
-            &g,
-            NodeId::new(0),
-            RobustFastbcParams {
-                window_multiplier: Some(70_000),
-                block_size: Some(70_000),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let sched = RobustFastbcSchedule::with_block_size(&g, NodeId::new(0), 800_000_000).unwrap();
         let run = sched
             .run(Channel::receiver(0.3).unwrap(), 1, 100_000)
             .unwrap();
@@ -720,7 +651,6 @@ mod tests {
             level: 5,
             rank: 1,
             block_size: u32::MAX,
-            window: u32::MAX,
             modulus: 6,
             end: 0,
         };

@@ -39,36 +39,15 @@ pub struct BipartitePipeline {
 }
 
 impl BipartitePipeline {
-    /// Builds the pipeline controller for `graph` from `source` with
-    /// default parameters (`phase_len = ⌈log₂ n⌉ + 1`,
-    /// `meta_len = 3 · phase_len`).
+    /// Builds the pipeline controller for `graph` from `source`: Decay
+    /// phases of `phase_len = ⌈log₂ n⌉ + 1` rounds in meta-rounds of
+    /// `3 · phase_len`.
     ///
     /// # Errors
     ///
     /// [`CoreError::InvalidParameter`] if the source is out of bounds
     /// or some node is unreachable from it.
     pub fn new(graph: &Graph, source: NodeId) -> Result<Self, CoreError> {
-        let phase_len = default_phase_len(graph.node_count());
-        Self::with_params(graph, source, phase_len, 3 * u64::from(phase_len))
-    }
-
-    /// Builds with explicit Decay phase length and meta-round length.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`] on zero parameters, a bad
-    /// source, or a disconnected graph.
-    pub fn with_params(
-        graph: &Graph,
-        source: NodeId,
-        phase_len: u32,
-        meta_len: u64,
-    ) -> Result<Self, CoreError> {
-        if phase_len == 0 || meta_len == 0 {
-            return Err(CoreError::InvalidParameter {
-                reason: "phase_len and meta_len must be ≥ 1".into(),
-            });
-        }
         if source.index() >= graph.node_count() {
             return Err(CoreError::InvalidParameter {
                 reason: format!(
@@ -86,10 +65,11 @@ impl BipartitePipeline {
         let layers: Vec<Vec<NodeId>> = (0..layering.layer_count())
             .map(|i| layering.layer(i).to_vec())
             .collect();
+        let phase_len = default_phase_len(graph.node_count());
         Ok(BipartitePipeline {
             layers,
             phase_len,
-            meta_len,
+            meta_len: 3 * u64::from(phase_len),
         })
     }
 
@@ -269,13 +249,6 @@ mod tests {
             BipartitePipeline::new(&g, NodeId::new(0)),
             Err(CoreError::InvalidParameter { .. })
         ));
-    }
-
-    #[test]
-    fn zero_params_rejected() {
-        let g = generators::path(4);
-        assert!(BipartitePipeline::with_params(&g, NodeId::new(0), 0, 10).is_err());
-        assert!(BipartitePipeline::with_params(&g, NodeId::new(0), 3, 0).is_err());
     }
 
     #[test]

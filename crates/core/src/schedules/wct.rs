@@ -27,6 +27,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::schedules::pipeline::pipeline_routing;
+use crate::transform::sole_sender;
 use crate::CoreError;
 
 /// Empirical Lemma 18 probe: the maximum fraction of clusters that
@@ -183,23 +184,11 @@ pub fn wct_coding(
 
         // --- resolve cluster receptions ---
         for c in 0..cluster_count {
-            let shared = wct.cluster_sender_set(c);
-            let mut tx: Option<usize> = None;
-            let mut hits = 0;
-            for &s in shared {
-                let idx = s.index() - 1; // senders are nodes 1..=m
-                if broadcasting_senders[idx] {
-                    hits += 1;
-                    if hits > 1 {
-                        break;
-                    }
-                    tx = Some(idx);
-                }
-            }
-            if hits != 1 {
+            // Senders are nodes 1..=m.
+            let shared = wct.cluster_sender_set(c).iter().map(|s| s.index() - 1);
+            let Some(s) = sole_sender(shared, |s| broadcasting_senders[s]) else {
                 continue;
-            }
-            let s = tx.expect("hits == 1 implies a sender");
+            };
             if !sender_ok[s] {
                 continue;
             }

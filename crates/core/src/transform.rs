@@ -27,6 +27,18 @@ use rand::Rng;
 
 use crate::CoreError;
 
+/// Whom a listener hears in a collision-model round: the one element of
+/// `neighbors` that `broadcasts`, or `None` if none does or several do.
+/// Stops at the second broadcaster, and draws no randomness.
+pub(crate) fn sole_sender<T: Copy>(
+    neighbors: impl IntoIterator<Item = T>,
+    mut broadcasts: impl FnMut(T) -> bool,
+) -> Option<T> {
+    let mut senders = neighbors.into_iter().filter(|&u| broadcasts(u));
+    let first = senders.next()?;
+    senders.next().is_none().then_some(first)
+}
+
 /// A faultless routing schedule given explicitly: `actions[r][v]` is
 /// the message node `v` broadcasts in round `r` (`None` = silent).
 ///
@@ -121,19 +133,8 @@ impl BaseSchedule {
                 if sending[v].is_some() {
                     continue;
                 }
-                let mut tx = None;
-                let mut hits = 0;
-                for &u in graph.neighbors(NodeId::from_index(v)) {
-                    if sending[u.index()].is_some() {
-                        hits += 1;
-                        if hits > 1 {
-                            break;
-                        }
-                        tx = Some(u);
-                    }
-                }
-                if hits == 1 {
-                    let u = tx.expect("hits == 1");
+                let neighbors = graph.neighbors(NodeId::from_index(v)).iter().copied();
+                if let Some(u) = sole_sender(neighbors, |u| sending[u.index()].is_some()) {
                     let m = sending[u.index()].expect("sender has message");
                     // Only fresh deliveries matter downstream: a node
                     // that re-hears a message it already has derives
@@ -280,19 +281,8 @@ impl SenderFaultRoutingTransform {
                     if sending[v].is_some() {
                         continue;
                     }
-                    let mut tx = None;
-                    let mut hits = 0;
-                    for &u in graph.neighbors(NodeId::from_index(v)) {
-                        if sending[u.index()].is_some() {
-                            hits += 1;
-                            if hits > 1 {
-                                break;
-                            }
-                            tx = Some(u);
-                        }
-                    }
-                    if hits == 1 {
-                        let u = tx.expect("hits == 1");
+                    let neighbors = graph.neighbors(NodeId::from_index(v)).iter().copied();
+                    if let Some(u) = sole_sender(neighbors, |u| sending[u.index()].is_some()) {
                         if !faulted[u.index()] {
                             let m = sending[u.index()].expect("sender has message");
                             knowledge.set(v, m);
@@ -394,21 +384,10 @@ impl CodingFaultTransform {
                     if sending[v] {
                         continue;
                     }
-                    let mut tx = None;
-                    let mut hits = 0;
-                    for &u in graph.neighbors(NodeId::from_index(v)) {
-                        if sending[u.index()] {
-                            hits += 1;
-                            if hits > 1 {
-                                break;
-                            }
-                            tx = Some(u);
-                        }
-                    }
-                    if hits != 1 {
+                    let neighbors = graph.neighbors(NodeId::from_index(v)).iter().copied();
+                    let Some(u) = sole_sender(neighbors, |u| sending[u.index()]) else {
                         continue;
-                    }
-                    let u = tx.expect("hits == 1");
+                    };
                     if faulted[u.index()] {
                         continue;
                     }

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example emergency_broadcast`
 
 use noisy_radio::core::decay::Decay;
-use noisy_radio::core::fastbc::{FastbcParams, FastbcSchedule};
+use noisy_radio::core::fastbc::FastbcSchedule;
 use noisy_radio::core::robust_fastbc::RobustFastbcSchedule;
 use noisy_radio::model::Channel;
 use noisy_radio::netgraph::{generators, NodeId};
@@ -36,14 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // modulus reserves Θ(log n) rank slots, so a dropped wave waits
     // Θ(log n) fast rounds — exactly Lemma 10's setting.
     let log_n = (corridor.node_count() as f64).log2().ceil() as u32;
-    let fastbc = FastbcSchedule::with_params(
-        &corridor,
-        source,
-        FastbcParams {
-            phase_len: None,
-            rank_slots: Some(log_n),
-        },
-    )?;
+    let fastbc = FastbcSchedule::with_rank_slots(&corridor, source, log_n)?;
     let robust = RobustFastbcSchedule::new(&corridor, source)?;
 
     let mut table = Table::new(&["p", "Decay", "FASTBC", "Robust FASTBC", "winner"]);

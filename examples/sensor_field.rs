@@ -36,11 +36,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Channel::receiver(0.3)?,
             Channel::sender(0.3)?,
         ] {
-            let out = DecayRlnc {
-                phase_len: None,
-                payload_len: 8,
-            }
-            .run(&field, base_station, k, fault, 2024, 10_000_000)?;
+            let out = DecayRlnc { payload_len: 8 }.run(
+                &field,
+                base_station,
+                k,
+                fault,
+                2024,
+                10_000_000,
+            )?;
             let rounds = out.run.rounds_used();
             table.row_owned(vec![
                 k.to_string(),

@@ -62,6 +62,9 @@ COMMON OPTIONS:
   --jobs N          worker threads for trials, 1 to 1024 (default:
                     available parallelism); results are identical for
                     any N
+
+TELEMETRY OPTIONS (broadcast, traffic, gap, consensus; multicast and topo
+record none and refuse them):
   --telemetry PATH  write a JSONL telemetry event log (one span/counter
                     object per line); never changes the measured output.
                     The path is opened before any trial runs
@@ -119,6 +122,12 @@ fn run(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
     let mut opts = Options::parse(&args[1..])?;
+    if opts.telemetry_enabled() && matches!(command.as_str(), "multicast" | "topo") {
+        return Err(format!(
+            "`{command}` records no telemetry; --telemetry and --telemetry-summary \
+             apply to broadcast, traffic, gap and consensus"
+        ));
+    }
     // Open the output before any trial runs, so that a path that cannot
     // be written fails at once.
     opts.telemetry_out = opts
@@ -458,24 +467,15 @@ fn cmd_multicast(opts: &Options) -> Result<(), String> {
     let per_trial: Vec<Result<(u64, bool), String>> =
         run_cells(cfg.jobs, cfg.master_seed, opts.trials as usize, |ctx| {
             let out = match algo {
-                "decay-rlnc" => DecayRlnc {
-                    phase_len: None,
-                    payload_len: 4,
-                }
-                .run(&g, source, opts.k, opts.fault, ctx.seed, MAX_ROUNDS)
-                .map_err(|e| e.to_string())?,
-                "rfastbc-rlnc" => RobustFastbcRlnc {
-                    params: Default::default(),
-                    payload_len: 4,
-                }
-                .run(&g, source, opts.k, opts.fault, ctx.seed, MAX_ROUNDS)
-                .map_err(|e| e.to_string())?,
-                _ => StreamingRlnc {
-                    phase_len: None,
-                    payload_len: 4,
-                }
-                .run(&g, source, opts.k, opts.fault, ctx.seed, MAX_ROUNDS)
-                .map_err(|e| e.to_string())?,
+                "decay-rlnc" => DecayRlnc { payload_len: 4 }
+                    .run(&g, source, opts.k, opts.fault, ctx.seed, MAX_ROUNDS)
+                    .map_err(|e| e.to_string())?,
+                "rfastbc-rlnc" => RobustFastbcRlnc { payload_len: 4 }
+                    .run(&g, source, opts.k, opts.fault, ctx.seed, MAX_ROUNDS)
+                    .map_err(|e| e.to_string())?,
+                _ => StreamingRlnc { payload_len: 4 }
+                    .run(&g, source, opts.k, opts.fault, ctx.seed, MAX_ROUNDS)
+                    .map_err(|e| e.to_string())?,
             };
             Ok((completed_rounds(out.run.rounds)?, out.decoded_ok))
         });

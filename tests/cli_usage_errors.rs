@@ -37,3 +37,20 @@ fn jobs_beyond_the_bound_are_refused() {
     let stderr = refused(&["broadcast", "--topology", "path:2", "--jobs", "1025"]);
     assert!(stderr.contains("at most 1024"), "{stderr}");
 }
+
+#[test]
+fn telemetry_flags_are_refused_where_nothing_is_recorded() {
+    let path = std::env::temp_dir().join(format!("cli-refused-{}.jsonl", std::process::id()));
+    let out = path.to_str().expect("a UTF-8 temporary path");
+    let multicast = ["multicast", "--topology", "path:8", "--trials", "1"];
+    for args in [
+        [&multicast[..], &["--telemetry", out, "--telemetry-summary"]].concat(),
+        [&multicast[..], &["--telemetry-summary"]].concat(),
+        vec!["topo", "--telemetry", out],
+        vec!["topo", "--telemetry-summary"],
+    ] {
+        let stderr = refused(&args);
+        assert!(stderr.contains("records no telemetry"), "{stderr}");
+        assert!(!path.exists(), "{args:?} created {out}");
+    }
+}

@@ -94,18 +94,9 @@ fn faultless_fastbc_beats_decay_on_long_paths() {
 #[test]
 fn noisy_robust_fastbc_beats_fastbc_on_long_paths() {
     // Theorem 11 vs Lemma 10 (log-slot regime).
-    use noisy_radio::core::fastbc::FastbcParams;
     let g = generators::path(512);
     let log_n = 9;
-    let fastbc = FastbcSchedule::with_params(
-        &g,
-        NodeId::new(0),
-        FastbcParams {
-            phase_len: None,
-            rank_slots: Some(log_n),
-        },
-    )
-    .expect("connected");
+    let fastbc = FastbcSchedule::with_rank_slots(&g, NodeId::new(0), log_n).expect("connected");
     let robust = RobustFastbcSchedule::new(&g, NodeId::new(0)).expect("connected");
     let fault = Channel::receiver(0.5).expect("valid");
     let mut f_total = 0;

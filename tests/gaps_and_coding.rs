@@ -109,12 +109,9 @@ fn rlnc_multi_message_payloads_survive_noise() {
             Channel::sender(0.3).expect("valid"),
             Channel::receiver(0.3).expect("valid"),
         ] {
-            let out = DecayRlnc {
-                phase_len: None,
-                payload_len: 4,
-            }
-            .run(&g, NodeId::new(0), k, fault, 17, MAX)
-            .expect("valid");
+            let out = DecayRlnc { payload_len: 4 }
+                .run(&g, NodeId::new(0), k, fault, 17, MAX)
+                .expect("valid");
             assert!(out.run.completed(), "RLNC stalled under {fault}");
             assert!(out.decoded_ok, "payload mismatch under {fault}");
         }
