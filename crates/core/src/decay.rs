@@ -539,16 +539,32 @@ mod tests {
         }
     }
 
-    #[test]
-    #[should_panic(expected = "Decay phase length 0 outside 1..=53")]
-    fn zero_phase_len_rejected() {
-        DecayNode::new(true, 0);
+    /// The message `DecayNode::new` panics with for `phase_len`, or
+    /// `None` if it accepts the length.
+    fn new_node_panic(informed: bool, phase_len: u32) -> Option<String> {
+        let payload = std::panic::catch_unwind(|| DecayNode::new(informed, phase_len)).err()?;
+        let message = payload.downcast_ref::<String>().cloned();
+        Some(message.unwrap_or_else(|| payload.downcast_ref::<&str>().unwrap().to_string()))
     }
 
     #[test]
-    #[should_panic(expected = "Decay phase length 54 outside 1..=53")]
+    fn zero_phase_len_rejected() {
+        let message = new_node_panic(true, 0);
+        assert_eq!(
+            message.as_deref(),
+            Some("Decay phase length 0 outside 1..=53")
+        );
+        assert_eq!(new_node_panic(true, 1), None);
+    }
+
+    #[test]
     fn phase_len_past_53_rejected() {
-        DecayNode::new(false, 54);
+        let message = new_node_panic(false, 54);
+        assert_eq!(
+            message.as_deref(),
+            Some("Decay phase length 54 outside 1..=53")
+        );
+        assert_eq!(new_node_panic(false, 53), None);
     }
 
     #[test]
