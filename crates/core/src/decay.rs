@@ -329,6 +329,9 @@ impl NodeBehavior<()> for DecayNode {
     // draws ahead, and there is no queue: the engine may settle every
     // Decay node but the delivered listeners word-at-a-time.
     const SILENCE_TRANSPARENT: bool = true;
+
+    // An informed node ignores every packet (see `receive`).
+    const DECODE_IS_FINAL: bool = true;
 }
 
 /// Whether `hits` successes in `trials` independent trials of success

@@ -403,6 +403,9 @@ impl<T: Timing> NodeBehavior<()> for FastbcNode<T> {
     // Only a packet changes a node (see `receive`), `act` only draws
     // ahead and advances the cached rounds, and there is no queue.
     const SILENCE_TRANSPARENT: bool = true;
+
+    // An informed node ignores every packet (see `receive`).
+    const DECODE_IS_FINAL: bool = true;
 }
 
 #[cfg(test)]
@@ -783,6 +786,60 @@ mod tests {
                 assert_matches_opaque(g, channel, &robust, seed, 100_000);
                 assert_matches_opaque(g, channel, &dilated, seed, 100_000);
                 assert_matches_opaque(g, channel, &xin_xia, seed, 100_000);
+            }
+        }
+    }
+
+    /// Runs `behaviors` to full decode with telemetry on and checks that
+    /// the behaviors were handed exactly one packet per node that got
+    /// any: every other delivery found its listener settled.
+    fn assert_each_node_sees_one_packet<B: NodeBehavior<()>>(
+        g: &Graph,
+        channel: Channel,
+        behaviors: Vec<B>,
+        name: &str,
+    ) {
+        let mut sink = radio_obs::CounterSink::new();
+        let (run, _) =
+            crate::outcome::run_profiled_telemetry(g, channel, behaviors, 9, 1_000_000, &mut sink)
+                .unwrap();
+        let at = format!("{name}, {} nodes, {channel}", g.node_count());
+        assert!(run.completed(), "{at}");
+        let deliveries = sink.counter_total("engine/deliveries").unwrap();
+        let settled = sink.counter_total("engine/settled_deliveries").unwrap();
+        assert!(settled > 0, "{at}: no delivery was settled");
+        assert_eq!(deliveries - settled, run.stats.delivered_nodes, "{at}");
+    }
+
+    #[test]
+    fn settled_listeners_are_handed_no_packet() {
+        use crate::decay::{default_phase_len, DecayNode};
+        use crate::repetition::RepeatedFastbcSchedule;
+        use crate::robust_fastbc::RobustFastbcSchedule;
+        use crate::schedules::latency::XinXiaSchedule;
+        let receiver = Channel::receiver(0.3).unwrap();
+        let channels = [
+            receiver,
+            Channel::sender(0.2).unwrap().compose(receiver).unwrap(),
+        ];
+        for g in [generators::grid(16, 16), generators::path(200)] {
+            let source = NodeId::new(0);
+            let phase_len = default_phase_len(g.node_count());
+            for channel in channels {
+                let decay = (0..g.node_count())
+                    .map(|i| DecayNode::new(i == 0, phase_len))
+                    .collect();
+                assert_each_node_sees_one_packet(&g, channel, decay, "Decay");
+                let fast = FastbcSchedule::new(&g, source).unwrap().behaviors();
+                assert_each_node_sees_one_packet(&g, channel, fast, "FASTBC");
+                let robust = RobustFastbcSchedule::new(&g, source).unwrap().behaviors();
+                assert_each_node_sees_one_packet(&g, channel, robust, "Robust FASTBC");
+                let dilated = RepeatedFastbcSchedule::new(&g, source, 3)
+                    .unwrap()
+                    .behaviors();
+                assert_each_node_sees_one_packet(&g, channel, dilated, "dilated FASTBC");
+                let xin_xia = XinXiaSchedule::new(&g, source).unwrap().behaviors();
+                assert_each_node_sees_one_packet(&g, channel, xin_xia, "Xin–Xia");
             }
         }
     }

@@ -238,6 +238,9 @@ impl NodeBehavior<()> for XinXiaNode {
     // Only a packet changes a Xin–Xia node (see `receive`), `act`
     // only reads the slot gate and draws, and there is no queue.
     const SILENCE_TRANSPARENT: bool = true;
+
+    // A packet only sets `informed`, which an informed node already is.
+    const DECODE_IS_FINAL: bool = true;
 }
 
 #[cfg(test)]

@@ -46,7 +46,12 @@
 //! [silence-transparent](NodeBehavior::SILENCE_TRANSPARENT) behavior
 //! only the delivered listeners are called at all: every other
 //! reception is a no-op for it, so every other node keeps its activity
-//! bit a whole word at a time.
+//! bit a whole word at a time. When the behavior's
+//! [decode is also final](NodeBehavior::DECODE_IS_FINAL), a delivered
+//! listener that is decoded after its packet joins a `settled` set, and
+//! later deliveries to it are counted and traced from the word's masks
+//! without a call: of a single-message broadcast's deliveries, only the
+//! first to each node reaches a behavior.
 //!
 //! # Per-node random streams
 //!
@@ -220,6 +225,47 @@ pub trait NodeBehavior<P> {
     /// branch on [`Reception::Erased`] (the erasure model) must not
     /// opt in.
     const SILENCE_TRANSPARENT: bool = false;
+
+    /// Whether a decoded node is **final**: a compile-time promise, for
+    /// every node, that once [`NodeBehavior::decoded`] reports `true`,
+    /// [`NodeBehavior::receive`] of any reception — a packet included —
+    /// leaves the node's state, and with it the answers of
+    /// [`NodeBehavior::next_act`], [`NodeBehavior::decoded`] and
+    /// [`NodeBehavior::queued`], unchanged.
+    ///
+    /// The single-message broadcasts keep it: a node that holds the
+    /// message ignores every later packet. The engine then **settles**
+    /// a node the first time a delivered packet finds it decoded, and
+    /// afterwards hands it no packet at all: a delivery to a settled
+    /// listener is counted, traced and carries the listener's activity
+    /// bit, like every reception of a silence-transparent behavior
+    /// other than a packet. Observables are bit-identical either way. A
+    /// node decoded at construction, such as the source, settles only
+    /// at its first delivery, whose round the latency profile records.
+    ///
+    /// Only a [silence-transparent](NodeBehavior::SILENCE_TRANSPARENT)
+    /// behavior may opt in; [`Simulator::new`] refuses to compile for
+    /// one that opts in without it:
+    ///
+    /// ```compile_fail
+    /// use radio_model::{Action, Channel, Ctx, NodeBehavior, Reception, Simulator};
+    ///
+    /// struct Deaf;
+    /// impl NodeBehavior<()> for Deaf {
+    ///     fn act(&mut self, _ctx: &mut Ctx<'_>) -> Action<()> {
+    ///         Action::Listen
+    ///     }
+    ///     fn receive(&mut self, _ctx: &mut Ctx<'_>, _rx: Reception<()>) {}
+    ///     const DECODE_IS_FINAL: bool = true;
+    /// }
+    /// let g = netgraph::generators::path(2);
+    /// let _ = Simulator::new(&g, Channel::faultless(), vec![Deaf, Deaf], 1);
+    /// ```
+    ///
+    /// The default `false` hands every delivered listener its packet.
+    /// Behaviors that keep counting packets after decoding must not opt
+    /// in.
+    const DECODE_IS_FINAL: bool = false;
 }
 
 /// Aggregate statistics over an entire simulation, with one counter
@@ -349,6 +395,9 @@ pub struct EngineTelemetry {
     /// active-set occupancy at the start of each act sweep, before
     /// sleepers leave it.
     pub active_node_rounds: u64,
+    /// Deliveries to settled listeners, which the receive sweep counts
+    /// without calling (see [`NodeBehavior::DECODE_IS_FINAL`]).
+    pub settled_deliveries: u64,
 }
 
 /// The radio-network simulator driving one [`NodeBehavior`] per node.
@@ -393,6 +442,10 @@ pub struct Simulator<'g, P, B> {
     /// Read only for reached nodes outside `collided`, where it is the
     /// one broadcaster, so stale entries never need clearing.
     heard_from: Vec<u32>,
+    /// Nodes a delivery found decoded, whose later deliveries the
+    /// receive sweep counts without calling them (see
+    /// [`NodeBehavior::DECODE_IS_FINAL`]). Empty for other behaviors.
+    settled: Bitset,
     /// Set by [`Simulator::behaviors_mut`]: behavior state may have
     /// changed outside a sweep, so the active set must be rebuilt from
     /// `next_act`/`queued` before the next round.
@@ -432,6 +485,12 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
         behaviors: Vec<B>,
         seed: u64,
     ) -> Result<Self, ModelError> {
+        const {
+            assert!(
+                B::SILENCE_TRANSPARENT || !B::DECODE_IS_FINAL,
+                "DECODE_IS_FINAL needs SILENCE_TRANSPARENT"
+            )
+        };
         let n = graph.node_count();
         if behaviors.len() != n {
             return Err(ModelError::NodeCountMismatch {
@@ -474,6 +533,9 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
             reach: Bitset::new(n),
             collided: Bitset::new(n),
             heard_from: vec![0; n],
+            // Nobody is settled yet: a node decoded at construction
+            // must still record its first packet.
+            settled: Bitset::new(n),
             // The first round's active set is built from the
             // constructed behaviors' own answers.
             stale: true,
@@ -543,6 +605,9 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
         sink.counter("engine/rounds", s.rounds);
         sink.counter("engine/broadcasts", s.broadcasts);
         sink.counter("engine/deliveries", s.deliveries);
+        if t.rounds > 0 {
+            sink.counter("engine/settled_deliveries", t.settled_deliveries);
+        }
         sink.counter("engine/collisions", s.collisions);
         sink.counter("engine/sender_faults", s.sender_faults);
         sink.counter("engine/receiver_faults", s.receiver_faults);
@@ -615,8 +680,11 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
     /// contract.
     pub fn behaviors_mut(&mut self) -> &mut [B] {
         // Mutations may wake quiescent nodes (e.g. traffic injection),
-        // so the next round rebuilds the active set from scratch.
+        // so the next round rebuilds the active set from scratch. They
+        // may also undo a decode, so nobody stays settled; a node still
+        // decoded settles again at its next delivery.
         self.stale = true;
+        self.settled.clear();
         &mut self.behaviors
     }
 
@@ -672,6 +740,7 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
             &self.reach,
             &self.collided,
             &self.heard_from,
+            &mut self.settled,
             &mut self.behaviors,
             &mut self.node_rngs,
             &mut self.fault_rngs,
@@ -759,6 +828,7 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
             self.telemetry.act_words_skipped += act.words_skipped;
             self.telemetry.recv_words_visited += recv.words_visited;
             self.telemetry.recv_words_skipped += recv.words_skipped;
+            self.telemetry.settled_deliveries += recv.settled_deliveries;
         }
         // The accumulated next-active set becomes the coming round's
         // active set (dense mode rebuilds it wholesale instead).
@@ -843,7 +913,8 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
 struct ActPart {
     broadcasters: u64,
     sender_faults: u64,
-    /// Nodes whose `act` the sweep called.
+    /// Nodes whose `act` the sweep called (0 unless the simulator is
+    /// timed).
     visits: u64,
     /// Sweep wall-clock (0 unless the simulator is timed).
     nanos: u64,
@@ -869,6 +940,9 @@ struct RecvPart {
     words_visited: u64,
     /// Bitset words skipped wholesale (no active or reached bit).
     words_skipped: u64,
+    /// Deliveries to settled listeners (0 unless the simulator is
+    /// timed).
+    settled_deliveries: u64,
 }
 
 /// Phase 1+2 over the **active** nodes: collect actions, mark
@@ -937,7 +1011,11 @@ fn act_sweep<P: Payload, B: NodeBehavior<P>>(
             continue;
         }
         part.words_visited += 1;
-        part.visits += u64::from(mw.count_ones());
+        // Only a timed `finish_round` reads the tally, and without a
+        // popcount instruction it costs about a dozen instructions.
+        if timed {
+            part.visits += u64::from(mw.count_ones());
+        }
         let mut b_word = 0u64;
         let mut asleep = 0u64;
         while m != 0 {
@@ -1143,12 +1221,15 @@ fn push_word(list: &mut Vec<NodeId>, w: usize, bits: u64) {
 /// sweep builds the word's sender-faulted, lost and delivered masks,
 /// drawing each clean listener's loss once from its own channel
 /// stream, tallies the round's counters by popcount, and fills the
-/// trace's collided and erased lists from the masks. Behaviors then
-/// receive in ascending order: every swept node, or, for a
-/// [silence-transparent](NodeBehavior::SILENCE_TRANSPARENT) behavior,
-/// only the delivered listeners. Every draw comes from the listener's
-/// own stream and no behavior can touch another node's, so drawing a
-/// word's losses before its behaviors run moves no draw.
+/// trace's collided, erased and delivery lists from the masks.
+/// Behaviors then receive in ascending order: every swept node, or, for
+/// a [silence-transparent](NodeBehavior::SILENCE_TRANSPARENT) behavior,
+/// only the delivered listeners, less those already `settled` when the
+/// behavior's [decode is final](NodeBehavior::DECODE_IS_FINAL). A
+/// delivered listener of such a behavior that is decoded after its
+/// reception joins `settled`. Every draw comes from the listener's own
+/// stream and no behavior can touch another node's, so drawing a word's
+/// losses before its behaviors run moves no draw.
 // Out of line like `act_sweep`, so each phase timer brackets its own
 // loop.
 #[allow(clippy::too_many_arguments)]
@@ -1162,6 +1243,7 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
     reach: &Bitset,
     collided: &Bitset,
     heard_from: &[u32],
+    settled: &mut Bitset,
     behaviors: &mut [B],
     node_rngs: &mut [SmallRng],
     fault_rngs: &mut [SmallRng],
@@ -1186,10 +1268,11 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
     // Word-at-a-time sweep over active ∪ reach, unioned on the fly:
     // each node's classification is a register bit test, and each
     // word's next-active bits accumulate in a register with one store.
-    // For silence-transparent behaviors every bit but the delivered
-    // listeners' is settled wholesale — their per-node processing is
-    // vacuous by the [`NodeBehavior::SILENCE_TRANSPARENT`] promise — and
-    // only the delivered listeners enter the per-node loop.
+    // For silence-transparent behaviors every bit but the live
+    // listeners' is carried wholesale — their per-node processing is
+    // vacuous by the [`NodeBehavior::SILENCE_TRANSPARENT`] and
+    // [`NodeBehavior::DECODE_IS_FINAL`] promises — and only the live
+    // listeners, delivered and not settled, enter the per-node loop.
     let n = graph.node_count();
     let behaviors = &mut behaviors[..n];
     let node_rngs = &mut node_rngs[..n];
@@ -1198,11 +1281,12 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
     let decode_round = &mut decode_round[..n];
     let heard_from = &heard_from[..n];
     let active_words = active.words();
-    for (w, (((&aw, &rw), &bw), &cw)) in active_words
+    for (w, ((((&aw, &rw), &bw), &cw), sw)) in active_words
         .iter()
         .zip(reach.words())
         .zip(broadcasting.words())
         .zip(collided.words())
+        .zip(settled.words_mut())
         .enumerate()
     {
         if aw | rw == 0 {
@@ -1240,18 +1324,36 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
         } else {
             part.receiver_faults += u64::from(lost.count_ones());
         }
+        // A settled listener ignores its packet: only the live ones are
+        // handed theirs.
+        let live = if B::DECODE_IS_FINAL {
+            delivered & !*sw
+        } else {
+            delivered
+        };
+        if timed {
+            part.settled_deliveries += u64::from((delivered & !live).count_ones());
+        }
         if let Some(t) = trace.as_deref_mut() {
             push_word(&mut t.collided_listeners, w, noisy);
             push_word(&mut t.erased_listeners, w, erased);
+            let mut m = delivered;
+            while m != 0 {
+                let i = w * 64 + m.trailing_zeros() as usize;
+                m &= m - 1;
+                t.deliveries
+                    .push((NodeId::new(heard_from[i]), NodeId::from_index(i)));
+            }
         }
         let (mut m, mut na_word) = if B::SILENCE_TRANSPARENT {
-            // Everyone but the delivered listeners keeps its activity
-            // bit verbatim (nothing about them can change this sweep);
-            // delivered listeners are re-decided per node below.
-            (delivered, aw & !delivered)
+            // Everyone but the live listeners keeps its activity bit
+            // verbatim (nothing about them can change this sweep); live
+            // listeners are re-decided per node below.
+            (live, aw & !live)
         } else {
             (aw | rw, 0u64)
         };
+        let mut settles = 0u64;
         while m != 0 {
             let bit = m.trailing_zeros() as usize;
             let mask = 1u64 << bit;
@@ -1289,9 +1391,6 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
                     if let Some(t) = trace.as_deref_mut() {
                         t.first_packet_listeners.push(node);
                     }
-                }
-                if let Some(t) = trace.as_deref_mut() {
-                    t.deliveries.push((sender, node));
                 }
                 Reception::Packet(packet)
             } else if erased & mask != 0 {
@@ -1344,7 +1443,13 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
             if stays {
                 na_word |= mask;
             }
+            // Its first packet is recorded, its decode too: no later
+            // delivery can change anything.
+            if B::DECODE_IS_FINAL && behaviors[i].decoded() {
+                settles |= mask;
+            }
         }
+        *sw |= settles;
         if na_word != 0 {
             next_active.or_word(w, na_word);
         }

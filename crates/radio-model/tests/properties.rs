@@ -88,9 +88,11 @@ fn chatter(n: usize, prob: f64) -> Vec<RandomChatter> {
 /// Flooding behavior with a decode notion, for the latency-profile
 /// laws: informed nodes broadcast every round, packets inform, and
 /// `decoded()` reports the informed flag. It is quiescent until
-/// informed and silence-transparent, so the sparse engine may skip it
-/// entirely while it sleeps — the differential tests below check that
-/// this changes no observable.
+/// informed, silence-transparent and final once informed, so the sparse
+/// engine may skip it entirely while it sleeps — the differential tests
+/// below check that this changes no observable. Broadcasting in every
+/// round once informed, it never hears a packet after it settles;
+/// [`Gossip`] does.
 #[derive(Debug, Clone, PartialEq)]
 struct Flood {
     informed: bool,
@@ -98,6 +100,7 @@ struct Flood {
 
 impl NodeBehavior<()> for Flood {
     const SILENCE_TRANSPARENT: bool = true;
+    const DECODE_IS_FINAL: bool = true;
 
     fn act(&mut self, _ctx: &mut Ctx<'_>) -> Action<()> {
         if self.informed {
@@ -130,6 +133,8 @@ impl NodeBehavior<()> for Flood {
 /// it exactly on time. It tallies its packets, so nodes delivered to
 /// while asleep change state without changing `next_act`; noise and
 /// erasures must leave it unchanged, as silence transparency promises.
+/// Counting packets after decoding, it keeps `DECODE_IS_FINAL` off: the
+/// engine must hand it every packet.
 #[derive(Debug, Clone, PartialEq)]
 struct Napper {
     /// The round of the next broadcast: `u64::MAX` while uninformed,
@@ -178,6 +183,45 @@ impl NodeBehavior<()> for Napper {
     }
     fn next_act(&self) -> u64 {
         self.next
+    }
+}
+
+/// Flooding on a coin: an informed node broadcasts with probability
+/// 1/2 in each round and listens otherwise, and ignores every packet
+/// once informed, so it opts into `DECODE_IS_FINAL`. Unlike a [`Flood`]
+/// node, which never listens again once informed, it stays active while
+/// packets keep reaching it after it has settled, and the source's
+/// first packet is an echo, whose round must still be recorded.
+#[derive(Debug, Clone, PartialEq)]
+struct Gossip {
+    informed: bool,
+}
+
+impl NodeBehavior<()> for Gossip {
+    const SILENCE_TRANSPARENT: bool = true;
+    const DECODE_IS_FINAL: bool = true;
+
+    fn act(&mut self, ctx: &mut Ctx<'_>) -> Action<()> {
+        if self.informed && rand::Rng::gen_bool(ctx.rng, 0.5) {
+            Action::Broadcast(())
+        } else {
+            Action::Listen
+        }
+    }
+    fn receive(&mut self, _ctx: &mut Ctx<'_>, rx: Reception<()>) {
+        if rx.is_packet() {
+            self.informed = true;
+        }
+    }
+    fn decoded(&self) -> bool {
+        self.informed
+    }
+    fn next_act(&self) -> u64 {
+        if self.informed {
+            0
+        } else {
+            u64::MAX
+        }
     }
 }
 
@@ -334,13 +378,20 @@ proptest! {
         // was delivered; its opaque twin hears every reception and is
         // polled in every swept round. Flood nodes stay active from the
         // round they are informed; Nappers sleep in the wake wheel and
-        // are delivered to while asleep.
+        // are delivered to while asleep. Gossip nodes are handed only
+        // the packet that informs them: later ones find them settled,
+        // and the source's first packet, an echo, must still be
+        // recorded.
         let floods: Vec<Flood> = (0..g.node_count())
             .map(|i| Flood { informed: i == 0 })
             .collect();
         matches_opaque(&g, channel, &floods, seed, 60)?;
         let nappers: Vec<Napper> = (0..g.node_count()).map(|i| Napper::new(i % 2 == 0)).collect();
         matches_opaque(&g, channel, &nappers, seed, 200)?;
+        let gossips: Vec<Gossip> = (0..g.node_count())
+            .map(|i| Gossip { informed: i == 0 })
+            .collect();
+        matches_opaque(&g, channel, &gossips, seed, 60)?;
     }
 
     #[test]
@@ -382,6 +433,15 @@ proptest! {
         let nappers: Vec<Napper> = (0..g.node_count()).map(|i| Napper::new(i % 2 == 0)).collect();
         let sparse = modal_run(&g, channel, &nappers, seed, 200, false);
         let dense = modal_run(&g, channel, &nappers, seed, 200, true);
+        prop_assert_eq!(sparse, dense);
+
+        // Gossip nodes settle, and stay active while packets keep
+        // reaching them.
+        let gossips: Vec<Gossip> = (0..g.node_count())
+            .map(|i| Gossip { informed: i == 0 })
+            .collect();
+        let sparse = modal_run(&g, channel, &gossips, seed, 25, false);
+        let dense = modal_run(&g, channel, &gossips, seed, 25, true);
         prop_assert_eq!(sparse, dense);
     }
 

@@ -121,6 +121,16 @@ fn run(args: &[String]) -> Result<(), String> {
         print!("{HELP}");
         return Ok(());
     }
+    // An unknown command is refused before any output is opened.
+    let cmd: fn(&Options) -> Result<(), String> = match command.as_str() {
+        "broadcast" => cmd_broadcast,
+        "multicast" => cmd_multicast,
+        "traffic" => cmd_traffic,
+        "gap" => cmd_gap,
+        "consensus" => cmd_consensus,
+        "topo" => cmd_topo,
+        other => return Err(format!("unknown command `{other}`")),
+    };
     let mut opts = Options::parse(&args[1..])?;
     if opts.telemetry_enabled() && matches!(command.as_str(), "multicast" | "topo") {
         return Err(format!(
@@ -135,15 +145,7 @@ fn run(args: &[String]) -> Result<(), String> {
         .as_deref()
         .map(OutputFile::open)
         .transpose()?;
-    match command.as_str() {
-        "broadcast" => cmd_broadcast(&opts),
-        "multicast" => cmd_multicast(&opts),
-        "traffic" => cmd_traffic(&opts),
-        "gap" => cmd_gap(&opts),
-        "consensus" => cmd_consensus(&opts),
-        "topo" => cmd_topo(&opts),
-        other => Err(format!("unknown command `{other}`")),
-    }
+    cmd(&opts)
 }
 
 /// Parsed command-line options with defaults.

@@ -54,3 +54,12 @@ fn telemetry_flags_are_refused_where_nothing_is_recorded() {
         assert!(!path.exists(), "{args:?} created {out}");
     }
 }
+
+#[test]
+fn an_unknown_command_is_refused_before_any_output_is_opened() {
+    let path = std::env::temp_dir().join(format!("cli-unknown-{}.jsonl", std::process::id()));
+    let out = path.to_str().expect("a UTF-8 temporary path");
+    let stderr = refused(&["frobnicate", "--telemetry", out]);
+    assert!(stderr.contains("unknown command `frobnicate`"), "{stderr}");
+    assert!(!path.exists(), "an unknown command created {out}");
+}
