@@ -325,13 +325,11 @@ impl NodeBehavior<()> for DecayNode {
         self.next
     }
 
-    // Only a packet changes a Decay node (see `receive`), `act` only
-    // draws ahead, and there is no queue: the engine may settle every
-    // Decay node but the delivered listeners word-at-a-time.
+    // Only a packet changes a Decay node, and only an uninformed one
+    // (see `receive`); `act` only draws ahead, and there is no queue:
+    // the engine calls only the delivered listeners it has not yet
+    // found informed.
     const SILENCE_TRANSPARENT: bool = true;
-
-    // An informed node ignores every packet (see `receive`).
-    const DECODE_IS_FINAL: bool = true;
 }
 
 /// Whether `hits` successes in `trials` independent trials of success

@@ -400,12 +400,10 @@ impl<T: Timing> NodeBehavior<()> for FastbcNode<T> {
         self.next_due.min(self.next_slow)
     }
 
-    // Only a packet changes a node (see `receive`), `act` only draws
-    // ahead and advances the cached rounds, and there is no queue.
+    // Only a packet changes a node, and only an uninformed one (see
+    // `receive`); `act` only draws ahead and advances the cached rounds,
+    // and there is no queue.
     const SILENCE_TRANSPARENT: bool = true;
-
-    // An informed node ignores every packet (see `receive`).
-    const DECODE_IS_FINAL: bool = true;
 }
 
 #[cfg(test)]
@@ -745,6 +743,27 @@ mod tests {
         }
     }
 
+    /// Runs `behaviors` to full decode with telemetry on and checks that
+    /// the behaviors were handed exactly one packet per node that got
+    /// any: every other delivery found its listener settled.
+    fn assert_each_node_sees_one_packet<B: NodeBehavior<()>>(
+        g: &Graph,
+        channel: Channel,
+        behaviors: Vec<B>,
+    ) {
+        let mut sink = radio_obs::CounterSink::new();
+        let (run, _) =
+            crate::outcome::run_profiled_telemetry(g, channel, behaviors, 9, 1_000_000, &mut sink)
+                .unwrap();
+        let at = format!("{} nodes, {channel}", g.node_count());
+        assert!(run.completed(), "{at}");
+        let deliveries = sink.counter_total("engine/deliveries").unwrap();
+        let settled = sink.counter_total("engine/settled_deliveries").unwrap();
+        assert_eq!(deliveries - settled, run.stats.delivered_nodes, "{at}");
+    }
+
+    /// Checks the five single-message schedules against their opaque
+    /// twins, and that each hands its behaviors one packet per node.
     #[test]
     fn packet_only_dispatch_matches_the_opaque_oracle() {
         // Past one 64-node bitset word, so that the receive sweep's
@@ -757,6 +776,7 @@ mod tests {
         let graphs = [
             generators::path(200),
             generators::grid(12, 12),
+            generators::grid(16, 16),
             generators::star(150),
         ];
         let channels = [
@@ -765,6 +785,10 @@ mod tests {
             Channel::sender(0.2)
                 .unwrap()
                 .compose(Channel::erasure(0.3).unwrap())
+                .unwrap(),
+            Channel::sender(0.2)
+                .unwrap()
+                .compose(Channel::receiver(0.3).unwrap())
                 .unwrap(),
         ];
         for g in &graphs {
@@ -786,60 +810,11 @@ mod tests {
                 assert_matches_opaque(g, channel, &robust, seed, 100_000);
                 assert_matches_opaque(g, channel, &dilated, seed, 100_000);
                 assert_matches_opaque(g, channel, &xin_xia, seed, 100_000);
-            }
-        }
-    }
-
-    /// Runs `behaviors` to full decode with telemetry on and checks that
-    /// the behaviors were handed exactly one packet per node that got
-    /// any: every other delivery found its listener settled.
-    fn assert_each_node_sees_one_packet<B: NodeBehavior<()>>(
-        g: &Graph,
-        channel: Channel,
-        behaviors: Vec<B>,
-        name: &str,
-    ) {
-        let mut sink = radio_obs::CounterSink::new();
-        let (run, _) =
-            crate::outcome::run_profiled_telemetry(g, channel, behaviors, 9, 1_000_000, &mut sink)
-                .unwrap();
-        let at = format!("{name}, {} nodes, {channel}", g.node_count());
-        assert!(run.completed(), "{at}");
-        let deliveries = sink.counter_total("engine/deliveries").unwrap();
-        let settled = sink.counter_total("engine/settled_deliveries").unwrap();
-        assert!(settled > 0, "{at}: no delivery was settled");
-        assert_eq!(deliveries - settled, run.stats.delivered_nodes, "{at}");
-    }
-
-    #[test]
-    fn settled_listeners_are_handed_no_packet() {
-        use crate::decay::{default_phase_len, DecayNode};
-        use crate::repetition::RepeatedFastbcSchedule;
-        use crate::robust_fastbc::RobustFastbcSchedule;
-        use crate::schedules::latency::XinXiaSchedule;
-        let receiver = Channel::receiver(0.3).unwrap();
-        let channels = [
-            receiver,
-            Channel::sender(0.2).unwrap().compose(receiver).unwrap(),
-        ];
-        for g in [generators::grid(16, 16), generators::path(200)] {
-            let source = NodeId::new(0);
-            let phase_len = default_phase_len(g.node_count());
-            for channel in channels {
-                let decay = (0..g.node_count())
-                    .map(|i| DecayNode::new(i == 0, phase_len))
-                    .collect();
-                assert_each_node_sees_one_packet(&g, channel, decay, "Decay");
-                let fast = FastbcSchedule::new(&g, source).unwrap().behaviors();
-                assert_each_node_sees_one_packet(&g, channel, fast, "FASTBC");
-                let robust = RobustFastbcSchedule::new(&g, source).unwrap().behaviors();
-                assert_each_node_sees_one_packet(&g, channel, robust, "Robust FASTBC");
-                let dilated = RepeatedFastbcSchedule::new(&g, source, 3)
-                    .unwrap()
-                    .behaviors();
-                assert_each_node_sees_one_packet(&g, channel, dilated, "dilated FASTBC");
-                let xin_xia = XinXiaSchedule::new(&g, source).unwrap().behaviors();
-                assert_each_node_sees_one_packet(&g, channel, xin_xia, "Xin–Xia");
+                assert_each_node_sees_one_packet(g, channel, decay.clone());
+                assert_each_node_sees_one_packet(g, channel, fast.clone());
+                assert_each_node_sees_one_packet(g, channel, robust.clone());
+                assert_each_node_sees_one_packet(g, channel, dilated.clone());
+                assert_each_node_sees_one_packet(g, channel, xin_xia.clone());
             }
         }
     }

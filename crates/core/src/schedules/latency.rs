@@ -235,12 +235,10 @@ impl NodeBehavior<()> for XinXiaNode {
         }
     }
 
-    // Only a packet changes a Xin–Xia node (see `receive`), `act`
-    // only reads the slot gate and draws, and there is no queue.
+    // Only a packet changes a Xin–Xia node, and only an uninformed one:
+    // it sets `informed` (see `receive`). `act` only reads the slot gate
+    // and draws, and there is no queue.
     const SILENCE_TRANSPARENT: bool = true;
-
-    // A packet only sets `informed`, which an informed node already is.
-    const DECODE_IS_FINAL: bool = true;
 }
 
 #[cfg(test)]

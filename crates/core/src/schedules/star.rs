@@ -138,7 +138,8 @@ impl NodeBehavior<u64> for CodingNode {
 
     // Only a packet changes a leaf (see `receive`), and `decoded` and
     // `queued` keep their defaults: the engine calls only the leaves a
-    // packet reached.
+    // packet reached. A leaf counts packets past `k`, so it must never
+    // report `decoded`, which would settle it.
     const SILENCE_TRANSPARENT: bool = true;
 }
 

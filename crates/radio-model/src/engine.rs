@@ -46,12 +46,12 @@
 //! [silence-transparent](NodeBehavior::SILENCE_TRANSPARENT) behavior
 //! only the delivered listeners are called at all: every other
 //! reception is a no-op for it, so every other node keeps its activity
-//! bit a whole word at a time. When the behavior's
-//! [decode is also final](NodeBehavior::DECODE_IS_FINAL), a delivered
-//! listener that is decoded after its packet joins a `settled` set, and
-//! later deliveries to it are counted and traced from the word's masks
-//! without a call: of a single-message broadcast's deliveries, only the
-//! first to each node reaches a behavior.
+//! bit a whole word at a time. Since a decoded node of such a behavior
+//! ignores packets too, a delivered listener that is decoded after its
+//! packet joins a `settled` set, and later deliveries to it are counted
+//! and traced from the word's masks without a call: of a single-message
+//! broadcast's deliveries, only the first to each node reaches a
+//! behavior.
 //!
 //! # Per-node random streams
 //!
@@ -204,8 +204,11 @@ pub trait NodeBehavior<P> {
     ///    no-op,
     /// 2. [`NodeBehavior::act`] never changes the answers of
     ///    [`NodeBehavior::decoded`] or [`NodeBehavior::queued`] (only
-    ///    packets can), and
-    /// 3. [`NodeBehavior::queued`] is identically `0`.
+    ///    packets can),
+    /// 3. [`NodeBehavior::queued`] is identically `0`, and
+    /// 4. once [`NodeBehavior::decoded`] reports `true`,
+    ///    [`NodeBehavior::receive`] of a packet is a no-op too: a
+    ///    decoded node is final.
     ///
     /// Promise 1 is what the [`Reception`] fidelity contract already
     /// asks of noisy-model protocols, which cannot tell noise or an
@@ -216,8 +219,18 @@ pub trait NodeBehavior<P> {
     /// re-decides only the **delivered** listeners and carries everyone
     /// else's activity bits forward a whole word at a time, and it may
     /// put a node to sleep until its [`NodeBehavior::next_act`].
-    /// Observables are bit-identical either way; the promise merely
-    /// licenses skipping work the contract makes vacuous.
+    /// Promise 4 is what a single-message broadcast keeps: a node that
+    /// holds the message ignores every later packet. The engine
+    /// **settles** a node the first time a delivered packet finds it
+    /// decoded, and afterwards hands it no packet at all: a delivery to
+    /// a settled listener is counted, traced and carries the listener's
+    /// activity bit like any other reception. A node decoded at
+    /// construction, such as the source, settles only at its first
+    /// delivery, whose round the latency profile records; a behavior
+    /// that keeps counting packets after decoding keeps the default
+    /// [`NodeBehavior::decoded`], which never settles it. Observables
+    /// are bit-identical either way; the promise merely licenses
+    /// skipping work the contract makes vacuous.
     ///
     /// The default `false` hands every swept listener its reception
     /// and polls every swept node at the end of the round — always
@@ -225,47 +238,6 @@ pub trait NodeBehavior<P> {
     /// branch on [`Reception::Erased`] (the erasure model) must not
     /// opt in.
     const SILENCE_TRANSPARENT: bool = false;
-
-    /// Whether a decoded node is **final**: a compile-time promise, for
-    /// every node, that once [`NodeBehavior::decoded`] reports `true`,
-    /// [`NodeBehavior::receive`] of any reception — a packet included —
-    /// leaves the node's state, and with it the answers of
-    /// [`NodeBehavior::next_act`], [`NodeBehavior::decoded`] and
-    /// [`NodeBehavior::queued`], unchanged.
-    ///
-    /// The single-message broadcasts keep it: a node that holds the
-    /// message ignores every later packet. The engine then **settles**
-    /// a node the first time a delivered packet finds it decoded, and
-    /// afterwards hands it no packet at all: a delivery to a settled
-    /// listener is counted, traced and carries the listener's activity
-    /// bit, like every reception of a silence-transparent behavior
-    /// other than a packet. Observables are bit-identical either way. A
-    /// node decoded at construction, such as the source, settles only
-    /// at its first delivery, whose round the latency profile records.
-    ///
-    /// Only a [silence-transparent](NodeBehavior::SILENCE_TRANSPARENT)
-    /// behavior may opt in; [`Simulator::new`] refuses to compile for
-    /// one that opts in without it:
-    ///
-    /// ```compile_fail
-    /// use radio_model::{Action, Channel, Ctx, NodeBehavior, Reception, Simulator};
-    ///
-    /// struct Deaf;
-    /// impl NodeBehavior<()> for Deaf {
-    ///     fn act(&mut self, _ctx: &mut Ctx<'_>) -> Action<()> {
-    ///         Action::Listen
-    ///     }
-    ///     fn receive(&mut self, _ctx: &mut Ctx<'_>, _rx: Reception<()>) {}
-    ///     const DECODE_IS_FINAL: bool = true;
-    /// }
-    /// let g = netgraph::generators::path(2);
-    /// let _ = Simulator::new(&g, Channel::faultless(), vec![Deaf, Deaf], 1);
-    /// ```
-    ///
-    /// The default `false` hands every delivered listener its packet.
-    /// Behaviors that keep counting packets after decoding must not opt
-    /// in.
-    const DECODE_IS_FINAL: bool = false;
 }
 
 /// Aggregate statistics over an entire simulation, with one counter
@@ -396,7 +368,8 @@ pub struct EngineTelemetry {
     /// sleepers leave it.
     pub active_node_rounds: u64,
     /// Deliveries to settled listeners, which the receive sweep counts
-    /// without calling (see [`NodeBehavior::DECODE_IS_FINAL`]).
+    /// without calling (promise 4 of
+    /// [`NodeBehavior::SILENCE_TRANSPARENT`]).
     pub settled_deliveries: u64,
 }
 
@@ -443,8 +416,9 @@ pub struct Simulator<'g, P, B> {
     /// one broadcaster, so stale entries never need clearing.
     heard_from: Vec<u32>,
     /// Nodes a delivery found decoded, whose later deliveries the
-    /// receive sweep counts without calling them (see
-    /// [`NodeBehavior::DECODE_IS_FINAL`]). Empty for other behaviors.
+    /// receive sweep counts without calling them (promise 4 of
+    /// [`NodeBehavior::SILENCE_TRANSPARENT`]). Empty for other
+    /// behaviors.
     settled: Bitset,
     /// Set by [`Simulator::behaviors_mut`]: behavior state may have
     /// changed outside a sweep, so the active set must be rebuilt from
@@ -485,12 +459,6 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
         behaviors: Vec<B>,
         seed: u64,
     ) -> Result<Self, ModelError> {
-        const {
-            assert!(
-                B::SILENCE_TRANSPARENT || !B::DECODE_IS_FINAL,
-                "DECODE_IS_FINAL needs SILENCE_TRANSPARENT"
-            )
-        };
         let n = graph.node_count();
         if behaviors.len() != n {
             return Err(ModelError::NodeCountMismatch {
@@ -1224,12 +1192,11 @@ fn push_word(list: &mut Vec<NodeId>, w: usize, bits: u64) {
 /// trace's collided, erased and delivery lists from the masks.
 /// Behaviors then receive in ascending order: every swept node, or, for
 /// a [silence-transparent](NodeBehavior::SILENCE_TRANSPARENT) behavior,
-/// only the delivered listeners, less those already `settled` when the
-/// behavior's [decode is final](NodeBehavior::DECODE_IS_FINAL). A
-/// delivered listener of such a behavior that is decoded after its
-/// reception joins `settled`. Every draw comes from the listener's own
-/// stream and no behavior can touch another node's, so drawing a word's
-/// losses before its behaviors run moves no draw.
+/// only the delivered listeners not yet `settled`; a delivered listener
+/// of such a behavior that is decoded after its reception joins
+/// `settled`. Every draw comes from the listener's own stream and no
+/// behavior can touch another node's, so drawing a word's losses before
+/// its behaviors run moves no draw.
 // Out of line like `act_sweep`, so each phase timer brackets its own
 // loop.
 #[allow(clippy::too_many_arguments)]
@@ -1270,9 +1237,9 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
     // word's next-active bits accumulate in a register with one store.
     // For silence-transparent behaviors every bit but the live
     // listeners' is carried wholesale — their per-node processing is
-    // vacuous by the [`NodeBehavior::SILENCE_TRANSPARENT`] and
-    // [`NodeBehavior::DECODE_IS_FINAL`] promises — and only the live
-    // listeners, delivered and not settled, enter the per-node loop.
+    // vacuous by the [`NodeBehavior::SILENCE_TRANSPARENT`] promises —
+    // and only the live listeners, delivered and not settled, enter the
+    // per-node loop.
     let n = graph.node_count();
     let behaviors = &mut behaviors[..n];
     let node_rngs = &mut node_rngs[..n];
@@ -1325,12 +1292,8 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
             part.receiver_faults += u64::from(lost.count_ones());
         }
         // A settled listener ignores its packet: only the live ones are
-        // handed theirs.
-        let live = if B::DECODE_IS_FINAL {
-            delivered & !*sw
-        } else {
-            delivered
-        };
+        // handed theirs. Only a silence-transparent behavior settles.
+        let live = delivered & !*sw;
         if timed {
             part.settled_deliveries += u64::from((delivered & !live).count_ones());
         }
@@ -1445,7 +1408,7 @@ fn receive_sweep<P: Payload, B: NodeBehavior<P>>(
             }
             // Its first packet is recorded, its decode too: no later
             // delivery can change anything.
-            if B::DECODE_IS_FINAL && behaviors[i].decoded() {
+            if B::SILENCE_TRANSPARENT && behaviors[i].decoded() {
                 settles |= mask;
             }
         }

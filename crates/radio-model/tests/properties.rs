@@ -88,11 +88,11 @@ fn chatter(n: usize, prob: f64) -> Vec<RandomChatter> {
 /// Flooding behavior with a decode notion, for the latency-profile
 /// laws: informed nodes broadcast every round, packets inform, and
 /// `decoded()` reports the informed flag. It is quiescent until
-/// informed, silence-transparent and final once informed, so the sparse
-/// engine may skip it entirely while it sleeps — the differential tests
-/// below check that this changes no observable. Broadcasting in every
-/// round once informed, it never hears a packet after it settles;
-/// [`Gossip`] does.
+/// informed and silence-transparent (a packet changes only an
+/// uninformed node), so the sparse engine may skip it entirely while it
+/// sleeps — the differential tests below check that this changes no
+/// observable. Broadcasting in every round once informed, it never
+/// hears a packet after it settles; [`Gossip`] does.
 #[derive(Debug, Clone, PartialEq)]
 struct Flood {
     informed: bool,
@@ -100,7 +100,6 @@ struct Flood {
 
 impl NodeBehavior<()> for Flood {
     const SILENCE_TRANSPARENT: bool = true;
-    const DECODE_IS_FINAL: bool = true;
 
     fn act(&mut self, _ctx: &mut Ctx<'_>) -> Action<()> {
         if self.informed {
@@ -133,8 +132,8 @@ impl NodeBehavior<()> for Flood {
 /// it exactly on time. It tallies its packets, so nodes delivered to
 /// while asleep change state without changing `next_act`; noise and
 /// erasures must leave it unchanged, as silence transparency promises.
-/// Counting packets after decoding, it keeps `DECODE_IS_FINAL` off: the
-/// engine must hand it every packet.
+/// Counting packets once informed, it keeps the default `decoded`, so
+/// that it never settles and the engine must hand it every packet.
 #[derive(Debug, Clone, PartialEq)]
 struct Napper {
     /// The round of the next broadcast: `u64::MAX` while uninformed,
@@ -178,9 +177,6 @@ impl NodeBehavior<()> for Napper {
             self.next = 0;
         }
     }
-    fn decoded(&self) -> bool {
-        self.next != u64::MAX
-    }
     fn next_act(&self) -> u64 {
         self.next
     }
@@ -188,7 +184,7 @@ impl NodeBehavior<()> for Napper {
 
 /// Flooding on a coin: an informed node broadcasts with probability
 /// 1/2 in each round and listens otherwise, and ignores every packet
-/// once informed, so it opts into `DECODE_IS_FINAL`. Unlike a [`Flood`]
+/// once informed, as silence transparency promises. Unlike a [`Flood`]
 /// node, which never listens again once informed, it stays active while
 /// packets keep reaching it after it has settled, and the source's
 /// first packet is an echo, whose round must still be recorded.
@@ -199,7 +195,6 @@ struct Gossip {
 
 impl NodeBehavior<()> for Gossip {
     const SILENCE_TRANSPARENT: bool = true;
-    const DECODE_IS_FINAL: bool = true;
 
     fn act(&mut self, ctx: &mut Ctx<'_>) -> Action<()> {
         if self.informed && rand::Rng::gen_bool(ctx.rng, 0.5) {
@@ -902,4 +897,43 @@ fn stale_rebuild_keeps_sleepers_on_time() {
     }
     assert_eq!(sparse.stats(), dense.stats());
     assert_eq!(sparse.behaviors(), dense.behaviors());
+}
+
+/// A decode undone through `behaviors_mut` unsettles the node: Gossip
+/// nodes reset to uninformed partway through are handed their next
+/// packet again, so the run matches its opaque twin, reset alike, round
+/// for round.
+#[test]
+fn behaviors_mut_unsettles_reset_nodes() {
+    let g = generators::grid(12, 12);
+    let channel = Channel::receiver(0.3).unwrap();
+    let gossips: Vec<Gossip> = (0..g.node_count())
+        .map(|i| Gossip { informed: i == 0 })
+        .collect();
+    let wrapped: Vec<Opaque<Gossip>> = gossips.iter().cloned().map(Opaque).collect();
+    let mut direct = Simulator::new(&g, channel, gossips, 12).unwrap();
+    let mut opaque = Simulator::new(&g, channel, wrapped, 12).unwrap();
+    let mut forgotten = 0;
+    for round in 0..120 {
+        if round % 40 == 39 {
+            // Every third node forgets the message.
+            let twins = opaque.behaviors_mut();
+            for (i, b) in direct.behaviors_mut().iter_mut().enumerate() {
+                if i % 3 == 0 && b.informed {
+                    b.informed = false;
+                    twins[i].0.informed = false;
+                    forgotten += 1;
+                }
+            }
+        }
+        let (mut a, mut b) = (RoundTrace::default(), RoundTrace::default());
+        let report = direct.step_traced(&mut a);
+        assert_eq!(report, opaque.step_traced(&mut b), "round {round}");
+        assert_eq!(a, b, "round {round}");
+    }
+    assert!(forgotten > 0, "no informed node was reset");
+    assert_eq!(direct.stats(), opaque.stats());
+    assert_eq!(direct.latency_profile(), opaque.latency_profile());
+    let twins: Vec<Gossip> = opaque.into_behaviors().into_iter().map(|o| o.0).collect();
+    assert_eq!(direct.into_behaviors(), twins);
 }
