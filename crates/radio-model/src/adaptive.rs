@@ -20,8 +20,11 @@
 //! and not sender-faulted — and grants only the delivered ones their
 //! sender's message. When every sender carries the same message, the
 //! sweep checks a whole word of listeners against that message's
-//! column of the [`Knowledge`] state: a listener that already holds it
-//! still steps the fault stream, but costs nothing else.
+//! column of the [`Knowledge`] state, with no branch per listener: a
+//! listener that already holds it still steps the fault stream, and its
+//! draw is masked out of the grant. Such a round, when senders cannot
+//! fault, also reads no one's broadcaster, so its reach pass leaves
+//! `heard_from` unwritten.
 //!
 //! The knowledge state is sized `n × k` bits twice over; a run whose
 //! state does not fit in memory fails with [`ModelError::TooLarge`]
@@ -342,7 +345,14 @@ fn run_routing_inner(
                 one_message = None;
             }
         }
-        reach_pass(
+        // `heard_from` is read only for a listener's sender fault, or for
+        // its message when several are on air.
+        let reach = if sender_fault.is_some() || one_message.is_none() {
+            reach_pass::<true>
+        } else {
+            reach_pass::<false>
+        };
+        reach(
             graph,
             &slot.broadcasting,
             &mut slot.reach,
@@ -434,12 +444,17 @@ fn clean_word(single: u64, w: usize, heard_from: &[u32], sender_ok: Option<&[boo
 /// The delivery sweep of a round whose broadcasters all carry message
 /// `m`, a word of 64 listeners at a time. Each clean listener still
 /// steps `rng` once, in ascending order, exactly as in
-/// [`resolve_listeners`]; but only a listener that lacks `m` turns its
-/// draw into a keep mask, and only those listeners can be granted, so
-/// a word's fresh grants are one OR into `m`'s column, one popcount
-/// into `missing[m]`, and a row bit per granted listener. Returns the
-/// fresh deliveries and the stream.
+/// [`resolve_listeners`]. The useful listeners of a word are the clean
+/// ones that lack `m`, and only they can be granted, so a word's fresh
+/// grants are one OR into `m`'s column, one popcount into `missing[m]`,
+/// and a row bit per granted listener. Returns the fresh deliveries and
+/// the stream.
 ///
+/// In a word with a useful listener, every clean listener draws its
+/// keep mask into `lost`, as in [`resolve_listeners`], and the word
+/// grants `useful & !lost`: nothing branches on whether a listener
+/// lacks `m`, which in a message's second round is a coin flip. A word
+/// with none (most words, once a message is old) only steps the stream.
 /// A listener that already holds `m` cannot be changed by its slot,
 /// whatever its draw, so dropping the draw's value (never the draw)
 /// leaves every stream and every grant as the per-listener sweep makes
@@ -475,26 +490,18 @@ fn resolve_one_message(
         let useful = clean & !*known;
         let mut delivered = useful;
         if let Some(threshold) = loss {
-            // Every clean listener steps the stream; the keep mask is
-            // only worked out for one that lacks the message. A word
-            // with none (most words, once a message is old) runs the
-            // bare steps: 4–5% less `routing/resolve` on the benchmark
-            // star than one branch per listener.
-            let mut c = clean;
             if useful == 0 {
-                while c != 0 {
-                    c &= c - 1;
+                for _ in 0..clean.count_ones() {
                     rng.next_u64();
                 }
             } else {
+                let (mut c, mut lost) = (clean, 0u64);
                 while c != 0 {
                     let bit = c & c.wrapping_neg();
                     c &= c - 1;
-                    let draw = rng.next_u64();
-                    if useful & bit != 0 {
-                        delivered &= kept_mask(draw, threshold) | !bit;
-                    }
+                    lost |= bit & !kept_mask(rng.next_u64(), threshold);
                 }
+                delivered = useful & !lost;
             }
         }
         if delivered != 0 {

@@ -38,11 +38,13 @@
 //! broadcaster of each node reached once. A broadcaster's neighbors of
 //! one bitset word are gathered in a register and meet `reach` once per
 //! word. The adaptive-routing runner ([`crate::adaptive`]) resolves its
-//! slots with the same pass. The receive sweep then resolves 64
-//! listeners at a time from bit masks — collided, sender-faulted, lost,
-//! delivered — drawing each clean listener's loss once, counting
-//! outcomes by popcount, and only then handing out receptions in
-//! ascending node order. No listener re-scans its neighbors. For a
+//! slots with the same pass, which leaves `heard_from` unwritten in the
+//! rounds where the runner reads none of it. The receive sweep then
+//! resolves 64 listeners at a time from bit masks — collided,
+//! sender-faulted, lost, delivered — drawing each clean listener's loss
+//! once, counting outcomes by popcount, and only then handing out
+//! receptions in ascending node order. No listener re-scans its
+//! neighbors. For a
 //! [silence-transparent](NodeBehavior::SILENCE_TRANSPARENT) behavior
 //! only the delivered listeners are called at all: every other
 //! reception is a no-op for it, so every other node keeps its activity
@@ -759,7 +761,7 @@ impl<'g, P: Payload, B: NodeBehavior<P>> Simulator<'g, P, B> {
     /// broadcasters, after the act sweep.
     fn compute_reach(&mut self) {
         let t0 = self.timed.then(Instant::now);
-        reach_pass(
+        reach_pass::<true>(
             self.graph,
             &self.broadcasting,
             &mut self.reach,
@@ -1038,17 +1040,28 @@ fn act_sweep<P: Payload, B: NodeBehavior<P>>(
 /// adaptive-routing runner. Rebuilds `reach` — every neighbor of every
 /// `broadcasting` node, i.e. exactly the nodes whose slot resolves to
 /// something other than silence — and settles who each reached node
-/// heard: the nodes a second broadcaster reaches join `collided`, and
-/// `heard_from` records a broadcaster of every reached node. Only the
-/// entries of reached nodes outside `collided` are meaningful (there
-/// the one broadcaster), so `heard_from` is never cleared.
+/// heard: the nodes a second broadcaster reaches join `collided`, and,
+/// when `SOURCES` is true, `heard_from` records a broadcaster of every
+/// reached node. Only the entries of reached nodes outside `collided`
+/// are meaningful (there the one broadcaster), so `heard_from` is never
+/// cleared.
+///
+/// `heard_from` is read to find a clean listener's broadcaster: for its
+/// sender fault ([`sender_faulted`]), its message in the routing runner
+/// when several are on air, and its packet and trace entry in the
+/// receive sweep. The engine always passes `SOURCES = true`. The
+/// routing runner passes `false` for a round with one message on air
+/// and no sender faults, where nothing reads it; `heard_from` is then
+/// left as it was, and a later round with `true` rewrites every entry
+/// it reads. The switch is a const so that the per-neighbor loop holds
+/// no test of it.
 ///
 /// A broadcaster's neighbor bits of one word gather in a register and
 /// meet `reach` once per word. A hub, a broadcaster with at least 64
 /// neighbors, goes through [`hub_reach`], which also takes each word
 /// it covers whole in one step. Broadcasters of lower degree never look
 /// for whole words.
-pub(crate) fn reach_pass(
+pub(crate) fn reach_pass<const SOURCES: bool>(
     graph: &Graph,
     broadcasting: &Bitset,
     reach: &mut Bitset,
@@ -1077,7 +1090,7 @@ pub(crate) fn reach_pass(
             // ever whole, and the hub loop written inline here slowed
             // this loop's traced reach by 8–16% on grids and paths.
             if neighbors.len() >= 64 {
-                hub_reach(sender, neighbors, reach, collided, heard_from);
+                hub_reach::<SOURCES>(sender, neighbors, reach, collided, heard_from);
                 continue;
             }
             let Some(first) = neighbors.first() else {
@@ -1095,7 +1108,9 @@ pub(crate) fn reach_pass(
             let mut bits = 0u64;
             for &u in neighbors {
                 let i = u.index();
-                heard_from[i] = sender.raw();
+                if SOURCES {
+                    heard_from[i] = sender.raw();
+                }
                 if i / 64 != w {
                     meet(w, bits);
                     (w, bits) = (i / 64, 0);
@@ -1109,11 +1124,11 @@ pub(crate) fn reach_pass(
 
 /// The [reach pass](reach_pass) of one hub `sender` with its sorted,
 /// duplicate-free `neighbors`. Wherever the list holds all 64 ids of a
-/// word, the word's 64 `heard_from` entries are filled at once and
-/// `reach` is met with all ones; the other neighbors are gathered per
-/// word as in the reach pass.
+/// word, `reach` is met with all ones and, when `SOURCES` is true, the
+/// word's 64 `heard_from` entries are filled at once; the other
+/// neighbors are gathered per word as in the reach pass.
 #[inline(never)]
-fn hub_reach(
+fn hub_reach<const SOURCES: bool>(
     sender: NodeId,
     neighbors: &[NodeId],
     reach: &mut [u64],
@@ -1135,12 +1150,16 @@ fn hub_reach(
         // places on.
         if i % 64 == 0 && neighbors.get(j + 63).is_some_and(|v| v.index() == i + 63) {
             meet(w, bits);
-            heard_from[i..i + 64].fill(sender.raw());
+            if SOURCES {
+                heard_from[i..i + 64].fill(sender.raw());
+            }
             (w, bits) = (i / 64, !0);
             j += 64;
             continue;
         }
-        heard_from[i] = sender.raw();
+        if SOURCES {
+            heard_from[i] = sender.raw();
+        }
         if i / 64 != w {
             meet(w, bits);
             (w, bits) = (i / 64, 0);
@@ -1490,7 +1509,9 @@ mod tests {
     /// words at both ends; hub 399's list is exactly word 3; hub 398
     /// overlaps hub 0 in partial words and holds word 2 whole; node 397
     /// has four neighbors in different words. Stale `heard_from`
-    /// entries carry over from one subset to the next.
+    /// entries carry over from one subset to the next. Without
+    /// `SOURCES`, the pass builds the same `reach` and `collided` and
+    /// leaves every `heard_from` entry as it was.
     #[test]
     fn reach_pass_matches_a_per_neighbor_reference() {
         use rand::SeedableRng;
@@ -1521,15 +1542,33 @@ mod tests {
         subsets.extend((0..40).map(|_| (0..n).filter(|_| rng.gen_bool(0.04)).collect()));
         let (mut reach, mut collided) = (Bitset::new(n), Bitset::new(n));
         let mut heard_from = vec![u32::MAX; n];
+        let (mut bare_reach, mut bare_collided) = (Bitset::new(n), Bitset::new(n));
+        let mut untouched = vec![u32::MAX - 1; n];
         for senders in subsets {
             let mut broadcasting = Bitset::new(n);
             senders.iter().for_each(|&u| broadcasting.insert(u));
-            reach_pass(
+            reach_pass::<true>(
                 &g,
                 &broadcasting,
                 &mut reach,
                 &mut collided,
                 &mut heard_from,
+            );
+            reach_pass::<false>(
+                &g,
+                &broadcasting,
+                &mut bare_reach,
+                &mut bare_collided,
+                &mut untouched,
+            );
+            assert_eq!(bare_reach, reach, "{senders:?}: reach without sources");
+            assert_eq!(
+                bare_collided, collided,
+                "{senders:?}: collided without sources"
+            );
+            assert!(
+                untouched.iter().all(|&s| s == u32::MAX - 1),
+                "{senders:?}: heard_from written without sources"
             );
             let mut count = vec![0; n];
             let mut from = vec![0; n];

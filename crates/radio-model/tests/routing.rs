@@ -11,7 +11,7 @@
 //! message counts across a word boundary, and controllers that list
 //! random nodes in random order with known and unknown messages, or
 //! all with the one lowest missing message (the runner's word-at-a-time
-//! single-message path).
+//! single-message path), or the two by turns.
 
 use netgraph::{generators, Graph, NodeId};
 use proptest::prelude::*;
@@ -116,6 +116,47 @@ impl RoutingController for LowestLister {
             .collect();
         nodes.shuffle(rng);
         senders.extend(nodes.into_iter().map(|u| (u, m)));
+    }
+}
+
+/// A [`LowestLister`] round, then a [`RandomLister`] round, and so on.
+/// Without sender faults the single-message rounds' reach pass leaves
+/// `heard_from` unwritten, so the mixed rounds after them run on
+/// entries a skipped round left stale; with sender faults every round
+/// reads them. Records the knowledge digest of every round.
+struct TakingTurns {
+    lowest: LowestLister,
+    random: RandomLister,
+}
+
+impl TakingTurns {
+    fn new(rate: f64) -> Self {
+        TakingTurns {
+            lowest: LowestLister {
+                rate,
+                digests: Vec::new(),
+            },
+            random: RandomLister {
+                rate,
+                digests: Vec::new(),
+            },
+        }
+    }
+}
+
+impl RoutingController for TakingTurns {
+    fn decide(
+        &mut self,
+        round: u64,
+        knowledge: &Knowledge,
+        rng: &mut SmallRng,
+        senders: &mut Vec<(NodeId, MsgId)>,
+    ) {
+        if round.is_multiple_of(2) {
+            self.lowest.decide(round, knowledge, rng, senders);
+        } else {
+            self.random.decide(round, knowledge, rng, senders);
+        }
     }
 }
 
@@ -299,5 +340,38 @@ proptest! {
         let want = reference_run(&graph, channel, source, k, &mut dense, seed, max_rounds);
         prop_assert_eq!(out, want);
         prop_assert_eq!(sparse.digests, dense.digests);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Single-message and mixed rounds by turns, on graphs past one
+    /// 64-node word: a mixed round must not read a broadcaster that a
+    /// single-message round before it left in `heard_from`.
+    #[test]
+    fn rounds_taking_turns_match_the_dense_reference(
+        graph in prop_oneof![
+            (65usize..201, 0.01..0.1f64, any::<u64>())
+                .prop_map(|(n, p, seed)| generators::gnp_connected(n, p, seed).unwrap()),
+            (9usize..13, 8usize..13).prop_map(|(r, c)| generators::grid(r, c)),
+            (65usize..201).prop_map(generators::path),
+        ],
+        channel in arb_channel(),
+        k in prop_oneof![1usize..4, 1usize..71],
+        rate in 0.05..0.6f64,
+        source_pick in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let source = NodeId::from_index(source_pick as usize % graph.node_count());
+        let max_rounds = 200;
+        let mut sparse = TakingTurns::new(rate);
+        let out = run_routing(&graph, channel, source, k, &mut sparse, seed, max_rounds)
+            .expect("the listers only name valid senders");
+        let mut dense = TakingTurns::new(rate);
+        let want = reference_run(&graph, channel, source, k, &mut dense, seed, max_rounds);
+        prop_assert_eq!(out, want);
+        prop_assert_eq!(sparse.lowest.digests, dense.lowest.digests);
+        prop_assert_eq!(sparse.random.digests, dense.random.digests);
     }
 }

@@ -1,16 +1,16 @@
-//! `noisy-radio-cli` — run the paper's algorithms from the command
-//! line.
+//! `cli` — run the paper's algorithms from the command line.
 //!
 //! ```text
-//! noisy-radio-cli broadcast --topology path:256 --algo robust-fastbc \
+//! cli broadcast --topology path:256 --algo robust-fastbc \
 //!     --fault receiver:0.3 --seed 7 --trials 5
-//! noisy-radio-cli multicast --topology grid:12x12 --algo decay-rlnc --k 16
-//! noisy-radio-cli gap --leaves 1024 --k 16 --fault receiver:0.5
-//! noisy-radio-cli topo --topology gnp:200:0.05
+//! cli multicast --topology grid:12x12 --algo decay-rlnc --k 16
+//! cli gap --leaves 1024 --k 16 --fault receiver:0.5
+//! cli topo --topology gnp:200:0.05
 //! ```
 //!
-//! Run `noisy-radio-cli help` for the full grammar.
+//! Run `cli help` for the full grammar.
 
+use std::path::Path;
 use std::process::ExitCode;
 
 use noisy_radio::core::consensus::{BenOr, Brb, ConsensusRun};
@@ -33,10 +33,10 @@ use noisy_radio::throughput::LatencySummary;
 const MAX_ROUNDS: u64 = 500_000_000;
 
 const HELP: &str = "\
-noisy-radio-cli — Broadcasting in Noisy Radio Networks (PODC 2017)
+cli — Broadcasting in Noisy Radio Networks (PODC 2017)
 
 USAGE:
-  noisy-radio-cli <COMMAND> [OPTIONS]
+  cli <COMMAND> [OPTIONS]
 
 COMMANDS:
   broadcast   single-message broadcast; prints rounds per trial + mean
@@ -67,7 +67,8 @@ TELEMETRY OPTIONS (broadcast, traffic, gap, consensus; multicast and topo
 record none and refuse them):
   --telemetry PATH  write a JSONL telemetry event log (one span/counter
                     object per line); never changes the measured output.
-                    The path is opened before any trial runs
+                    The path is opened before any trial runs, and a
+                    command that fails removes a file it created
   --telemetry-summary
                     print aggregated telemetry tables to stderr
 
@@ -105,7 +106,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("run `noisy-radio-cli help` for usage");
+            eprintln!("run `cli help` for usage");
             ExitCode::FAILURE
         }
     }
@@ -139,13 +140,22 @@ fn run(args: &[String]) -> Result<(), String> {
         ));
     }
     // Open the output before any trial runs, so that a path that cannot
-    // be written fails at once.
+    // be written fails at once. Writing it is each command's last
+    // fallible step, so a command that fails has written nothing, and a
+    // file opened here for the first time is removed again. A file that
+    // was there keeps its bytes: opening does not truncate.
+    let created = opts.telemetry.clone().filter(|p| !Path::new(p).exists());
     opts.telemetry_out = opts
         .telemetry
         .as_deref()
         .map(OutputFile::open)
         .transpose()?;
-    cmd(&opts)
+    let result = cmd(&opts);
+    if let (Err(_), Some(path)) = (&result, created) {
+        // The command's own error is the one to report.
+        let _ = std::fs::remove_file(path);
+    }
+    result
 }
 
 /// Parsed command-line options with defaults.

@@ -14,6 +14,22 @@ fn refused(args: &[&str]) -> String {
     stderr
 }
 
+/// A telemetry path in the temporary directory, unique to this process
+/// and `name`, that does not exist yet.
+fn fresh_path(name: &str) -> String {
+    let path = std::env::temp_dir().join(format!("cli-{name}-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    path.to_str().expect("a UTF-8 temporary path").to_owned()
+}
+
+/// Commands that open `--telemetry` and then fail on their own input.
+fn failing_with_telemetry(out: &str) -> [Vec<&str>; 2] {
+    [
+        vec!["broadcast", "--topology", "bogus:3", "--telemetry", out],
+        vec!["gap", "--leaves", "4", "--k", "0", "--telemetry", out],
+    ]
+}
+
 #[test]
 fn an_unwritable_telemetry_path_fails_before_any_trial() {
     let stderr = refused(&[
@@ -62,4 +78,41 @@ fn an_unknown_command_is_refused_before_any_output_is_opened() {
     let stderr = refused(&["frobnicate", "--telemetry", out]);
     assert!(stderr.contains("unknown command `frobnicate`"), "{stderr}");
     assert!(!path.exists(), "an unknown command created {out}");
+}
+
+#[test]
+fn a_failing_command_leaves_no_telemetry_file_behind() {
+    let out = fresh_path("failing");
+    for (args, why) in failing_with_telemetry(&out)
+        .iter()
+        .zip(["bad topology spec", "gap needs --k ≥ 1"])
+    {
+        let stderr = refused(args);
+        assert!(stderr.contains(why), "{stderr}");
+        assert!(
+            !std::path::Path::new(&out).exists(),
+            "{args:?} left {out} behind"
+        );
+    }
+}
+
+#[test]
+fn a_failing_command_keeps_an_existing_telemetry_file() {
+    let out = fresh_path("existing");
+    for args in failing_with_telemetry(&out) {
+        std::fs::write(&out, b"an earlier run's events").unwrap();
+        refused(&args);
+        assert_eq!(
+            std::fs::read(&out).unwrap(),
+            b"an earlier run's events",
+            "{args:?} changed {out}"
+        );
+    }
+    std::fs::remove_file(&out).unwrap();
+}
+
+#[test]
+fn the_usage_hint_names_the_binary() {
+    let stderr = refused(&["broadcast", "--trials"]);
+    assert!(stderr.ends_with("run `cli help` for usage\n"), "{stderr}");
 }
