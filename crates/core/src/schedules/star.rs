@@ -102,11 +102,13 @@ pub fn star_routing_telemetry(
 /// [`radio_coding::rs`], so the simulation carries packet *ids*).
 #[derive(Debug, Clone)]
 enum CodingNode {
-    /// The source; emits packet `round` each round.
+    /// The source; emits packet `round` each round, and holds every
+    /// message from the start.
     Center,
-    /// A leaf counting distinct received packets (all packets are
-    /// globally distinct, so a counter suffices).
-    Leaf { received: u64 },
+    /// A leaf counting down the packets it still needs to decode (all
+    /// packets are globally distinct, so a counter suffices). It stops
+    /// at 0, where it has decoded.
+    Leaf { needed: u64 },
 }
 
 impl NodeBehavior<u64> for CodingNode {
@@ -121,8 +123,15 @@ impl NodeBehavior<u64> for CodingNode {
         if !rx.is_packet() {
             return;
         }
-        if let CodingNode::Leaf { received } = self {
-            *received += 1;
+        if let CodingNode::Leaf { needed } = self {
+            *needed = needed.saturating_sub(1);
+        }
+    }
+
+    fn decoded(&self) -> bool {
+        match self {
+            CodingNode::Center => true,
+            CodingNode::Leaf { needed } => *needed == 0,
         }
     }
 
@@ -136,16 +145,29 @@ impl NodeBehavior<u64> for CodingNode {
         }
     }
 
-    // Only a packet changes a leaf (see `receive`), and `decoded` and
-    // `queued` keep their defaults: the engine calls only the leaves a
-    // packet reached. A leaf counts packets past `k`, so it must never
-    // report `decoded`, which would settle it.
+    // Only a packet changes a leaf (see `receive`), `queued` keeps its
+    // default, and a decoded leaf's count stays at 0: the engine calls
+    // only the leaves a packet reached, and a leaf no more once it has
+    // decoded. The center never listens.
     const SILENCE_TRANSPARENT: bool = true;
+}
+
+/// The center, then `leaves` leaves that each need `k` packets.
+fn coding_nodes(leaves: usize, k: u64) -> Vec<CodingNode> {
+    std::iter::once(CodingNode::Center)
+        .chain((0..leaves).map(|_| CodingNode::Leaf { needed: k }))
+        .collect()
 }
 
 /// Runs the Lemma 16 Reed–Solomon coding schedule on a star until
 /// every leaf holds `k` coded packets (and can therefore decode all
 /// `k` messages), or `max_rounds` elapse.
+///
+/// A leaf reports [`NodeBehavior::decoded`] from its `k`-th packet on,
+/// so the run stops on [`Simulator::run_until_decoded`]'s O(1) count,
+/// and the engine settles each leaf there and hands it no more
+/// packets. The returned stats count the decoded nodes, the center
+/// and every leaf that finished.
 ///
 /// # Errors
 ///
@@ -165,16 +187,8 @@ pub fn star_coding(
         });
     }
     let g = checked_star(leaves)?;
-    let behaviors: Vec<CodingNode> = std::iter::once(CodingNode::Center)
-        .chain((0..leaves).map(|_| CodingNode::Leaf { received: 0 }))
-        .collect();
-    let mut sim = Simulator::new(&g, fault, behaviors, seed)?;
-    let rounds = sim.run_until(max_rounds, |bs| {
-        bs.iter().all(|b| match b {
-            CodingNode::Center => true,
-            CodingNode::Leaf { received } => *received >= k as u64,
-        })
-    });
+    let mut sim = Simulator::new(&g, fault, coding_nodes(leaves, k as u64), seed)?;
+    let rounds = sim.run_until_decoded(max_rounds);
     Ok(BroadcastRun {
         rounds,
         stats: *sim.stats(),
@@ -382,8 +396,10 @@ mod tests {
 
     #[test]
     fn coding_leaves_match_the_opaque_oracle() {
-        // Leaves are called only when a packet reaches them; behind
-        // `Opaque` they hear every noise and erasure too.
+        // Leaves are called only when a packet reaches them, and no
+        // more once they hold `k` packets; behind `Opaque` they hear
+        // every noise and erasure, and every packet after the k-th.
+        let k = 8;
         let channels = [
             Channel::faultless(),
             Channel::receiver(0.3).unwrap(),
@@ -394,11 +410,15 @@ mod tests {
         ];
         for leaves in [150, 299] {
             let g = generators::star(leaves);
-            let behaviors: Vec<CodingNode> = std::iter::once(CodingNode::Center)
-                .chain((0..leaves).map(|_| CodingNode::Leaf { received: 0 }))
-                .collect();
+            let behaviors = coding_nodes(leaves, k);
             for channel in channels {
                 crate::opaque::assert_matches_opaque(&g, channel, &behaviors, 8, 60);
+                // Every leaf settles well inside the oracle's 60 rounds.
+                let run = star_coding(leaves, k as usize, channel, 8, 60).unwrap();
+                assert!(
+                    run.rounds.is_some_and(|r| r < 40),
+                    "{leaves} leaves, {channel}"
+                );
             }
         }
     }

@@ -107,14 +107,15 @@ pub fn complete(n: usize) -> Graph {
 pub fn grid(rows: usize, cols: usize) -> Graph {
     let mut b = GraphBuilder::new(rows * cols);
     let id = |r: usize, c: usize| NodeId::from_index(r * cols + c);
+    // Right edge first, then down: the edges arrive sorted.
     for r in 0..rows {
         for c in 0..cols {
-            if r + 1 < rows {
-                b.add_edge(id(r, c), id(r + 1, c))
-                    .expect("grid edges are always valid");
-            }
             if c + 1 < cols {
                 b.add_edge(id(r, c), id(r, c + 1))
+                    .expect("grid edges are always valid");
+            }
+            if r + 1 < rows {
+                b.add_edge(id(r, c), id(r + 1, c))
                     .expect("grid edges are always valid");
             }
         }

@@ -20,6 +20,38 @@ fn arb_graph(max_n: usize, max_m: usize) -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Strategy: a graph from one of the named generators, which hand the
+/// builder their edges in their own orders, past one 64-node bitset
+/// word.
+fn arb_named_graph() -> impl Strategy<Value = Graph> {
+    prop_oneof![
+        (65usize..400).prop_map(generators::path),
+        (65usize..400).prop_map(|n| generators::cycle(n).unwrap()),
+        (65usize..400).prop_map(generators::star),
+        (65usize..100).prop_map(generators::complete),
+        (2usize..30, 65usize..400).prop_map(|(r, n)| generators::grid(r, n / r + 1)),
+        (65usize..400).prop_map(|n| generators::grid(1, n)),
+        (65usize..400).prop_map(|n| generators::grid(n, 1)),
+        (3usize..30, 65usize..400).prop_map(|(r, n)| generators::torus(r, n / r + 3).unwrap()),
+        (2usize..5).prop_map(|arity| generators::balanced_tree(arity, 6).unwrap()),
+        (2usize..30, 65usize..400)
+            .prop_map(|(spine, n)| generators::caterpillar(spine, n / spine).unwrap()),
+        (2usize..30, 65usize..400)
+            .prop_map(|(legs, n)| generators::spider(legs, n / legs + 1).unwrap()),
+        (7u32..10).prop_map(|dim| generators::hypercube(dim).unwrap()),
+        (65usize..400, any::<u64>()).prop_map(|(n, seed)| generators::gnp(n, 0.05, seed).unwrap()),
+        (65usize..400, any::<u64>())
+            .prop_map(|(n, seed)| generators::gnp_connected(n, 0.02, seed).unwrap()),
+        (65usize..400, any::<u64>())
+            .prop_map(|(n, seed)| generators::random_tree(n, seed).unwrap()),
+        (2usize..30, 65usize..400, any::<u64>()).prop_map(|(layers, n, seed)| {
+            generators::layered_random(layers, n / layers + 1, 0.2, seed).unwrap()
+        }),
+        (65usize..400, any::<u64>())
+            .prop_map(|(n, seed)| generators::unit_disk(n, 0.15, seed).unwrap()),
+    ]
+}
+
 /// Strategy: a random *connected* graph (random tree + extra edges).
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (2usize..max_n, any::<u64>(), 0.0..0.3f64)
@@ -36,7 +68,9 @@ proptest! {
     }
 
     #[test]
-    fn neighbor_lists_sorted_and_unique(g in arb_graph(40, 120)) {
+    fn neighbor_lists_sorted_and_unique(
+        g in prop_oneof![arb_graph(40, 120), arb_named_graph()],
+    ) {
         for v in g.nodes() {
             let ns = g.neighbors(v);
             for w in ns.windows(2) {

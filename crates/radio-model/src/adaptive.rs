@@ -21,10 +21,13 @@
 //! sender's message. When every sender carries the same message, the
 //! sweep checks a whole word of listeners against that message's
 //! column of the [`Knowledge`] state, with no branch per listener: a
-//! listener that already holds it still steps the fault stream, and its
-//! draw is masked out of the grant. Such a round, when senders cannot
-//! fault, also reads no one's broadcaster, so its reach pass leaves
-//! `heard_from` unwritten.
+//! listener that already holds it still takes its draw from the fault
+//! stream, and its draw is masked out of the grant. A word in which
+//! every clean listener holds it computes none of its draws: the
+//! stream jumps over them, by a precomputed power of its linear state
+//! update, before the next draw anyone reads. Such a round, when
+//! senders cannot fault, also reads no one's broadcaster, so its reach
+//! pass leaves `heard_from` unwritten.
 //!
 //! The knowledge state is sized `n × k` bits twice over; a run whose
 //! state does not fit in memory fails with [`ModelError::TooLarge`]
@@ -37,7 +40,7 @@ use rand::{Rng, RngCore};
 
 use crate::bitmat::try_filled;
 use crate::engine::{reach_pass, sender_faulted};
-use crate::rng::{fork_rng, kept_mask, loss_threshold};
+use crate::rng::{fork_rng, kept_mask, loss_threshold, Stream};
 use crate::{BitMatrix, Channel, ModelError};
 
 /// Index of one of the `k` broadcast messages.
@@ -290,7 +293,7 @@ fn run_routing_inner(
     let mut knowledge = Knowledge::new(n, k)?;
     knowledge.grant_all(source);
     let mut ctrl_rng = fork_rng(seed, 0);
-    let mut fault_rng = fork_rng(seed, 1);
+    let mut fault_rng = Stream::fork(seed, 1);
     let sender_fault = channel.sender_fault();
     let loss = channel.delivery_fault().map(loss_threshold);
 
@@ -443,7 +446,7 @@ fn clean_word(single: u64, w: usize, heard_from: &[u32], sender_ok: Option<&[boo
 
 /// The delivery sweep of a round whose broadcasters all carry message
 /// `m`, a word of 64 listeners at a time. Each clean listener still
-/// steps `rng` once, in ascending order, exactly as in
+/// owns one draw of `rng`, in ascending order, exactly as in
 /// [`resolve_listeners`]. The useful listeners of a word are the clean
 /// ones that lack `m`, and only they can be granted, so a word's fresh
 /// grants are one OR into `m`'s column, one popcount into `missing[m]`,
@@ -454,11 +457,13 @@ fn clean_word(single: u64, w: usize, heard_from: &[u32], sender_ok: Option<&[boo
 /// keep mask into `lost`, as in [`resolve_listeners`], and the word
 /// grants `useful & !lost`: nothing branches on whether a listener
 /// lacks `m`, which in a message's second round is a coin flip. A word
-/// with none (most words, once a message is old) only steps the stream.
-/// A listener that already holds `m` cannot be changed by its slot,
-/// whatever its draw, so dropping the draw's value (never the draw)
-/// leaves every stream and every grant as the per-listener sweep makes
-/// them.
+/// with none (most words, once a message is old) only adds its clean
+/// listeners to a count of skipped draws, which [`Stream::discard`]
+/// jumps over before the next draw and at the end of the round. A
+/// listener that already holds `m` cannot be changed by its slot,
+/// whatever its draw, so dropping the draw's value (never its place in
+/// the stream) leaves every stream and every grant as the per-listener
+/// sweep makes them.
 // Out of line, with the stream passed in and out by value, like
 // `resolve_listeners`.
 #[inline(never)]
@@ -468,8 +473,8 @@ fn resolve_one_message(
     m: usize,
     sender_faults: bool,
     loss: Option<u64>,
-    mut rng: SmallRng,
-) -> (u64, SmallRng) {
+    mut rng: Stream,
+) -> (u64, Stream) {
     let Knowledge {
         matrix,
         columns,
@@ -478,6 +483,8 @@ fn resolve_one_message(
     } = knowledge;
     let sender_ok = sender_faults.then_some(&slot.sender_ok[..]);
     let mut fresh = 0u64;
+    // Draws of useful-free words not yet taken from the stream.
+    let mut skipped = 0u64;
     let words = slot
         .reach
         .words()
@@ -491,10 +498,10 @@ fn resolve_one_message(
         let mut delivered = useful;
         if let Some(threshold) = loss {
             if useful == 0 {
-                for _ in 0..clean.count_ones() {
-                    rng.next_u64();
-                }
+                skipped += u64::from(clean.count_ones());
             } else {
+                rng.discard(skipped);
+                skipped = 0;
                 let (mut c, mut lost) = (clean, 0u64);
                 while c != 0 {
                     let bit = c & c.wrapping_neg();
@@ -514,6 +521,7 @@ fn resolve_one_message(
             }
         }
     }
+    rng.discard(skipped);
     missing[m] -= fresh as usize;
     (fresh, rng)
 }
@@ -536,8 +544,8 @@ fn resolve_listeners(
     slot: &mut Slot,
     sender_faults: bool,
     loss: Option<u64>,
-    mut rng: SmallRng,
-) -> (u64, SmallRng) {
+    mut rng: Stream,
+) -> (u64, Stream) {
     let heard_from = &slot.heard_from[..];
     let sender_ok = sender_faults.then_some(&slot.sender_ok[..]);
     let words = slot

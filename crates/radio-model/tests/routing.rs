@@ -11,7 +11,9 @@
 //! message counts across a word boundary, and controllers that list
 //! random nodes in random order with known and unknown messages, or
 //! all with the one lowest missing message (the runner's word-at-a-time
-//! single-message path), or the two by turns.
+//! single-message path), or the two by turns. Stars of up to 3,000
+//! leaves carry the single-message path's skipped draws far enough to
+//! use the fault stream's jump tables up to level 5.
 
 use netgraph::{generators, Graph, NodeId};
 use proptest::prelude::*;
@@ -113,6 +115,38 @@ impl RoutingController for LowestLister {
         let mut nodes: Vec<NodeId> = (0..knowledge.node_count())
             .map(NodeId::from_index)
             .filter(|_| rng.gen_bool(self.rate))
+            .collect();
+        nodes.shuffle(rng);
+        senders.extend(nodes.into_iter().map(|u| (u, m)));
+    }
+}
+
+/// The centre (node 0) with the lowest message someone still lacks,
+/// plus each other node with probability `rate`, shuffled: on a star,
+/// a single-message round every round in which the centre knows that
+/// message. Records the knowledge digest of every round it is asked
+/// about.
+struct CentreLister {
+    rate: f64,
+    digests: Vec<u64>,
+}
+
+impl RoutingController for CentreLister {
+    fn decide(
+        &mut self,
+        _round: u64,
+        knowledge: &Knowledge,
+        rng: &mut SmallRng,
+        senders: &mut Vec<(NodeId, MsgId)>,
+    ) {
+        self.digests.push(digest(knowledge));
+        let Some(m) = knowledge.lowest_missing() else {
+            return;
+        };
+        let mut nodes: Vec<NodeId> = (1..knowledge.node_count())
+            .map(NodeId::from_index)
+            .filter(|_| rng.gen_bool(self.rate))
+            .chain([NodeId::new(0)])
             .collect();
         nodes.shuffle(rng);
         senders.extend(nodes.into_iter().map(|u| (u, m)));
@@ -373,5 +407,34 @@ proptest! {
         prop_assert_eq!(out, want);
         prop_assert_eq!(sparse.lowest.digests, dense.lowest.digests);
         prop_assert_eq!(sparse.random.digests, dense.random.digests);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Single-message rounds on stars of 1,000–3,000 leaves, from the
+    /// centre: once most leaves hold a message, the runner skips the
+    /// draws of runs of words in which every leaf does, thousands of
+    /// draws at a time, and every table level of the jump up to 5
+    /// serves them. A few leaves send too, so the centre also hears
+    /// packets and collisions.
+    #[test]
+    fn single_message_rounds_on_large_stars_match_the_dense_reference(
+        leaves in 1000usize..3001,
+        channel in arb_channel(),
+        k in 1usize..5,
+        rate in 0.0..0.002f64,
+        seed in any::<u64>(),
+    ) {
+        let graph = generators::star(leaves);
+        let (source, max_rounds) = (NodeId::new(0), 120);
+        let mut sparse = CentreLister { rate, digests: Vec::new() };
+        let out = run_routing(&graph, channel, source, k, &mut sparse, seed, max_rounds)
+            .expect("the lister only names valid senders");
+        let mut dense = CentreLister { rate, digests: Vec::new() };
+        let want = reference_run(&graph, channel, source, k, &mut dense, seed, max_rounds);
+        prop_assert_eq!(out, want);
+        prop_assert_eq!(sparse.digests, dense.digests);
     }
 }
